@@ -57,8 +57,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduced-only", action="store_true", dest="reduced_only")
     p.add_argument("--cap", type=int, default=hecke.DEFAULT_CAP,
                    help="hecke subsequence word-length cap")
-    p.add_argument("--threads", type=int, default=1)
     return p
+
+
+def _attach_signed_windows(argv) -> list:
+    """argparse reads a value such as "-4,-3,-2,-1" as an option, so a
+    window that starts with a barred entry is attached to its flag."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--w", "--v") and tok.startswith("-") and tok[1:2].isdigit():
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _resolve_inputs(args):
@@ -126,7 +137,7 @@ def _latex_class(rstype, d, w, v, backend):
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_windows(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -159,9 +170,7 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
     geometry = geometry_of(rstype)
 
     if emit == "class":
-        cls = restriction.pullback(
-            rstype, d, w, v, backend=args.backend, cap=args.cap, threads=args.threads
-        )
+        cls = restriction.pullback(rstype, d, w, v, backend=args.backend, cap=args.cap)
         if fmt == "json":
             doc["class"] = poly_to_json(cls.value)
             print(json.dumps(doc, sort_keys=True))

@@ -11,7 +11,6 @@ outside its support is genuinely zero.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -23,7 +22,17 @@ from .diagrams import (
     reading_word,
     reflection_tableau,
 )
-from .ring import GradedSeries, LaurentPoly, geometric_expand, specialize_zero
+from .ring import (
+    GradedSeries,
+    LaurentPoly,
+    add_binomial_into,
+    add_into,
+    check_span,
+    geometric_expand,
+    pack,
+    span_of,
+    specialize_zero,
+)
 from .shapes import (
     bd_identify_inverse,
     contains,
@@ -202,11 +211,24 @@ def _svt_entry_box(geometry: str, box, x: int) -> tuple:
     return (x, x + j - i)
 
 
-def _term_product(rank: int, exponents) -> LaurentPoly:
-    acc = LaurentPoly.one(rank)
-    for g in exponents:
-        acc = acc * (LaurentPoly.monomial(g) - 1)
-    return acc
+def _sum_of_products(rank: int, terms) -> LaurentPoly:
+    """sum over terms of prod_g (e^g - 1), every term folded into one running
+    packed dict: its last factor is fused into the sum."""
+    total = {}
+    span = 0
+    for exps in terms:
+        span = max(span, check_span(sum(map(span_of, exps))))
+        factors = [pack(g) for g in exps]
+        acc = {0: 1}
+        for g in factors[:-1]:
+            nxt = {}
+            add_binomial_into(nxt, acc, g)
+            acc = nxt
+        if factors:
+            add_binomial_into(total, acc, factors[-1])
+        else:
+            add_into(total, acc)
+    return LaurentPoly.from_packed(rank, total, span)
 
 
 def pullback_terms(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
@@ -257,35 +279,37 @@ def pullback_terms(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
 
 
 def _hecke_class_dp(rstype: RootSystem, w: WeylElement, word, rvals) -> LaurentPoly:
-    """Sum over T(w, word) of prod (e^{-r} - 1) by a fold-state dynamic program."""
-    n = rstype.rank
+    """Sum over T(w, word) of prod (e^{-r} - 1) by a fold-state dynamic program
+    whose states accumulate packed dicts in place."""
     kind = rstype.kind
     lw = length(w)
-    ident = tuple(range(1, n + 1))
-    zero = LaurentPoly.zero(n)
-    states = {ident: LaurentPoly.one(n)}
+    exps = [negate_weight(r) for r in rvals]
+    span = check_span(sum(map(span_of, exps)))  # bounds every partial product
+    ident = tuple(range(1, rstype.rank + 1))
+    states = {ident: {0: 1}}
     lengths = {ident: 0}
-    for c, i in enumerate(word):
-        factor = LaurentPoly.monomial(negate_weight(rvals[c])) - 1
+    for i, g in zip(word, map(pack, exps)):
         nxt = {}
         for win, val in states.items():
-            nxt[win] = nxt.get(win, zero) + val
             if window_right_ascent(kind, win, i):
                 win2 = window_right_mult(kind, win, i)
                 if win2 not in lengths:
                     lengths[win2] = lengths[win] + 1
-                if lengths[win2] > lw:
-                    continue
+                if lengths[win2] <= lw:
+                    add_binomial_into(nxt.setdefault(win2, {}), val, g)
+                shift = 0
             else:
-                win2 = win
-            nxt[win2] = nxt.get(win2, zero) + val * factor
+                shift = g  # skip and take both stay at win: val * e^g
+            if win in nxt or shift:
+                add_into(nxt.setdefault(win, {}), val, shift)
+            else:
+                nxt[win] = val  # val is not read again, so it is reused
         states = nxt
-    return states.get(w.window, zero)
+    return LaurentPoly.from_packed(rstype.rank, states.get(w.window, {}), span)
 
 
 def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
-             backend: str = "eyd", cap: int = hecke.DEFAULT_CAP,
-             threads: int = 1) -> KClass:
+             backend: str = "eyd", cap: int = hecke.DEFAULT_CAP) -> KClass:
     """The class i_v*[O_{X^w}] as an expanded Laurent polynomial.
 
     All three backends return identical polynomials; hecke enumerates
@@ -312,15 +336,7 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
         rvals = r_values(word, rstype)
         poly = _hecke_class_dp(rstype, w, word, rvals)
         return KClass(rstype, d, poly * sign)
-    terms = pullback_terms(rstype, d, w, v, backend=backend)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            products = list(pool.map(lambda t: _term_product(n, t), terms))
-    else:
-        products = [_term_product(n, t) for t in terms]
-    total = LaurentPoly.zero(n)
-    for p in products:
-        total = total + p
+    total = _sum_of_products(n, pullback_terms(rstype, d, w, v, backend=backend))
     return KClass(rstype, d, total * sign)
 
 
@@ -347,6 +363,8 @@ def hilbert_data(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     """d_w = dim G/P - l(w) and the vector m with m_k the number of excited
     diagrams of k extra boxes (equal to the count of Hecke subsequences with
     excess k).  Type B is defined through the D_{n+1} identification."""
+    if method not in ("eyd", "hecke"):
+        raise ValueError(f"unknown method {method!r}")
     if rstype.kind == "B":
         data = hilbert_data(
             RootSystem("D", rstype.rank + 1),
@@ -491,9 +509,9 @@ def check_backends(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
 
 
 def _first_difference(p: LaurentPoly, q: LaurentPoly) -> str:
-    exps = sorted(set(p.terms) | set(q.terms))
-    for e in exps:
-        a, b = p.terms.get(e, 0), q.terms.get(e, 0)
+    pt, qt = p.terms, q.terms
+    for e in sorted(set(pt) | set(qt)):
+        a, b = pt.get(e, 0), qt.get(e, 0)
         if a != b:
             return f"monomial {e}: {a} != {b}"
     return "values equal"

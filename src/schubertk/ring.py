@@ -4,27 +4,125 @@ LaurentPoly is a sparse map from exponent vectors in Z^rank to arbitrary
 precision integer coefficients.  ev_xi collapses a polynomial along a
 rational grading vector, and geometric_expand produces the truncated graded
 character num / prod (1 - e^{-mu}).
+
+Encoding.  An exponent vector (e_1, ..., e_rank) is stored as the one
+integer e_1 + e_2 B + ... + e_rank B^(rank-1) with B = 2^16: balanced
+base-B digits.  While every coordinate lies in [-LIMIT, LIMIT] with
+LIMIT = 2^15 - 1 the encoding is unique and additive, so the product of two
+monomials is one integer addition and (e^g - 1) is a shift by the packed g.
+`pack` and `unpack` convert; the kernels `add_into` and `add_binomial_into`
+work on packed dicts {key: coef}.  Tuples appear only at the edges:
+`LaurentPoly.terms`, text, LaTeX and JSON.
+
+Range guard.  Every LaurentPoly carries `span`, an upper bound on |e_i|
+over its terms: spans add under multiplication and take the max under
+addition.  An operation whose bound would exceed LIMIT raises ValueError
+before it computes anything, so a digit can never carry into its neighbour
+and a wrong polynomial is never returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+
+DIGIT = 16
+LIMIT = (1 << (DIGIT - 1)) - 1
+_MASK = (1 << DIGIT) - 1
+
+
+def check_span(span: int) -> int:
+    """Return span, or raise ValueError if coordinates bounded by it do not
+    fit the packing range."""
+    if span > LIMIT:
+        raise ValueError(
+            f"exponent coordinates up to {span} exceed the packing range +-{LIMIT}"
+        )
+    return span
+
+
+def span_of(exponent) -> int:
+    return max(map(abs, exponent), default=0)
+
+
+def pack(exponent) -> int:
+    """The packed key of an exponent vector; ValueError outside +-LIMIT."""
+    check_span(span_of(exponent))
+    key = 0
+    for x in reversed(exponent):
+        key = (key << DIGIT) + x
+    return key
+
+
+def _bias(rank: int) -> int:
+    """LIMIT in every digit: adding it makes all digits of a key nonnegative."""
+    return LIMIT * (((1 << (DIGIT * rank)) - 1) // _MASK)
+
+
+def unpack(key: int, rank: int) -> tuple:
+    """The exponent vector of a packed key."""
+    k = key + _bias(rank)
+    return tuple(((k >> s) & _MASK) - LIMIT for s in range(0, DIGIT * rank, DIGIT))
+
+
+def add_into(dst: dict, src: dict, g: int = 0) -> None:
+    """dst += src * e^g on packed dicts.  dst must not be src.
+
+    Cancelled coefficients stay in dst as zeros; they are skipped when read
+    as src, and `LaurentPoly.from_packed` drops them.  The caller bounds the
+    spans."""
+    get = dst.get
+    for k, c in src.items():
+        if c:
+            k += g
+            dst[k] = get(k, 0) + c
+
+
+def add_binomial_into(dst: dict, src: dict, g: int) -> None:
+    """dst += src * (e^g - 1) on packed dicts, the fused factor every class
+    is built from.  dst must not be src; zeros as in `add_into`."""
+    get = dst.get
+    for k, c in src.items():
+        if c:
+            kg = k + g
+            dst[kg] = get(kg, 0) + c
+            dst[k] = get(k, 0) - c
 
 
 class LaurentPoly:
-    __slots__ = ("rank", "terms")
+    """`packed` maps packed keys to nonzero coefficients and `span` bounds
+    |e_i| over its terms; both are treated as immutable once built."""
+
+    __slots__ = ("rank", "packed", "span")
 
     def __init__(self, rank: int, terms=None):
-        self.rank = rank
-        clean = {}
+        packed = {}
+        span = 0
         for exp, coef in (terms or {}).items():
             if len(exp) != rank:
                 raise ValueError(f"exponent {exp} has length != rank {rank}")
             if coef:
-                clean[tuple(exp)] = coef
-        self.terms = clean
+                packed[pack(exp)] = coef
+                span = max(span, span_of(exp))
+        self.rank = rank
+        self.packed = packed
+        self.span = span
+
+    @classmethod
+    def from_packed(cls, rank: int, packed: dict, span: int) -> LaurentPoly:
+        """Wrap a packed dict whose coordinates are bounded by span; zero
+        coefficients are dropped."""
+        p = object.__new__(cls)
+        p.rank = rank
+        p.packed = {k: c for k, c in packed.items() if c}
+        p.span = check_span(span) if p.packed else 0
+        return p
+
+    @property
+    def terms(self) -> dict:
+        """The polynomial as {exponent tuple: coefficient}, decoded afresh."""
+        return {unpack(k, self.rank): c for k, c in self.packed.items()}
 
     @classmethod
     def zero(cls, rank):
@@ -39,64 +137,58 @@ class LaurentPoly:
         return cls(len(exponent), {tuple(exponent): coef})
 
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
-    def _check(self, other):
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return LaurentPoly.from_packed(self.rank, {0: other}, 0)
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch {self.rank} vs {other.rank}")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly(self.rank, {(0,) * self.rank: other})
-        self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return LaurentPoly(self.rank, out)
+        other = self._coerce(other)
+        out = dict(self.packed)
+        add_into(out, other.packed)
+        return LaurentPoly.from_packed(self.rank, out, max(self.span, other.span))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.rank, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly.from_packed(
+            self.rank, {k: -c for k, c in self.packed.items()}, self.span
+        )
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly(self.rank, {(0,) * self.rank: other})
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly(
-                self.rank, {e: c * other for e, c in self.terms.items()}
+            return LaurentPoly.from_packed(
+                self.rank, {k: c * other for k, c in self.packed.items()}, self.span
             )
-        self._check(other)
+        other = self._coerce(other)
+        span = check_span(self.span + other.span)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return LaurentPoly(self.rank, out)
+        get = out.get
+        for k2, c2 in other.packed.items():
+            for k1, c1 in self.packed.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return LaurentPoly.from_packed(self.rank, out, span)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self == LaurentPoly(self.rank, {(0,) * self.rank: other})
+            other = self._coerce(other)
         return (
             isinstance(other, LaurentPoly)
             and self.rank == other.rank
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     def __hash__(self):
@@ -106,7 +198,7 @@ class LaurentPoly:
         return sorted(self.terms.items())
 
     def coefficient_sum(self) -> int:
-        return sum(self.terms.values())
+        return sum(self.packed.values())
 
     def __repr__(self):
         return f"LaurentPoly({format_poly(self)})"
@@ -117,45 +209,58 @@ def monomial(weight) -> LaurentPoly:
 
 
 def dual(p: LaurentPoly) -> LaurentPoly:
-    """The involution e^lam -> e^{-lam}."""
-    return LaurentPoly(p.rank, {tuple(-x for x in e): c for e, c in p.terms.items()})
+    """The involution e^lam -> e^{-lam}; negating a key negates every digit."""
+    return LaurentPoly.from_packed(
+        p.rank, {-k: c for k, c in p.packed.items()}, p.span
+    )
 
 
 def specialize_zero(p: LaurentPoly, coord: int) -> LaurentPoly:
     """Send eps_coord to 0 (1-based), dropping the coordinate and merging terms."""
     if not 1 <= coord <= p.rank:
         raise ValueError(f"coordinate {coord} out of range 1..{p.rank}")
+    bias, new_bias = _bias(p.rank), _bias(p.rank - 1)
+    cut = DIGIT * (coord - 1)
+    low = (1 << cut) - 1
     out = {}
-    k = coord - 1
-    for e, c in p.terms.items():
-        key = e[:k] + e[k + 1:]
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    return LaurentPoly(p.rank - 1, out)
+    get = out.get
+    for k, c in p.packed.items():
+        k += bias
+        k = ((k & low) | ((k >> (cut + DIGIT)) << cut)) - new_bias
+        out[k] = get(k, 0) + c
+    return LaurentPoly.from_packed(p.rank - 1, out, p.span)
+
+
+def _integer_grading(xi) -> tuple:
+    """(xi scaled to integers, the scale): degrees become integer dot products."""
+    xi = [Fraction(x) for x in xi]
+    den = lcm(*(x.denominator for x in xi))
+    return [int(x * den) for x in xi], den
+
+
+def _degree(exponent, ixi, den) -> int:
+    val = sum(x * c for x, c in zip(ixi, exponent))
+    deg, rem = divmod(val, den)
+    if rem:
+        raise ValueError(
+            f"non-integral degree {Fraction(val, den)} for exponent {tuple(exponent)}"
+        )
+    return deg
 
 
 def xi_degree(exponent, xi) -> int:
     """mu(xi) for an exponent vector; must be an integer."""
-    val = sum(Fraction(x) * Fraction(c) for x, c in zip(xi, exponent))
-    if val.denominator != 1:
-        raise ValueError(f"non-integral degree {val} for exponent {exponent}")
-    return int(val)
+    return _degree(exponent, *_integer_grading(xi))
 
 
 def ev_xi(p: LaurentPoly, xi) -> dict:
     """Sum c_mu t^{mu(xi)}, returned as a degree -> coefficient map."""
+    ixi, den = _integer_grading(xi)
     out = {}
     for e, c in p.terms.items():
-        d = xi_degree(e, xi)
-        s = out.get(d, 0) + c
-        if s:
-            out[d] = s
-        else:
-            del out[d]
-    return out
+        d = _degree(e, ixi, den)
+        out[d] = out.get(d, 0) + c
+    return {d: c for d, c in out.items() if c}
 
 
 @dataclass
@@ -184,17 +289,26 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int,
     """
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
+    ixi, den = _integer_grading(xi)
     for mu in denom_weights:
-        if xi_degree(tuple(-x for x in mu), xi) != 1:
+        if _degree([-x for x in mu], ixi, den) != 1:
             raise ValueError(f"denominator weight {mu} does not have xi-degree -1")
+    rank = numerator.rank
+    if not dimension_only:
+        # a degree-i slice is the numerator times i denominator monomials
+        span = check_span(
+            numerator.span + N * max(map(span_of, denom_weights), default=0)
+        )
+    slices = [{} for _ in range(N + 1)]
+    for k, c in numerator.packed.items():
+        e = unpack(k, rank)
+        d = _degree(e, ixi, den)
+        if d < 0:
+            raise ValueError(f"negative-degree monomial {e} in numerator")
+        if d <= N:
+            slices[d][k] = c
     if dimension_only:
-        nums = [0] * (N + 1)
-        for e, c in numerator.terms.items():
-            d = xi_degree(e, xi)
-            if 0 <= d <= N:
-                nums[d] += c
-            elif d < 0:
-                raise ValueError(f"negative-degree monomial {e} in numerator")
+        nums = [sum(s.values()) for s in slices]
         dim = len(denom_weights)
         vals = [
             sum(nums[k] * comb(i - k + dim - 1, dim - 1) for k in range(i + 1))
@@ -202,27 +316,16 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int,
         ]
         return GradedSeries(N, vals)
 
-    rank = numerator.rank
-    slices = [LaurentPoly.zero(rank) for _ in range(N + 1)]
-    for e, c in numerator.terms.items():
-        d = xi_degree(e, xi)
-        if d < 0:
-            raise ValueError(f"negative-degree monomial {e} in numerator")
-        if d <= N:
-            slices[d] = slices[d] + LaurentPoly.monomial(e, c)
     for mu in denom_weights:
-        step = LaurentPoly.monomial(tuple(-x for x in mu))
-        powers = [LaurentPoly.one(rank)]
-        for _ in range(N):
-            powers.append(powers[-1] * step)
-        new = [LaurentPoly.zero(rank) for _ in range(N + 1)]
+        step = pack([-x for x in mu])
+        new = []
         for i in range(N + 1):
-            acc = LaurentPoly.zero(rank)
+            acc = {}
             for k in range(i + 1):
-                acc = acc + slices[i - k] * powers[k]
-            new[i] = acc
+                add_into(acc, slices[i - k], k * step)
+            new.append(acc)
         slices = new
-    return GradedSeries(N, slices)
+    return GradedSeries(N, [LaurentPoly.from_packed(rank, s, span) for s in slices])
 
 
 def format_poly(p: LaurentPoly, latex: bool = False) -> str:

@@ -112,9 +112,6 @@ def test_json_class_roundtrip_and_determinism(capsys):
     assert poly_from_json(doc["class"], 4) == pullback(rs, None, w, v).value
     assert run(argv) == 0
     assert capture(capsys) == first
-    argv_threads = argv + ["--threads", "3"]
-    assert run(argv_threads) == 0
-    assert capture(capsys) == first
 
 
 def test_json_monomials_sorted(capsys):
@@ -252,3 +249,22 @@ def test_window_and_shape_inputs_agree(capsys):
     first = capture(capsys)
     assert run(b) == 0
     assert capture(capsys) == first
+
+
+@pytest.mark.parametrize(
+    "w, v, mult",
+    [("1,2,-4,-3", "-4,-3,-2,-1", "10"), ("-4,-3,-2,-1", "-4,-3,-2,-1", "1")],
+)
+def test_window_with_barred_first_entry_as_separate_token(w, v, mult, capsys):
+    base = "--type C --rank 4 --emit mult".split()
+    assert run(base + ["--w", w, "--v", v]) == 0
+    assert capture(capsys) == mult
+    assert run(base + [f"--w={w}", f"--v={v}"]) == 0
+    assert capture(capsys) == mult
+
+
+def test_exponent_outside_packing_range_exits_2(capsys):
+    argv = "--type C --rank 4 --w 1,2,-4,-3 --v 2,-4,-3,-1 --emit character --trunc 20000"
+    assert run(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "packing range" in err

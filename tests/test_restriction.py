@@ -277,6 +277,12 @@ def test_hilbert_data_golden_values():
     assert hilbert_series_str(a) == "5/(1-t)^9 - 5/(1-t)^8 + 1/(1-t)^7"
 
 
+@pytest.mark.parametrize("rs, d, w, v", [(A7, 3, WA, VA), (B5, None, WB, VB)])
+def test_hilbert_data_rejects_unknown_method(rs, d, w, v):
+    with pytest.raises(ValueError, match="unknown method"):
+        hilbert_data(rs, d, w, v, method="subsets")
+
+
 def test_hilbert_polynomial_values():
     data = hilbert_data(A7, 3, WA, VA)
     assert hilbert_polynomial_value(data, 0) == 1
@@ -440,8 +446,3 @@ def test_larger_instances_regression():
     assert dataC.m == (70, 245, 371, 315, 165, 55, 11, 1)
     assert sum((-1) ** k * mk for k, mk in enumerate(dataC.m)) == 1
 
-
-def test_threads_do_not_change_result():
-    single = pullback(A7, 3, WA, VA, threads=1)
-    multi = pullback(A7, 3, WA, VA, threads=4)
-    assert single.value == multi.value

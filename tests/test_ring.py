@@ -2,19 +2,24 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schubertk.ring import (
+    LIMIT,
     LaurentPoly,
+    add_binomial_into,
+    add_into,
     dual,
     ev_xi,
     format_poly,
     format_tpoly,
     geometric_expand,
+    pack,
     poly_from_json,
     poly_to_json,
     specialize_zero,
+    unpack,
     xi_degree,
 )
 
@@ -180,3 +185,95 @@ def test_big_coefficients_stay_exact():
     for _ in range(64):
         p = p * (mono(1, 0) + 1)
     assert p.terms[(32, 0)] == comb(65, 32)
+
+
+# --- the packed-exponent kernel -------------------------------------------
+
+
+def _reference_mul(a: dict, b: dict) -> dict:
+    """Tuple-keyed product, the representation the packed ring replaced."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+wide = st.integers(-(LIMIT // 2), LIMIT // 2)
+wide_terms = st.dictionaries(st.tuples(wide, wide, wide), st.integers(-9, 9), max_size=6)
+
+
+@given(st.lists(st.integers(-LIMIT, LIMIT), max_size=8))
+@example([LIMIT, -LIMIT, LIMIT])
+@example([-LIMIT] * 8)
+@example([])
+@settings(max_examples=200, deadline=None)
+def test_pack_unpack_roundtrip(exp):
+    key = pack(exp)
+    assert unpack(key, len(exp)) == tuple(exp)
+    assert pack([-x for x in exp]) == -key
+
+
+@given(st.lists(st.integers(-LIMIT, LIMIT), min_size=2, max_size=5),
+       st.lists(st.integers(-LIMIT, LIMIT), min_size=2, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_packed_sum_is_the_exponent_sum_inside_the_range(a, b):
+    n = min(len(a), len(b))
+    a, b = a[:n], b[:n]
+    total = [x + y for x, y in zip(a, b)]
+    if all(abs(x) <= LIMIT for x in total):
+        assert unpack(pack(a) + pack(b), n) == tuple(total)
+
+
+@pytest.mark.parametrize("exp", [(LIMIT + 1,), (0, -LIMIT - 1), (1, 2, 1 << 20)])
+def test_pack_rejects_coordinates_outside_the_range(exp):
+    with pytest.raises(ValueError):
+        pack(exp)
+    with pytest.raises(ValueError):
+        LaurentPoly.monomial(exp)
+
+
+@given(wide_terms, wide_terms, st.tuples(wide, wide, wide))
+@settings(max_examples=60, deadline=None)
+def test_add_binomial_into_equals_generic_operators(a, b, g):
+    p, q = LaurentPoly(3, a), LaurentPoly(3, b)
+    dst = dict(q.packed)
+    add_binomial_into(dst, p.packed, pack(g))
+    fused = LaurentPoly.from_packed(3, dst, max(q.span, p.span + max(map(abs, g))))
+    assert fused == q + p * (mono(*g) - 1)
+    dst = dict(q.packed)
+    add_into(dst, p.packed, pack(g))
+    assert LaurentPoly.from_packed(3, dst, LIMIT) == q + p * mono(*g)
+
+
+def test_over_range_product_raises_and_never_wraps():
+    top = mono(LIMIT - 1, -5)
+    assert (top * mono(1, 0)).terms == {(LIMIT, -5): 1}
+    with pytest.raises(ValueError):
+        top * mono(2, 0)  # LIMIT + 1 would carry into the next digit
+    with pytest.raises(ValueError):
+        mono(0, -LIMIT) * mono(0, -1)
+    big = mono(20000, 1) - 1
+    with pytest.raises(ValueError):
+        big * big
+    with pytest.raises(ValueError):
+        geometric_expand(LaurentPoly.one(2), [(-1, 1)], (Fraction(1), Fraction(0)), LIMIT + 1)
+
+
+@given(wide_terms, wide_terms)
+@settings(max_examples=60, deadline=None)
+def test_terms_hash_eq_and_json_match_the_tuple_representation(a, b):
+    clean = {e: c for e, c in a.items() if c}
+    p, q = LaurentPoly(3, a), LaurentPoly(3, b)
+    assert p.terms == clean
+    assert hash(p) == hash((3, frozenset(clean.items())))
+    assert poly_to_json(p) == {
+        "monomials": [{"exp": list(e), "coef": str(c)} for e, c in sorted(clean.items())]
+    }
+    assert (p == q) == (clean == {e: c for e, c in b.items() if c})
+    assert (p * q).terms == _reference_mul(clean, q.terms)
+    dropped = {}
+    for (x, _, z), c in clean.items():
+        dropped[x, z] = dropped.get((x, z), 0) + c
+    assert specialize_zero(p, 2).terms == {e: c for e, c in dropped.items() if c}
