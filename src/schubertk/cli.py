@@ -27,7 +27,7 @@ from .shapes import (
     shape_of,
 )
 from .tableaux import enumerate_svt, svt_to_json
-from .weyl import RootSystem, format_weight, parse_window
+from .weyl import RootSystem, format_weight, length, parse_window
 
 EMITS = ("class", "hilbert", "hilbert-poly", "mult", "diagrams", "tableaux", "character")
 
@@ -117,10 +117,9 @@ def _base_doc(rstype, d, w, v, lam, mu):
     }
 
 
-def _latex_class(rstype, d, w, v, backend):
-    from .weyl import length
-
-    terms = restriction.pullback_terms(rstype, d, w, v, backend=backend)
+def _latex_class(rstype, d, w, v, backend, cap):
+    """The factored form of the class; it is never expanded."""
+    terms = restriction.pullback_terms(rstype, d, w, v, backend=backend, cap=cap)
     if not terms:
         return "0"
     sign = "-" if length(w) % 2 else ""
@@ -170,12 +169,13 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
     geometry = geometry_of(rstype)
 
     if emit == "class":
+        if fmt == "latex":
+            print(_latex_class(rstype, d, w, v, args.backend, args.cap))
+            return 0
         cls = restriction.pullback(rstype, d, w, v, backend=args.backend, cap=args.cap)
         if fmt == "json":
             doc["class"] = poly_to_json(cls.value)
             print(json.dumps(doc, sort_keys=True))
-        elif fmt == "latex":
-            print(_latex_class(rstype, d, w, v, args.backend))
         else:
             print(format_poly(cls.value))
         return 0
@@ -251,12 +251,8 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
         return 0
 
     # character
-    if rstype.kind == "B":
-        series = restriction.graded_character_b_via_d(w, v, args.trunc)
-        note = f" (through D_{rstype.rank + 1})"
-    else:
-        series = restriction.graded_character(rstype, d, w, v, args.trunc)
-        note = ""
+    series = restriction.graded_character(rstype, d, w, v, args.trunc)
+    note = f" (through D_{rstype.rank + 1})" if rstype.kind == "B" else ""
     dims = series.dims()
     if fmt == "json":
         doc["character"] = {

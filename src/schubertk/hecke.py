@@ -1,8 +1,12 @@
-"""0-Hecke (Demazure) products and subsequence enumeration.
+"""0-Hecke (Demazure) products, the fold-state DP and subword enumeration.
 
 The 0-Hecke monoid multiplies by ``H_s H_w = H_{sw}`` when the length goes
-up and absorbs the letter otherwise.  Folding a word gives the ground-truth
-oracle against which the diagram and tableau backends are checked, and the
+up and absorbs the letter otherwise.  `fold_dp` sums over the subwords of a
+word that fold to w in one pass over fold states; with the kernels of
+`ring` it computes the hecke class and, in `subsequence_stats`, the Hilbert
+counts.  `hecke_subsequences` lists those subwords one by one, for the
+factored LaTeX form and as a test oracle.  `demazure_fold` folds through the
+root action, independently of the window helpers, and the
 full-commutativity utilities support the reduced-word property tests.
 """
 
@@ -12,7 +16,9 @@ from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
+from .ring import add_into
 from .weyl import (
+    CACHE_SIZE,
     RootSystem,
     WeylElement,
     apply,
@@ -55,17 +61,6 @@ def demazure_fold(word, rstype: RootSystem) -> WeylElement:
             u = mult(s, u)
             uinv = mult(uinv, s)
     return u
-
-
-def demazure_fold_ltr(word, rstype: RootSystem) -> WeylElement:
-    """Left-to-right fold; agrees with demazure_fold by associativity."""
-    _check_letters(word, rstype)
-    kind = rstype.kind
-    win = tuple(range(1, rstype.rank + 1))
-    for i in word:
-        if window_right_ascent(kind, win, i):
-            win = window_right_mult(kind, win, i)
-    return WeylElement(rstype, win)
 
 
 def hecke_subsequences(w: WeylElement, word, cap: int = DEFAULT_CAP) -> list:
@@ -111,42 +106,63 @@ def hecke_subsequences(w: WeylElement, word, cap: int = DEFAULT_CAP) -> list:
     return out
 
 
-def subsequence_stats(w: WeylElement, word) -> dict:
-    """Count subsequences folding to w, bucketed by l(t).
+def fold_dp(w: WeylElement, word, factors, take, stay) -> dict:
+    """Sum over the subwords of word that fold to w, as a packed dict.
 
-    Dynamic program over (fold state, taken letters); equivalent to the
-    explicit enumeration but polynomial in practice.
+    A dynamic program with one packed dict per fold state (a window); letter
+    c carries ``factors[c]``.  At an ascent, ``take(dst, src, f)`` adds the
+    taken letter into the state win * s_i, and the state also keeps src (the
+    letter is skipped).  Otherwise the letter is absorbed, and
+    ``stay(dst, src, f)`` adds skip and take into the same state.  States
+    longer than l(w) never fold back down and are dropped.
     """
     rs = w.rstype
     _check_letters(word, rs)
     kind = rs.kind
     lw = length(w)
     ident = tuple(range(1, rs.rank + 1))
-    # state -> {taken: count}; states longer than l(w) can never fold back down
     states = {ident: {0: 1}}
     lengths = {ident: 0}
-    for i in word:
+    for i, f in zip(word, factors):
         nxt = {}
-        for win, buckets in states.items():
-            skip = nxt.setdefault(win, {})
-            for m, c in buckets.items():
-                skip[m] = skip.get(m, 0) + c
-            if window_right_ascent(kind, win, i):
-                win2 = window_right_mult(kind, win, i)
-                if win2 not in lengths:
-                    lengths[win2] = lengths[win] + 1
-                if lengths[win2] > lw:
-                    continue
+        for win, val in states.items():
+            if not window_right_ascent(kind, win, i):
+                stay(nxt.setdefault(win, {}), val, f)
+                continue
+            win2 = window_right_mult(kind, win, i)
+            if win2 not in lengths:
+                lengths[win2] = lengths[win] + 1
+            if lengths[win2] <= lw:
+                take(nxt.setdefault(win2, {}), val, f)
+            if win in nxt:
+                add_into(nxt[win], val)
             else:
-                win2 = win
-            take = nxt.setdefault(win2, {})
-            for m, c in buckets.items():
-                take[m + 1] = take.get(m + 1, 0) + c
+                nxt[win] = val  # val is not read again, so it is reused
         states = nxt
-    return dict(sorted(states.get(w.window, {}).items()))
+    return states.get(w.window, {})
 
 
-@lru_cache(maxsize=None)
+def _skip_and_take(dst: dict, src: dict, f: int) -> None:
+    """dst += src * (1 + e^f): the absorbed letter is both skipped and taken."""
+    add_into(dst, src)
+    add_into(dst, src, f)
+
+
+def subsequence_stats(w: WeylElement, word) -> dict:
+    """Count subsequences folding to w, bucketed by l(t).
+
+    The fold DP with factor 1 per letter and the number of taken letters as
+    key; equivalent to the explicit enumeration but polynomial in practice.
+
+    >>> from schubertk.weyl import RootSystem, simple_reflection
+    >>> subsequence_stats(simple_reflection(RootSystem("A", 3), 1), (1, 2, 1))
+    {1: 2, 2: 1}
+    """
+    counts = fold_dp(w, word, [1] * len(word), add_into, _skip_and_take)
+    return dict(sorted(counts.items()))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def m_order(rstype: RootSystem, i: int, j: int) -> int:
     """Order of s_i s_j in W, derived from the root system rather than a table."""
     st = mult(simple_reflection(rstype, i), simple_reflection(rstype, j))
@@ -200,24 +216,10 @@ def _has_braid_factor(word, rstype: RootSystem) -> bool:
 
 
 def is_fully_commutative(w: WeylElement) -> bool:
-    """True iff no word in the commutation class contains a braid factor s,t,s,...
-
-    of length m(s,t) >= 3 (Stembridge's criterion, checked by BFS over the
-    commutation class of one reduced word).
-    """
+    """True iff no word in the commutation class of a reduced word for w
+    contains a braid factor s,t,s,... of length m(s,t) >= 3 (Stembridge's
+    criterion)."""
     rs = w.rstype
-    start = tuple(reduced_word(w))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        if _has_braid_factor(cur, rs):
-            return False
-        for k in range(len(cur) - 1):
-            a, b = cur[k], cur[k + 1]
-            if a != b and m_order(rs, a, b) == 2:
-                nxt = cur[:k] + (b, a) + cur[k + 2:]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return True
+    return not any(
+        _has_braid_factor(word, rs) for word in commutation_class(reduced_word(w), rs)
+    )

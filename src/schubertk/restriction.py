@@ -11,6 +11,7 @@ outside its support is genuinely zero.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -53,8 +54,6 @@ from .weyl import (
     negate_weight,
     simple_reflection,
     simple_roots,
-    window_right_ascent,
-    window_right_mult,
 )
 
 BACKENDS = ("eyd", "svt", "hecke")
@@ -93,6 +92,23 @@ def _resolve_d(rstype: RootSystem, d) -> int:
             raise ValueError(f"type A needs 1 <= d <= {rstype.rank - 1}, got {d}")
         return d
     return rstype.rank
+
+
+def _validated_shapes(rstype: RootSystem, d, w: WeylElement, v: WeylElement) -> tuple:
+    """(d, lam, mu) for minimal representatives w, v of rstype; ValueError on
+    a root-system mismatch, a bad d or a non-minimal element."""
+    if rstype != w.rstype or rstype != v.rstype:
+        raise ValueError("root system mismatch")
+    d = _resolve_d(rstype, d)
+    aflag = d if rstype.kind == "A" else None
+    if not is_minimal_rep(w, aflag) or not is_minimal_rep(v, aflag):
+        raise ValueError("w and v must be minimal representatives")
+    return d, shape_of(w, d), shape_of(v, d)
+
+
+def _hecke_word(rstype: RootSystem, d: int, mu) -> tuple:
+    """The reading word of the reflection tableau of mu: a reduced word for v."""
+    return reading_word(reflection_tableau(mu, rstype, d if rstype.kind == "A" else None))
 
 
 def levi_complement_roots(rstype: RootSystem, d: int = None) -> list:
@@ -206,11 +222,6 @@ def _eyd_factor_exponent(rstype: RootSystem, d: int, v: WeylElement, box) -> tup
     return tuple(-(x + y) for x, y in zip(ea, eb))
 
 
-def _svt_entry_box(geometry: str, box, x: int) -> tuple:
-    i, j = box
-    return (x, x + j - i)
-
-
 def _sum_of_products(rank: int, terms) -> LaurentPoly:
     """sum over terms of prod_g (e^g - 1), every term folded into one running
     packed dict: its last factor is fused into the sum."""
@@ -237,13 +248,7 @@ def pullback_terms(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     exponents g, so that i_v*[O_{X^w}] = (-1)^{l(w)} sum_t prod (e^g - 1)."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    if rstype != w.rstype or rstype != v.rstype:
-        raise ValueError("root system mismatch")
-    d = _resolve_d(rstype, d)
-    aflag = d if rstype.kind == "A" else None
-    if not is_minimal_rep(w, aflag) or not is_minimal_rep(v, aflag):
-        raise ValueError("w and v must be minimal representatives")
-    lam, mu = shape_of(w, d), shape_of(v, d)
+    d, lam, mu = _validated_shapes(rstype, d, w, v)
     if not contains(lam, mu):
         return []
     geometry = geometry_of(rstype)
@@ -262,15 +267,13 @@ def pullback_terms(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
         entry_bound = d if rstype.kind == "A" else None
         for T in enumerate_svt(lam, mu, geometry, d=entry_bound):
             exps = []
-            for box, entries in T.cells:
+            for (i, j), entries in T.cells:
                 for x in entries:
-                    image = _svt_entry_box(geometry, box, x)
-                    exps.append(_eyd_factor_exponent(rstype, d, v, image))
+                    exps.append(_eyd_factor_exponent(rstype, d, v, (x, x + j - i)))
             terms.append(tuple(exps))
         return terms
     # hecke: explicit subsequence enumeration against the tableau word
-    T = reflection_tableau(mu, rstype, d if rstype.kind == "A" else None)
-    word = reading_word(T)
+    word = _hecke_word(rstype, d, mu)
     rvals = r_values(word, rstype)
     terms = []
     for sub in hecke.hecke_subsequences(w, word, cap=cap):
@@ -278,73 +281,38 @@ def pullback_terms(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     return terms
 
 
-def _hecke_class_dp(rstype: RootSystem, w: WeylElement, word, rvals) -> LaurentPoly:
-    """Sum over T(w, word) of prod (e^{-r} - 1) by a fold-state dynamic program
-    whose states accumulate packed dicts in place."""
-    kind = rstype.kind
-    lw = length(w)
-    exps = [negate_weight(r) for r in rvals]
-    span = check_span(sum(map(span_of, exps)))  # bounds every partial product
-    ident = tuple(range(1, rstype.rank + 1))
-    states = {ident: {0: 1}}
-    lengths = {ident: 0}
-    for i, g in zip(word, map(pack, exps)):
-        nxt = {}
-        for win, val in states.items():
-            if window_right_ascent(kind, win, i):
-                win2 = window_right_mult(kind, win, i)
-                if win2 not in lengths:
-                    lengths[win2] = lengths[win] + 1
-                if lengths[win2] <= lw:
-                    add_binomial_into(nxt.setdefault(win2, {}), val, g)
-                shift = 0
-            else:
-                shift = g  # skip and take both stay at win: val * e^g
-            if win in nxt or shift:
-                add_into(nxt.setdefault(win, {}), val, shift)
-            else:
-                nxt[win] = val  # val is not read again, so it is reused
-        states = nxt
-    return LaurentPoly.from_packed(rstype.rank, states.get(w.window, {}), span)
-
-
 def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
              backend: str = "eyd", cap: int = hecke.DEFAULT_CAP) -> KClass:
     """The class i_v*[O_{X^w}] as an expanded Laurent polynomial.
 
-    All three backends return identical polynomials; hecke enumerates
-    0-Hecke subsequences of a reduced word for v and is the ground truth.
+    All three backends return identical polynomials; hecke sums over the
+    0-Hecke subwords of a reduced word for v by the fold DP and is the
+    ground truth.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    if rstype != w.rstype or rstype != v.rstype:
-        raise ValueError("root system mismatch")
-    d = _resolve_d(rstype, d)
-    aflag = d if rstype.kind == "A" else None
-    if not is_minimal_rep(w, aflag) or not is_minimal_rep(v, aflag):
-        raise ValueError("w and v must be minimal representatives")
+    d, lam, mu = _validated_shapes(rstype, d, w, v)
     n = rstype.rank
-    lam, mu = shape_of(w, d), shape_of(v, d)
     if not contains(lam, mu):
         return KClass(rstype, d, LaurentPoly.zero(n), on_variety=False)
-    sign = -1 if length(w) % 2 else 1
     if backend == "hecke":
         if size(mu) > cap:
             raise ValueError(f"|mu| = {size(mu)} exceeds cap {cap}")
-        T = reflection_tableau(mu, rstype, d if rstype.kind == "A" else None)
-        word = reading_word(T)
-        rvals = r_values(word, rstype)
-        poly = _hecke_class_dp(rstype, w, word, rvals)
-        return KClass(rstype, d, poly * sign)
+        word = _hecke_word(rstype, d, mu)
+        return KClass(rstype, d, pullback_hecke_with_word(rstype, w, word))
+    sign = -1 if length(w) % 2 else 1
     total = _sum_of_products(n, pullback_terms(rstype, d, w, v, backend=backend))
     return KClass(rstype, d, total * sign)
 
 
 def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> LaurentPoly:
-    """Hecke-backend class over an arbitrary reduced word for v (signed)."""
-    rvals = r_values(word, rstype)
+    """Hecke-backend class over an arbitrary reduced word for v (signed): the
+    sum over T(w, word) of prod (e^{-r} - 1), by the fold DP."""
+    exps = [negate_weight(r) for r in r_values(word, rstype)]
+    span = check_span(sum(map(span_of, exps)))  # bounds every partial product
+    packed = hecke.fold_dp(w, word, list(map(pack, exps)), add_binomial_into, add_into)
     sign = -1 if length(w) % 2 else 1
-    return _hecke_class_dp(rstype, w, word, rvals) * sign
+    return LaurentPoly.from_packed(rstype.rank, packed, span) * sign
 
 
 def pullback_b_via_d(w: WeylElement, v: WeylElement, backend: str = "eyd") -> KClass:
@@ -365,6 +333,7 @@ def hilbert_data(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     excess k).  Type B is defined through the D_{n+1} identification."""
     if method not in ("eyd", "hecke"):
         raise ValueError(f"unknown method {method!r}")
+    d, lam, mu = _validated_shapes(rstype, d, w, v)
     if rstype.kind == "B":
         data = hilbert_data(
             RootSystem("D", rstype.rank + 1),
@@ -374,25 +343,15 @@ def hilbert_data(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
             method=method,
         )
         return HilbertData(dim_gp(rstype) - length(w), data.m)
-    d = _resolve_d(rstype, d)
-    aflag = d if rstype.kind == "A" else None
-    if not is_minimal_rep(w, aflag) or not is_minimal_rep(v, aflag):
-        raise ValueError("w and v must be minimal representatives")
     d_w = dim_gp(rstype, d) - length(w)
-    lam, mu = shape_of(w, d), shape_of(v, d)
     if not contains(lam, mu):
         return HilbertData(d_w, ())
     if method == "hecke":
-        T = reflection_tableau(mu, rstype, d if rstype.kind == "A" else None)
-        stats = hecke.subsequence_stats(w, reading_word(T))
-        top = max(stats) if stats else size(lam)
-        m = tuple(stats.get(size(lam) + k, 0) for k in range(top - size(lam) + 1))
+        sizes = hecke.subsequence_stats(w, _hecke_word(rstype, d, mu))
     else:
-        sizes = {}
-        for C in enumerate_eyd(lam, mu, geometry_of(rstype)):
-            sizes[len(C)] = sizes.get(len(C), 0) + 1
-        top = max(sizes)
-        m = tuple(sizes.get(size(lam) + k, 0) for k in range(top - size(lam) + 1))
+        sizes = Counter(len(C) for C in enumerate_eyd(lam, mu, geometry_of(rstype)))
+    top = max(sizes, default=size(lam))
+    m = tuple(sizes.get(size(lam) + k, 0) for k in range(top - size(lam) + 1))
     return HilbertData(d_w, m)
 
 
@@ -464,24 +423,21 @@ def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
                      N: int, dimension_only: bool = False) -> GradedSeries:
     """Truncated character of the tangent-cone coordinate ring at v.
 
-    Dimension slices agree with the Hilbert polynomial values; cominuscule
-    types only (A, C, D)."""
-    d = _resolve_d(rstype, d)
+    Dimension slices agree with the Hilbert polynomial values.  The cominuscule
+    types A, C, D are expanded directly; type B is computed upstairs in
+    D_{n+1} and its slices are specialized back."""
+    d = _validated_shapes(rstype, d, w, v)[0]
+    if rstype.kind == "B":
+        wD, vD = bd_identify_inverse(w), bd_identify_inverse(v)
+        series = graded_character(wD.rstype, None, wD, vD, N, dimension_only)
+        if dimension_only:
+            return series
+        n = rstype.rank
+        return GradedSeries(N, [specialize_zero(s, n + 1) for s in series.slices])
     xi = xi_vector(rstype, d, v)
     numerator = pullback(rstype, d, w, v, backend="eyd").value
     weights = tangent_weights(rstype, d, v)
     return geometric_expand(numerator, weights, xi, N, dimension_only=dimension_only)
-
-
-def graded_character_b_via_d(w: WeylElement, v: WeylElement, N: int) -> GradedSeries:
-    """Type B character computed upstairs in D_{n+1}, slices specialized back."""
-    if w.rstype.kind != "B":
-        raise ValueError("expects type B elements")
-    n = w.rstype.rank
-    wD, vD = bd_identify_inverse(w), bd_identify_inverse(v)
-    series = graded_character(wD.rstype, None, wD, vD, N)
-    slices = [specialize_zero(s, n + 1) for s in series.slices]
-    return GradedSeries(N, slices)
 
 
 @dataclass

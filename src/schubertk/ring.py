@@ -204,10 +204,6 @@ class LaurentPoly:
         return f"LaurentPoly({format_poly(self)})"
 
 
-def monomial(weight) -> LaurentPoly:
-    return LaurentPoly.monomial(weight)
-
-
 def dual(p: LaurentPoly) -> LaurentPoly:
     """The involution e^lam -> e^{-lam}; negating a key negates every digit."""
     return LaurentPoly.from_packed(

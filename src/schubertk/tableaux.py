@@ -76,11 +76,6 @@ def is_restricted(T: SetValuedTableau) -> bool:
     )
 
 
-def max_entry(geometry: str, mu, d: int = None) -> int:
-    """Entries run over {1..d} in type A and {1..n}, here capped by mu's rows."""
-    return d if d is not None else len(trim(mu))
-
-
 def enumerate_svt(lam, mu, geometry: str, d: int = None,
                   single_valued_only: bool = False) -> list:
     """All set-valued tableaux of shape lam restricted by mu, canonically ordered.
@@ -93,7 +88,7 @@ def enumerate_svt(lam, mu, geometry: str, d: int = None,
     if not contains(lam, mu):
         raise ValueError(f"{lam} is not contained in {mu}")
     boxes = sorted(ambient_boxes(lam, geometry))
-    top = max_entry(geometry, mu, d)
+    top = d if d is not None else len(mu)  # entries run over {1..d} or mu's rows
     out = []
     filled = {}
 

@@ -20,6 +20,8 @@ KINDS = ("A", "B", "C", "D")
 
 Weight = tuple  # integer vector of length rank, coefficients of eps_1..eps_rank
 
+CACHE_SIZE = 4096  # per-element caches; a sweep of a small rank uses < 1000 elements
+
 
 @dataclass(frozen=True)
 class RootSystem:
@@ -153,7 +155,7 @@ def is_positive_root_vector(v) -> bool:
     raise ValueError("zero vector is not a root")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def reduced_word(w: WeylElement) -> tuple:
     """A reduced word for w found by greedy left-descent reduction.
 
@@ -212,11 +214,6 @@ def full_window(w: WeylElement) -> tuple:
     return first + tuple(2 * n + 1 - t for t in reversed(first))
 
 
-def signed_entry(x: int, n: int) -> int:
-    """Decode an entry of a numeric 2n-window back to its signed form."""
-    return x if x <= n else -(2 * n + 1 - x)
-
-
 def eps_of_entry(x: int, n: int) -> Weight:
     """The weight eps_x for an entry of a 2n-window, with eps_bar(m) = -eps_m."""
     v = [0] * n
@@ -225,10 +222,6 @@ def eps_of_entry(x: int, n: int) -> Weight:
     else:
         v[2 * n - x] = -1
     return tuple(v)
-
-
-def add_weights(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def negate_weight(a: Weight) -> Weight:

@@ -36,7 +36,6 @@ from schubertk.shapes import (
 )
 from schubertk.restriction import (
     graded_character,
-    graded_character_b_via_d,
     hilbert_data,
     hilbert_polynomial_coeffs,
     hilbert_polynomial_value,
@@ -311,10 +310,7 @@ def test_criterion_08_structural_invariants():
                 alt = sum((-1) ** k * mk for k, mk in enumerate(data.m))
                 assert alt == 1, (rs, w, v)
                 assert hilbert_polynomial_value(data, 0) == 1
-                if rs.kind == "B":
-                    series = graded_character_b_via_d(w, v, 1)
-                else:
-                    series = graded_character(rs, d, w, v, 1)
+                series = graded_character(rs, d, w, v, 1)
                 assert hilbert_polynomial_value(data, 1) == series.dims()[1]
                 if data.d_w >= 1:
                     coeffs = hilbert_polynomial_coeffs(data)

@@ -268,3 +268,12 @@ def test_exponent_outside_packing_range_exits_2(capsys):
     assert run(argv.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "packing range" in err
+
+
+def test_latex_class_honours_cap(capsys):
+    # the factored form is listed under --cap, as the expanded text form is
+    argv = "--type A --n 12 --d 6 --lambda= --mu 6,6,6,6,1 --backend hecke --cap 25".split()
+    assert run(argv) == 0
+    assert capture(capsys) == "1"
+    assert run(argv + ["--format", "latex"]) == 0
+    assert capture(capsys) == "1"

@@ -1,9 +1,11 @@
 import doctest
 
+import schubertk.hecke
 import schubertk.shapes
 
 
 def test_module_doctests():
-    results = doctest.testmod(schubertk.shapes)
-    assert results.attempted > 0
-    assert results.failed == 0
+    for module in (schubertk.shapes, schubertk.hecke):
+        results = doctest.testmod(module)
+        assert results.attempted > 0, module
+        assert results.failed == 0, module

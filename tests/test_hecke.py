@@ -6,7 +6,6 @@ import pytest
 from schubertk.hecke import (
     commutation_class,
     demazure_fold,
-    demazure_fold_ltr,
     hecke_subsequences,
     is_fully_commutative,
     m_order,
@@ -33,17 +32,6 @@ def test_fold_examples():
         demazure_fold((5,), A3)
 
 
-@pytest.mark.parametrize("kind,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4)])
-def test_fold_directions_agree(kind, rank):
-    rs = RootSystem(kind, rank)
-    rng = random.Random(7)
-    for _ in range(300):
-        word = tuple(
-            rng.randint(1, rs.num_simple) for _ in range(rng.randint(0, 12))
-        )
-        assert demazure_fold(word, rs) == demazure_fold_ltr(word, rs)
-
-
 def test_subsequences_examples():
     s1 = simple_reflection(A3, 1)
     subs = hecke_subsequences(s1, (1, 2, 1))
@@ -58,7 +46,7 @@ def test_subsequences_examples():
 
 def test_subsequences_match_naive_bitmask():
     rng = random.Random(13)
-    for kind, rank in [("A", 4), ("C", 3), ("D", 4)]:
+    for kind, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4)]:
         rs = RootSystem(kind, rank)
         for _ in range(25):
             word = tuple(
@@ -114,6 +102,11 @@ def test_m_order_from_root_system():
     D4 = RootSystem("D", 4)
     assert m_order(D4, 3, 4) == 2
     assert m_order(D4, 2, 4) == 3
+
+
+def test_element_caches_are_bounded():
+    assert reduced_word.cache_info().maxsize is not None
+    assert m_order.cache_info().maxsize is not None
 
 
 def test_commutation_class_examples():

@@ -18,7 +18,6 @@ from schubertk.restriction import (
     check_backends,
     dim_gp,
     graded_character,
-    graded_character_b_via_d,
     hilbert_data,
     hilbert_polynomial_coeffs,
     hilbert_polynomial_value,
@@ -283,6 +282,23 @@ def test_hilbert_data_rejects_unknown_method(rs, d, w, v):
         hilbert_data(rs, d, w, v, method="subsets")
 
 
+@pytest.mark.parametrize("compute", [
+    lambda rs, d, w, v: pullback(rs, d, w, v),
+    lambda rs, d, w, v: pullback_terms(rs, d, w, v),
+    lambda rs, d, w, v: hilbert_data(rs, d, w, v),
+    lambda rs, d, w, v: hilbert_data(rs, d, w, v, method="hecke"),
+    lambda rs, d, w, v: graded_character(rs, d, w, v, 1),
+], ids=["pullback", "pullback_terms", "hilbert", "hilbert_hecke", "character"])
+def test_root_system_mismatch_is_rejected(compute):
+    # elements of A_5 (B_5) must not be read as elements of A_6 (B_6)
+    A5 = RootSystem("A", 5)
+    w, v = parse_window(A5, "1,3,2,4,5"), parse_window(A5, "3,4,1,2,5")
+    with pytest.raises(ValueError, match="root system mismatch"):
+        compute(RootSystem("A", 6), 2, w, v)
+    with pytest.raises(ValueError, match="root system mismatch"):
+        compute(RootSystem("B", 6), None, WB, VB)
+
+
 def test_hilbert_polynomial_values():
     data = hilbert_data(A7, 3, WA, VA)
     assert hilbert_polynomial_value(data, 0) == 1
@@ -326,7 +342,7 @@ def test_graded_character_matches_hilbert_polynomial():
 
 def test_graded_character_b_via_d():
     data = hilbert_data(B5, None, WB, VB)
-    series = graded_character_b_via_d(WB, VB, 2)
+    series = graded_character(B5, None, WB, VB, 2)
     assert series.dims() == [hilbert_polynomial_value(data, i) for i in range(3)]
     assert all(s.rank == 5 for s in series.slices)
 
