@@ -25,8 +25,9 @@ from .shapes import (
     perm_of,
     perm_of_strict,
     shape_of,
+    size,
 )
-from .tableaux import enumerate_svt, svt_to_json
+from .tableaux import count_entries, enumerate_svt, svt_dp, svt_to_json
 from .weyl import RootSystem, format_weight, length, parse_window
 
 EMITS = ("class", "hilbert", "hilbert-poly", "mult", "diagrams", "tableaux", "character")
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", default=None, help="window for v")
     p.add_argument("--lambda", dest="lam", default=None, help="shape for w, e.g. 2,1")
     p.add_argument("--mu", default=None, help="shape for v")
-    p.add_argument("--backend", choices=list(restriction.BACKENDS), default="eyd")
+    p.add_argument("--backend", choices=list(restriction.BACKENDS), default="svt")
     p.add_argument("--emit", choices=list(EMITS), default="class")
     p.add_argument("--format", choices=["text", "json", "latex"], default="text",
                    dest="fmt")
@@ -215,11 +216,15 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
         print(f"coefficients (ascending) = [{', '.join(str(c) for c in coeffs)}]")
         return 0
 
+    if args.count_only and emit in ("diagrams", "tableaux"):
+        # f matches the diagrams with the tableaux, and the reduced ones
+        # with the single-valued tableaux: count them by the transfer DP
+        counts = svt_dp(lam, mu, geometry, count_entries, {0: 1})
+        print(counts[size(lam)] if args.reduced_only else sum(counts.values()))
+        return 0
+
     if emit == "diagrams":
         items = enumerate_eyd(lam, mu, geometry, reduced_only=args.reduced_only)
-        if args.count_only:
-            print(len(items))
-            return 0
         if fmt == "json":
             doc["diagrams"] = [boxset_to_json(C) for C in items]
             print(json.dumps(doc, sort_keys=True))
@@ -236,9 +241,6 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
         items = enumerate_svt(
             lam, mu, geometry, d=entry_bound, single_valued_only=args.reduced_only
         )
-        if args.count_only:
-            print(len(items))
-            return 0
         if fmt == "json":
             doc["tableaux"] = [svt_to_json(T) for T in items]
             print(json.dumps(doc, sort_keys=True))

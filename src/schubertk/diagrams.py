@@ -80,23 +80,26 @@ def excite(C: BoxSet, box, kind) -> BoxSet | None:
     if (i, j) not in C.boxes:
         raise ValueError(f"box {box} not in the diagram")
     legal = ambient_boxes(C.ambient, C.geometry)
-    free = lambda b: b in legal and b not in C.boxes
-    if C.geometry == "ordinary" or i != j:
+    new = _excited(C.boxes, legal, C.geometry, (i, j), kind == "type1")
+    return None if new is None else BoxSet(C.geometry, C.ambient, new)
+
+
+def _excited(boxes: frozenset, legal: frozenset, geometry: str, box, move: bool):
+    """The boxes after the excitation of `excite` at box (a move, or else an
+    add), or None when it is blocked; legal is the ambient's box set."""
+    i, j = box
+    if geometry == "ordinary" or i != j:
         needed = ((i + 1, j), (i, j + 1), (i + 1, j + 1))
         target = (i + 1, j + 1)
-    elif C.geometry == "shiftedBC":
+    elif geometry == "shiftedBC":
         needed = ((i, i + 1), (i + 1, i + 1))
         target = (i + 1, i + 1)
     else:  # shiftedD diagonal
         needed = ((i, i + 1), (i + 1, i + 1), (i + 1, i + 2), (i + 2, i + 2))
         target = (i + 2, i + 2)
-    if not all(free(b) for b in needed):
+    if not all(b in legal and b not in boxes for b in needed):
         return None
-    new = set(C.boxes)
-    if kind == "type1":
-        new.remove((i, j))
-    new.add(target)
-    return BoxSet(C.geometry, C.ambient, frozenset(new))
+    return (boxes - {box} if move else boxes) | {target}
 
 
 def enumerate_eyd(lam, mu, geometry: str, reduced_only: bool = False) -> list:
@@ -106,23 +109,21 @@ def enumerate_eyd(lam, mu, geometry: str, reduced_only: bool = False) -> list:
     reduced excited diagrams.  Output is deduplicated and sorted by box list.
     """
     start = initial_diagram(lam, mu, geometry)
-    kinds = ("type1",) if reduced_only else ("type1", "type2")
+    legal = ambient_boxes(start.ambient, geometry)
+    moves = (True,) if reduced_only else (True, False)
     seen = {start.boxes}
-    frontier = [start]
-    out = [start]
+    frontier = [start.boxes]
     while frontier:
         nxt = []
-        for C in frontier:
-            for box in C.boxes:
-                for kind in kinds:
-                    C2 = excite(C, box, kind)
-                    if C2 is not None and C2.boxes not in seen:
-                        seen.add(C2.boxes)
-                        nxt.append(C2)
-                        out.append(C2)
+        for boxes in frontier:
+            for box in boxes:
+                for move in moves:
+                    new = _excited(boxes, legal, geometry, box, move)
+                    if new is not None and new not in seen:
+                        seen.add(new)
+                        nxt.append(new)
         frontier = nxt
-    out.sort(key=lambda C: C.sorted_boxes())
-    return out
+    return [BoxSet(geometry, start.ambient, boxes) for boxes in sorted(seen, key=sorted)]
 
 
 def energies(C: BoxSet, lam) -> tuple:

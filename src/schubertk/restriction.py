@@ -18,6 +18,7 @@ from math import comb
 
 from . import hecke
 from .diagrams import (
+    ambient_boxes,
     enumerate_eyd,
     geometry_of,
     reading_word,
@@ -40,7 +41,7 @@ from .shapes import (
     shape_of,
     size,
 )
-from .tableaux import enumerate_svt
+from .tableaux import count_entries, enumerate_svt, svt_dp
 from .weyl import (
     RootSystem,
     WeylElement,
@@ -285,9 +286,10 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
              backend: str = "eyd", cap: int = hecke.DEFAULT_CAP) -> KClass:
     """The class i_v*[O_{X^w}] as an expanded Laurent polynomial.
 
-    All three backends return identical polynomials; hecke sums over the
-    0-Hecke subwords of a reduced word for v by the fold DP and is the
-    ground truth.
+    All three backends return identical polynomials: svt runs the transfer
+    DP over set-valued tableaux, eyd expands the explicit sum over excited
+    diagrams, and hecke sums over the 0-Hecke subwords of a reduced word for
+    v by the fold DP and is the ground truth.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -296,13 +298,41 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     if not contains(lam, mu):
         return KClass(rstype, d, LaurentPoly.zero(n), on_variety=False)
     if backend == "hecke":
-        if size(mu) > cap:
-            raise ValueError(f"|mu| = {size(mu)} exceeds cap {cap}")
+        _check_cap(mu, cap)
         word = _hecke_word(rstype, d, mu)
         return KClass(rstype, d, pullback_hecke_with_word(rstype, w, word))
+    if backend == "svt":
+        total = _svt_class(rstype, d, v, lam, mu)
+    else:
+        total = _sum_of_products(n, pullback_terms(rstype, d, w, v, backend=backend))
     sign = -1 if length(w) % 2 else 1
-    total = _sum_of_products(n, pullback_terms(rstype, d, w, v, backend=backend))
     return KClass(rstype, d, total * sign)
+
+
+def _check_cap(mu, cap: int) -> None:
+    if size(mu) > cap:
+        raise ValueError(f"|mu| = {size(mu)} exceeds cap {cap}")
+
+
+def _svt_class(rstype: RootSystem, d: int, v: WeylElement, lam, mu) -> LaurentPoly:
+    """sum over the set-valued tableaux T of prod_{x in T(i,j)} (e^{g(x, j-i)} - 1)
+    by the transfer DP.  The entries of a box below its maximum contribute
+    1 + (e^g - 1) = e^g each, so every transition is one fused kernel call."""
+    geometry = geometry_of(rstype)
+    exps = {
+        (x, y - x): _eyd_factor_exponent(rstype, d, v, (x, y))
+        for x, y in ambient_boxes(mu, geometry)
+    }
+    # every partial product uses each (entry, diagonal) pair at most once
+    span = check_span(max(
+        (sum(abs(g[c]) for g in exps.values()) for c in range(rstype.rank)), default=0
+    ))
+    g = {key: pack(e) for key, e in exps.items()}
+
+    def step(dst, src, q, below, largest):
+        add_binomial_into(dst, src, g[largest, q], sum(g[x, q] for x in below))
+
+    return LaurentPoly.from_packed(rstype.rank, svt_dp(lam, mu, geometry, step, {0: 1}), span)
 
 
 def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> LaurentPoly:
@@ -315,7 +345,7 @@ def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> Lauren
     return LaurentPoly.from_packed(rstype.rank, packed, span) * sign
 
 
-def pullback_b_via_d(w: WeylElement, v: WeylElement, backend: str = "eyd") -> KClass:
+def pullback_b_via_d(w: WeylElement, v: WeylElement, backend: str = "svt") -> KClass:
     """Type B_n class through the D_{n+1} identification: compute upstairs,
     then send eps_{n+1} to 0."""
     if w.rstype.kind != "B" or v.rstype.kind != "B":
@@ -327,11 +357,13 @@ def pullback_b_via_d(w: WeylElement, v: WeylElement, backend: str = "eyd") -> KC
 
 
 def hilbert_data(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
-                 method: str = "eyd") -> HilbertData:
+                 method: str = "svt") -> HilbertData:
     """d_w = dim G/P - l(w) and the vector m with m_k the number of excited
-    diagrams of k extra boxes (equal to the count of Hecke subsequences with
-    excess k).  Type B is defined through the D_{n+1} identification."""
-    if method not in ("eyd", "hecke"):
+    diagrams of k extra boxes, equally the number of set-valued tableaux
+    with |lam| + k entries or of Hecke subsequences with excess k.  "svt"
+    counts by the transfer DP, "eyd" lists the diagrams and "hecke" runs
+    the fold DP.  Type B is defined through the D_{n+1} identification."""
+    if method not in ("svt", "eyd", "hecke"):
         raise ValueError(f"unknown method {method!r}")
     d, lam, mu = _validated_shapes(rstype, d, w, v)
     if rstype.kind == "B":
@@ -346,10 +378,13 @@ def hilbert_data(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     d_w = dim_gp(rstype, d) - length(w)
     if not contains(lam, mu):
         return HilbertData(d_w, ())
+    geometry = geometry_of(rstype)
     if method == "hecke":
         sizes = hecke.subsequence_stats(w, _hecke_word(rstype, d, mu))
+    elif method == "eyd":
+        sizes = Counter(len(C) for C in enumerate_eyd(lam, mu, geometry))
     else:
-        sizes = Counter(len(C) for C in enumerate_eyd(lam, mu, geometry_of(rstype)))
+        sizes = svt_dp(lam, mu, geometry, count_entries, {0: 1})
     top = max(sizes, default=size(lam))
     m = tuple(sizes.get(size(lam) + k, 0) for k in range(top - size(lam) + 1))
     return HilbertData(d_w, m)
@@ -435,7 +470,7 @@ def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
         n = rstype.rank
         return GradedSeries(N, [specialize_zero(s, n + 1) for s in series.slices])
     xi = xi_vector(rstype, d, v)
-    numerator = pullback(rstype, d, w, v, backend="eyd").value
+    numerator = pullback(rstype, d, w, v, backend="svt").value
     weights = tangent_weights(rstype, d, v)
     return geometric_expand(numerator, weights, xi, N, dimension_only=dimension_only)
 
@@ -449,7 +484,12 @@ class BackendReport:
 
 def check_backends(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
                    cap: int = hecke.DEFAULT_CAP) -> BackendReport:
-    """Run every applicable backend and compare the expanded classes bit-exactly."""
+    """Run every applicable backend and compare the expanded classes bit-exactly.
+
+    A hecke word longer than cap is rejected before any backend runs."""
+    lam, mu = _validated_shapes(rstype, d, w, v)[1:]
+    if contains(lam, mu):
+        _check_cap(mu, cap)
     names = list(BACKENDS)
     classes = [
         (name, pullback(rstype, d, w, v, backend=name, cap=cap)) for name in names

@@ -79,12 +79,13 @@ def add_into(dst: dict, src: dict, g: int = 0) -> None:
             dst[k] = get(k, 0) + c
 
 
-def add_binomial_into(dst: dict, src: dict, g: int) -> None:
-    """dst += src * (e^g - 1) on packed dicts, the fused factor every class
-    is built from.  dst must not be src; zeros as in `add_into`."""
+def add_binomial_into(dst: dict, src: dict, g: int, shift: int = 0) -> None:
+    """dst += src * e^shift * (e^g - 1) on packed dicts, the fused factor
+    every class is built from.  dst must not be src; zeros as in `add_into`."""
     get = dst.get
     for k, c in src.items():
         if c:
+            k += shift
             kg = k + g
             dst[kg] = get(kg, 0) + c
             dst[k] = get(k, 0) - c

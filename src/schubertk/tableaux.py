@@ -8,9 +8,12 @@ increasing entry-by-entry; it is restricted by mu when every entry x of box
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import comb
 
 from .diagrams import BoxSet, ambient_boxes
+from .ring import add_into
 from .shapes import contains, part, trim
 
 
@@ -76,41 +79,50 @@ def is_restricted(T: SetValuedTableau) -> bool:
     )
 
 
+def _box_values(geometry: str, mu, top: int, i: int, j: int) -> list:
+    """The entries x <= top that the restriction by mu allows in box (i,j),
+    ascending from the least one a semistandard filling can hold there (with
+    the diagonal parity gaps in shiftedD).  The neighbours of the box only
+    raise the lower end, so every feasible entry set is drawn from a suffix."""
+    values = []
+    for x in range(i if geometry == "ordinary" else 1, top + 1):
+        if geometry == "ordinary":
+            exceeded = x + j - i > part(mu, x)
+        else:
+            exceeded = j - i > part(mu, x) - 1
+        if exceeded:
+            break  # the bound only tightens as x grows
+        if _restriction_ok(geometry, mu, x, i, j):
+            values.append(x)
+    return values
+
+
 def enumerate_svt(lam, mu, geometry: str, d: int = None,
                   single_valued_only: bool = False) -> list:
     """All set-valued tableaux of shape lam restricted by mu, canonically ordered.
 
     Backtracks over boxes in row-major order; the feasible entries of a box
-    are bounded below by the row and column neighbours and above by the
-    restriction inequality (with the diagonal parity gaps in shiftedD).
+    are the values `_box_values` allows there, bounded below by the row and
+    column neighbours.
     """
     lam, mu = trim(lam), trim(mu)
     if not contains(lam, mu):
         raise ValueError(f"{lam} is not contained in {mu}")
     boxes = sorted(ambient_boxes(lam, geometry))
     top = d if d is not None else len(mu)  # entries run over {1..d} or mu's rows
+    values = {(i, j): _box_values(geometry, mu, top, i, j) for i, j in boxes}
     out = []
     filled = {}
 
     def allowed_values(i, j):
-        lo = i if geometry == "ordinary" else 1
+        lo = 0
         left = filled.get((i, j - 1))
         if left:
-            lo = max(lo, left[-1])
+            lo = left[-1]
         above = filled.get((i - 1, j))
         if above:
             lo = max(lo, above[-1] + 1)
-        values = []
-        for x in range(lo, top + 1):
-            if geometry == "ordinary":
-                exceeded = x + j - i > part(mu, x)
-            else:
-                exceeded = j - i > part(mu, x) - 1
-            if exceeded:
-                break  # the bound only tightens as x grows
-            if _restriction_ok(geometry, mu, x, i, j):
-                values.append(x)
-        return values
+        return [x for x in values[i, j] if x >= lo]
 
     def rec(k):
         if k == len(boxes):
@@ -127,6 +139,75 @@ def enumerate_svt(lam, mu, geometry: str, d: int = None,
     rec(0)
     out.sort(key=lambda T: T.cells)
     return out
+
+
+def svt_dp(lam, mu, geometry: str, step, seed: dict) -> dict:
+    """Sum over the set-valued tableaux of shape lam restricted by mu of a
+    weight that multiplies one factor per (box, entry) pair; a dict of ints.
+
+    A transfer-matrix DP over the boxes in row-major order.  Its state is the
+    tuple of column maxima on the frontier: the current row's maxima left of
+    the box, the previous row's from the box on.  A box needs max(left) <= min
+    and max(above) < min, so later boxes see nothing else.  For a box on
+    diagonal q and each feasible maximum, ``step(dst, src, q, below, largest)``
+    adds src times the summed weight of the entry sets with that maximum,
+    whose other entries are drawn from ``below`` (the feasible entries
+    smaller than ``largest``).  The
+    empty filling weighs ``seed``.  With ``count_entries`` the result maps
+    the number of entries to the number of tableaux:
+
+    >>> svt_dp((1,), (2, 2), "ordinary", count_entries, {0: 1})
+    {1: 2, 2: 1}
+    """
+    lam, mu = trim(lam), trim(mu)
+    if not contains(lam, mu):
+        raise ValueError(f"{lam} is not contained in {mu}")
+    shifted = geometry != "ordinary"
+    states = {(0,) * (lam[0] if lam else 0): seed}  # row 0: nothing above
+    for i, row_len in enumerate(lam, start=1):
+        if i > 1:
+            # the new row sits under the previous row's columns from `cut` on
+            cut = 1 if shifted else 0
+            sliced = {}
+            for state, acc in states.items():
+                key = state[cut:cut + row_len]
+                if key in sliced:
+                    add_into(sliced[key], acc)
+                else:
+                    sliced[key] = acc
+            states = sliced
+        for p in range(row_len):
+            j = p + (i if shifted else 1)
+            values = _box_values(geometry, mu, len(mu), i, j)
+            q = j - i
+            nxt = {}
+            for state, acc in states.items():
+                lo = state[p] + 1
+                if p and state[p - 1] > lo:
+                    lo = state[p - 1]
+                s = bisect_left(values, lo)
+                head, tail = state[:p], state[p + 1:]
+                for t in range(s, len(values)):
+                    key = head + (values[t],) + tail
+                    dst = nxt.get(key)
+                    if dst is None:
+                        dst = nxt[key] = {}
+                    step(dst, acc, q, values[s:t], values[t])
+            states = nxt
+    total = {}
+    for acc in states.values():
+        add_into(total, acc)
+    return total
+
+
+def count_entries(dst: dict, src: dict, q: int, below, largest: int) -> None:
+    """`svt_dp` step keyed by the number of entries: the entry sets made of
+    largest and a of the k values below add 1 + a entries, binom(k, a) ways."""
+    k = len(below)
+    get = dst.get
+    for n, c in src.items():
+        for a in range(k + 1):
+            dst[n + 1 + a] = get(n + 1 + a, 0) + c * comb(k, a)
 
 
 def _nonempty_subsets(values, singles_only):

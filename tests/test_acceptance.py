@@ -222,11 +222,12 @@ def test_criterion_05_oracle_equivalence_sweep():
         svt = pullback(rs, d, w, v, backend="svt").value
         hk = pullback(rs, d, w, v, backend="hecke").value
         assert eyd == svt == hk, (rs, w, v)
-        m_eyd = hilbert_data(rs, d, w, v).m
+        m_svt = hilbert_data(rs, d, w, v).m
+        m_eyd = hilbert_data(rs, d, w, v, method="eyd").m
         m_hecke = hilbert_data(rs, d, w, v, method="hecke").m
-        assert m_eyd == m_hecke, (rs, w, v)
+        assert m_svt == m_eyd == m_hecke, (rs, w, v)
     assert pairs > 1000
-    print(f"ACCEPTANCE 5: PASS (three backends and both m_k paths agree on {pairs} pairs)")
+    print(f"ACCEPTANCE 5: PASS (three backends and three m_k paths agree on {pairs} pairs)")
 
 
 def test_criterion_06_subset_characterization():

@@ -79,6 +79,21 @@ def test_check_mode_agrees(capsys):
     assert "4 backends agree" in out
 
 
+def test_check_rejects_the_cap_before_any_pullback(capsys, monkeypatch):
+    calls = []
+    real = restriction.pullback
+
+    def counted(*args, **kw):
+        calls.append(kw.get("backend"))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(restriction, "pullback", counted)
+    code = run("--type A --n 12 --d 6 --lambda 4,3,2,1 --mu 6,6,5,4,3,2 --check".split())
+    assert code == 2
+    assert capsys.readouterr().err.strip() == "error: |mu| = 26 exceeds cap 24"
+    assert calls == []
+
+
 def test_check_mode_reports_injected_corruption(capsys, monkeypatch):
     real = restriction.pullback
 

@@ -2,10 +2,11 @@ import doctest
 
 import schubertk.hecke
 import schubertk.shapes
+import schubertk.tableaux
 
 
 def test_module_doctests():
-    for module in (schubertk.shapes, schubertk.hecke):
+    for module in (schubertk.shapes, schubertk.hecke, schubertk.tableaux):
         results = doctest.testmod(module)
         assert results.attempted > 0, module
         assert results.failed == 0, module
