@@ -219,7 +219,7 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
     if args.count_only and emit in ("diagrams", "tableaux"):
         # f matches the diagrams with the tableaux, and the reduced ones
         # with the single-valued tableaux: count them by the transfer DP
-        counts = svt_dp(lam, mu, geometry, count_entries, {0: 1})
+        counts = svt_dp(lam, mu, geometry, count_entries)
         print(counts[size(lam)] if args.reduced_only else sum(counts.values()))
         return 0
 

@@ -332,7 +332,7 @@ def _svt_class(rstype: RootSystem, d: int, v: WeylElement, lam, mu) -> LaurentPo
     def step(dst, src, q, below, largest):
         add_binomial_into(dst, src, g[largest, q], sum(g[x, q] for x in below))
 
-    return LaurentPoly.from_packed(rstype.rank, svt_dp(lam, mu, geometry, step, {0: 1}), span)
+    return LaurentPoly.from_packed(rstype.rank, svt_dp(lam, mu, geometry, step), span)
 
 
 def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> LaurentPoly:
@@ -384,7 +384,7 @@ def hilbert_data(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     elif method == "eyd":
         sizes = Counter(len(C) for C in enumerate_eyd(lam, mu, geometry))
     else:
-        sizes = svt_dp(lam, mu, geometry, count_entries, {0: 1})
+        sizes = svt_dp(lam, mu, geometry, count_entries)
     top = max(sizes, default=size(lam))
     m = tuple(sizes.get(size(lam) + k, 0) for k in range(top - size(lam) + 1))
     return HilbertData(d_w, m)

@@ -141,7 +141,7 @@ def enumerate_svt(lam, mu, geometry: str, d: int = None,
     return out
 
 
-def svt_dp(lam, mu, geometry: str, step, seed: dict) -> dict:
+def svt_dp(lam, mu, geometry: str, step) -> dict:
     """Sum over the set-valued tableaux of shape lam restricted by mu of a
     weight that multiplies one factor per (box, entry) pair; a dict of ints.
 
@@ -152,18 +152,18 @@ def svt_dp(lam, mu, geometry: str, step, seed: dict) -> dict:
     diagonal q and each feasible maximum, ``step(dst, src, q, below, largest)``
     adds src times the summed weight of the entry sets with that maximum,
     whose other entries are drawn from ``below`` (the feasible entries
-    smaller than ``largest``).  The
-    empty filling weighs ``seed``.  With ``count_entries`` the result maps
-    the number of entries to the number of tableaux:
+    smaller than ``largest``).  The empty filling weighs {0: 1}, the unit of
+    both accumulators.  With ``count_entries`` the result maps the number of
+    entries to the number of tableaux:
 
-    >>> svt_dp((1,), (2, 2), "ordinary", count_entries, {0: 1})
+    >>> svt_dp((1,), (2, 2), "ordinary", count_entries)
     {1: 2, 2: 1}
     """
     lam, mu = trim(lam), trim(mu)
     if not contains(lam, mu):
         raise ValueError(f"{lam} is not contained in {mu}")
     shifted = geometry != "ordinary"
-    states = {(0,) * (lam[0] if lam else 0): seed}  # row 0: nothing above
+    states = {(0,) * (lam[0] if lam else 0): {0: 1}}  # row 0: nothing above
     for i, row_len in enumerate(lam, start=1):
         if i > 1:
             # the new row sits under the previous row's columns from `cut` on

@@ -43,7 +43,7 @@ from schubertk.restriction import (
     pullback_b_via_d,
     pullback_hecke_with_word,
 )
-from schubertk.tableaux import enumerate_svt, f_inverse, f_map
+from schubertk.tableaux import count_entries, enumerate_svt, f_inverse, f_map, svt_dp
 from schubertk.weyl import (
     RootSystem,
     apply,
@@ -66,23 +66,24 @@ GOLDEN_C = (C4, None, parse_window(C4, "1,2,-4,-3"), parse_window(C4, "2,-4,-3,-
 GOLDEN_D = (D6, None, parse_window(D6, "1,2,4,6,-5,-3"), parse_window(D6, "2,6,-5,-4,-3,-1"))
 GOLDEN_B = (B5, None, parse_window(B5, "1,2,4,-5,-3"), parse_window(B5, "2,-5,-4,-3,-1"))
 
-# the sweep of criterion 5: every minimal-representative pair with
-# containment and |mu| <= 12 in the stated ranks
+# the sweep: every minimal-representative pair with containment in type A up
+# to n = 6 and types B, C, D up to rank 5; criterion 5 takes all of them, the
+# explicit-subsequence criteria only those with |mu| <= max_mu
 SWEEP_CONFIGS = (
     [(RootSystem("A", n), d) for n in range(2, 7) for d in range(1, n)]
-    + [(RootSystem("C", r), None) for r in range(2, 5)]
+    + [(RootSystem("C", r), None) for r in range(2, 6)]
     + [(RootSystem("D", r), None) for r in range(3, 6)]
-    + [(RootSystem("B", r), None) for r in range(2, 5)]
+    + [(RootSystem("B", r), None) for r in range(2, 6)]
 )
 
 
-def sweep_pairs():
+def sweep_pairs(max_mu=12):
     for rs, d in SWEEP_CONFIGS:
         reps = minimal_reps(rs, d)
         dd = d if rs.kind == "A" else rs.rank
         for v in reps:
             mu = shape_of(v, dd)
-            if size(mu) > 12:
+            if max_mu is not None and size(mu) > max_mu:
                 continue
             for w in reps:
                 if contains(shape_of(w, dd), mu):
@@ -216,7 +217,7 @@ def test_criterion_04_type_b_via_d():
 
 def test_criterion_05_oracle_equivalence_sweep():
     pairs = 0
-    for rs, d, w, v in sweep_pairs():
+    for rs, d, w, v in sweep_pairs(max_mu=None):
         pairs += 1
         eyd = pullback(rs, d, w, v, backend="eyd").value
         svt = pullback(rs, d, w, v, backend="svt").value
@@ -226,7 +227,13 @@ def test_criterion_05_oracle_equivalence_sweep():
         m_eyd = hilbert_data(rs, d, w, v, method="eyd").m
         m_hecke = hilbert_data(rs, d, w, v, method="hecke").m
         assert m_svt == m_eyd == m_hecke, (rs, w, v)
-    assert pairs > 1000
+        # single-valued tableaux <-> reduced excited diagrams, in the pair's
+        # own geometry (type B's m comes from D_{n+1})
+        dd = d if rs.kind == "A" else rs.rank
+        lam, mu, geometry = shape_of(w, dd), shape_of(v, dd), geometry_of(rs)
+        singles = svt_dp(lam, mu, geometry, count_entries)[size(lam)]
+        assert singles == len(enumerate_eyd(lam, mu, geometry, reduced_only=True)), (rs, w, v)
+    assert pairs > 2000
     print(f"ACCEPTANCE 5: PASS (three backends and three m_k paths agree on {pairs} pairs)")
 
 

@@ -5,8 +5,8 @@ from math import comb, factorial
 import pytest
 
 from schubertk import restriction, ring
-from schubertk.diagrams import enumerate_eyd, geometry_of, reading_word, reflection_tableau
-from schubertk.hecke import commutation_class, subsequence_stats
+from schubertk.diagrams import reading_word, reflection_tableau
+from schubertk.hecke import commutation_class
 from schubertk.ring import LaurentPoly, dual, ev_xi
 from schubertk.shapes import (
     contains,
@@ -14,7 +14,6 @@ from schubertk.shapes import (
     perm_of,
     perm_of_strict,
     shape_of,
-    size,
 )
 from schubertk.restriction import (
     check_backends,
@@ -32,7 +31,6 @@ from schubertk.restriction import (
     tangent_weights,
     xi_vector,
 )
-from schubertk.tableaux import count_entries, svt_dp
 from schubertk.weyl import (
     RootSystem,
     eps_of_entry,
@@ -464,50 +462,6 @@ def test_larger_instances_regression():
     assert dataC.d_w == 17
     assert dataC.m == (70, 245, 371, 315, 165, 55, 11, 1)
     assert sum((-1) ** k * mk for k, mk in enumerate(dataC.m)) == 1
-
-
-# every minimal-representative pair on the variety: type A up to n = 6, types
-# B, C and D up to rank 5
-CROSS_MODEL_CONFIGS = {
-    "A": [(RootSystem("A", n), d) for n in range(2, 7) for d in range(1, n)],
-    "B": [(RootSystem("B", r), None) for r in range(2, 6)],
-    "C": [(RootSystem("C", r), None) for r in range(2, 6)],
-    "D": [(RootSystem("D", r), None) for r in range(3, 6)],
-}
-
-
-@pytest.mark.parametrize("kind", sorted(CROSS_MODEL_CONFIGS))
-def test_transfer_dp_agrees_with_the_explicit_models(kind):
-    # the multiplicity invariant and its refinement: the transfer DP's
-    # counts by entries equal the excited diagrams by size and the Hecke
-    # subsequences by length; its single-valued count equals the reduced
-    # diagrams; its class equals the eyd and hecke classes
-    pairs = 0
-    for rs, d in CROSS_MODEL_CONFIGS[kind]:
-        reps = minimal_reps(rs, d)
-        dd = d if rs.kind == "A" else rs.rank
-        geometry = geometry_of(rs)
-        for v in reps:
-            mu = shape_of(v, dd)
-            word = reading_word(reflection_tableau(mu, rs, d))
-            for w in reps:
-                lam = shape_of(w, dd)
-                if not contains(lam, mu):
-                    continue
-                pairs += 1
-                counts = svt_dp(lam, mu, geometry, count_entries, {0: 1})
-                sizes = Counter(len(C) for C in enumerate_eyd(lam, mu, geometry))
-                assert counts == sizes == subsequence_stats(w, word), (w, v)
-                reduced = enumerate_eyd(lam, mu, geometry, reduced_only=True)
-                assert counts[size(lam)] == len(reduced), (w, v)
-                assert (
-                    hilbert_data(rs, d, w, v).m
-                    == hilbert_data(rs, d, w, v, method="eyd").m
-                ), (w, v)
-                cls = pullback(rs, d, w, v, backend="svt").value
-                assert cls == pullback(rs, d, w, v, backend="eyd").value, (w, v)
-                assert cls == pullback(rs, d, w, v, backend="hecke").value, (w, v)
-    assert pairs > 150
 
 
 def test_transfer_dp_pinned_large_instances():
