@@ -5,9 +5,11 @@ up and absorbs the letter otherwise.  `fold_dp` sums over the subwords of a
 word that fold to w in one pass over fold states; with the kernels of
 `ring` it computes the hecke class and, in `subsequence_stats`, the Hilbert
 counts.  `hecke_subsequences` lists those subwords one by one, for the
-factored LaTeX form and as a test oracle.  `demazure_fold` folds through the
-root action, independently of the window helpers, and the
-full-commutativity utilities support the reduced-word property tests.
+factored LaTeX form and as a test oracle.  Both keep only the fold states
+from which the rest of the word can still fold to w (`_reaching`).
+`demazure_fold` folds through the root action, independently of the window
+helpers, and the full-commutativity utilities support the reduced-word
+property tests.
 """
 
 from __future__ import annotations
@@ -63,45 +65,58 @@ def demazure_fold(word, rstype: RootSystem) -> WeylElement:
     return u
 
 
+def _reaching(w: WeylElement, word) -> list:
+    """reach[p] maps to l(u) each window u with l(u) <= p from which some
+    subword of word[p:] folds to w.
+
+    Built right to left from {w}: u reaches from p when it reaches from
+    p + 1, or when s_i = word[p] is an ascent of u and u * s_i reaches.  A
+    fold of a subword of word[:p] has length at most p, so the bound drops
+    no state that `fold_dp` meets; it keeps each entry in the band
+    l(w) - (len(word) - p) <= l(u) <= p, a single window when w = v.
+    """
+    kind = w.rstype.kind
+    lw = length(w)
+    reach = [{w.window: lw} if lw <= len(word) else {}]
+    for p in range(len(word) - 1, -1, -1):
+        i, after = word[p], reach[-1]
+        here = {u: lu for u, lu in after.items() if lu <= p}
+        for u, lu in after.items():
+            if not window_right_ascent(kind, u, i):
+                here[window_right_mult(kind, u, i)] = lu - 1
+        reach.append(here)
+    reach.reverse()
+    return reach
+
+
 def hecke_subsequences(w: WeylElement, word, cap: int = DEFAULT_CAP) -> list:
     """All index subsequences of word whose fold is w, in lexicographic order.
 
     Distinct index tuples count separately even when they spell the same
-    letters.  Raises if the word is longer than cap (the search is 2^length
-    in the worst case).
+    letters.  An explicit depth-first search that keeps a branch only while
+    its fold state can still reach w (`_reaching`), so every branch ends in
+    an output.  Raises if the word is longer than cap.
     """
     if len(word) > cap:
         raise ValueError(f"word length {len(word)} exceeds cap {cap}")
     rs = w.rstype
     _check_letters(word, rs)
     kind = rs.kind
-    target = w.window
     lw = length(w)
-    q = len(word)
-    lengths = {tuple(range(1, rs.rank + 1)): 0}
+    reach = _reaching(w, word)
+    ident = tuple(range(1, rs.rank + 1))
+    stack = [(0, ident, ())] if ident in reach[0] else []
     out = []
-
-    def rec(pos, win, taken, chosen):
-        lu = lengths[win]
-        if lu > lw or lu + (q - pos) < lw:
-            return
-        if pos == q:
-            if win == target:
-                out.append(HeckeSubseq(tuple(chosen), taken, taken - lw))
-            return
+    while stack:
+        pos, win, chosen = stack.pop()
+        if pos == len(word):
+            out.append(HeckeSubseq(chosen, len(chosen), len(chosen) - lw))
+            continue
         i = word[pos]
-        chosen.append(pos + 1)
-        if window_right_ascent(kind, win, i):
-            win2 = window_right_mult(kind, win, i)
-            if win2 not in lengths:
-                lengths[win2] = lu + 1
-            rec(pos + 1, win2, taken + 1, chosen)
-        else:
-            rec(pos + 1, win, taken + 1, chosen)
-        chosen.pop()
-        rec(pos + 1, win, taken, chosen)
-
-    rec(0, tuple(range(1, rs.rank + 1)), 0, [])
+        taken = window_right_mult(kind, win, i) if window_right_ascent(kind, win, i) else win
+        for nxt, indices in ((win, chosen), (taken, chosen + (pos + 1,))):
+            if nxt in reach[pos + 1]:
+                stack.append((pos + 1, nxt, indices))
     out.sort(key=lambda t: t.indices)
     return out
 
@@ -113,30 +128,28 @@ def fold_dp(w: WeylElement, word, factors, take, stay) -> dict:
     c carries ``factors[c]``.  At an ascent, ``take(dst, src, f)`` adds the
     taken letter into the state win * s_i, and the state also keeps src (the
     letter is skipped).  Otherwise the letter is absorbed, and
-    ``stay(dst, src, f)`` adds skip and take into the same state.  States
-    longer than l(w) never fold back down and are dropped.
+    ``stay(dst, src, f)`` adds skip and take into the same state.  A state is
+    kept only while some subword of the rest of the word folds it to w
+    (`_reaching`), so the DP starts empty when w is out of reach.
     """
     rs = w.rstype
     _check_letters(word, rs)
     kind = rs.kind
-    lw = length(w)
+    reach = _reaching(w, word)
     ident = tuple(range(1, rs.rank + 1))
-    states = {ident: {0: 1}}
-    lengths = {ident: 0}
-    for i, f in zip(word, factors):
+    states = {ident: {0: 1}} if ident in reach[0] else {}
+    for i, f, ahead in zip(word, factors, reach[1:]):
         nxt = {}
         for win, val in states.items():
             if not window_right_ascent(kind, win, i):
                 stay(nxt.setdefault(win, {}), val, f)
                 continue
             win2 = window_right_mult(kind, win, i)
-            if win2 not in lengths:
-                lengths[win2] = lengths[win] + 1
-            if lengths[win2] <= lw:
+            if win2 in ahead:
                 take(nxt.setdefault(win2, {}), val, f)
-            if win in nxt:
+            if win in nxt:  # every key of nxt is in ahead
                 add_into(nxt[win], val)
-            else:
+            elif win in ahead:
                 nxt[win] = val  # val is not read again, so it is reused
         states = nxt
     return states.get(w.window, {})
@@ -152,7 +165,8 @@ def subsequence_stats(w: WeylElement, word) -> dict:
     """Count subsequences folding to w, bucketed by l(t).
 
     The fold DP with factor 1 per letter and the number of taken letters as
-    key; equivalent to the explicit enumeration but polynomial in practice.
+    key; equal to the explicit enumeration, but it carries only the fold
+    states that can still reach w instead of listing the subwords.
 
     >>> from schubertk.weyl import RootSystem, simple_reflection
     >>> subsequence_stats(simple_reflection(RootSystem("A", 3), 1), (1, 2, 1))

@@ -1,9 +1,13 @@
 import itertools
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+from schubertk.diagrams import reading_word, reflection_tableau
 from schubertk.hecke import (
+    _reaching,
     commutation_class,
     demazure_fold,
     hecke_subsequences,
@@ -11,6 +15,7 @@ from schubertk.hecke import (
     m_order,
     subsequence_stats,
 )
+from schubertk.shapes import minimal_reps, perm_of, shape_of
 from schubertk.weyl import (
     RootSystem,
     WeylElement,
@@ -74,6 +79,57 @@ def test_subsequences_match_naive_bitmask():
             for t in got:
                 assert t.length == len(t.indices)
                 assert t.excess == t.length - length(w)
+
+
+def _subword_folds(word, rs):
+    return {
+        demazure_fold(tuple(word[k] for k in range(len(word)) if mask >> k & 1), rs)
+        for mask in range(1 << len(word))
+    }
+
+
+@pytest.mark.parametrize("kind,rank,d", [("A", 5, 2), ("B", 3, None), ("C", 3, None), ("D", 4, None)])
+def test_reaching_is_exact_on_minimal_rep_pairs(kind, rank, d):
+    # u is in reach[p] iff some subword of word[p:] folds u to w, for every
+    # fold u of a subword of word[:p]; decided by the root-action fold
+    rs = RootSystem(kind, rank)
+    reps = minimal_reps(rs, d)
+    for v in reps:
+        word = reading_word(reflection_tableau(shape_of(v, d or rank), rs, d))
+        for w in reps:
+            reach = _reaching(w, word)
+            assert len(reach) == len(word) + 1
+            for p in range(len(word) + 1):
+                suffix_folds = [
+                    tuple(word[p + k] for k in range(len(word) - p) if mask >> k & 1)
+                    for mask in range(1 << (len(word) - p))
+                ]
+                for u in _subword_folds(word[:p], rs):
+                    reaches = any(
+                        demazure_fold(reduced_word(u) + sub, rs) == w for sub in suffix_folds
+                    )
+                    assert (u.window in reach[p]) == reaches, (w, v, p, u)
+            lengths = Counter(t.length for t in hecke_subsequences(w, word))
+            assert subsequence_stats(w, word) == dict(lengths)
+
+
+def test_subword_listing_does_not_recurse_per_letter():
+    # lambda = mu = 6^6: 36 letters and one subword, listed under a recursion
+    # limit far below the word length
+    rs = RootSystem("A", 12)
+    w = perm_of((6,) * 6, 6, 12)
+    word = reading_word(reflection_tableau((6,) * 6, rs, 6))
+    assert len(word) == 36
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        subs = hecke_subsequences(w, word, cap=36)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [t.indices for t in subs] == [tuple(range(1, 37))]
 
 
 def test_fold_length_lower_bound():

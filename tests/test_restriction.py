@@ -3,8 +3,10 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schubertk import restriction, ring
+from schubertk import hecke, restriction, ring
 from schubertk.diagrams import reading_word, reflection_tableau
 from schubertk.hecke import commutation_class
 from schubertk.ring import LaurentPoly, dual, ev_xi
@@ -468,9 +470,76 @@ def test_transfer_dp_pinned_large_instances():
     rs = RootSystem("A", 12)
     w, v = perm_of((4, 4, 2, 2), 6, 12), perm_of((6, 6, 6, 5, 4, 4), 6, 12)
     assert hilbert_data(rs, 6, w, v).m == (206, 618, 723, 416, 123, 18, 1)
-    assert len(pullback(rs, 6, w, v, backend="svt").value.packed) == 21393
+    svt = pullback(rs, 6, w, v, backend="svt").value
+    assert len(svt.packed) == 21393
+    assert pullback(rs, 6, w, v, backend="hecke", cap=31).value == svt
+    assert hilbert_data(rs, 6, w, v, method="hecke").m == (206, 618, 723, 416, 123, 18, 1)
     w, v = perm_of((4, 3, 2, 1), 6, 12), perm_of((6, 6, 5, 4, 3, 2), 6, 12)
-    assert pullback(rs, 6, w, v, backend="svt").value == pullback(rs, 6, w, v, backend="eyd").value
+    svt = pullback(rs, 6, w, v, backend="svt").value
+    assert pullback(rs, 6, w, v, backend="hecke", cap=26).value == svt
+    assert pullback(rs, 6, w, v, backend="eyd").value == svt
+
+
+def test_hecke_entry_points_keep_no_state_when_w_is_out_of_reach():
+    rs = RootSystem("A", 12)
+    w, v = perm_of((6, 6, 6, 5, 4, 4), 6, 12), perm_of((6, 6, 5, 4, 3, 2), 6, 12)
+    word = reading_word(reflection_tableau(shape_of(v, 6), rs, 6))
+    assert len(word) == 26
+    assert hecke.subsequence_stats(w, word) == {}
+    assert pullback_hecke_with_word(rs, w, word) == LaurentPoly.zero(12)
+    calls = []
+
+    def record(dst, src, f):
+        calls.append(f)
+
+    assert hecke.fold_dp(w, word, [1] * len(word), record, record) == {}
+    assert calls == []
+
+
+def _random_shape(rnd, caps, budget, strict):
+    """A partition (strict if asked) with parts[i] <= caps[i] and at most
+    budget boxes, drawn row by row from the upper third of each range."""
+    parts = []
+    for cap in caps:
+        top = min(cap, budget, parts[-1] - strict if parts else cap)
+        if top <= 0:
+            break
+        parts.append(rnd.randint((2 * top + 2) // 3, top))
+        budget -= parts[-1]
+    return parts
+
+
+@st.composite
+def larger_on_variety_pairs(draw):
+    """(rstype, d, w, v) with lam inside mu, |mu| <= 30 and |lam| <= 14: type A
+    up to n = 12, types C and D up to rank 8.  The bound on |lam| keeps the
+    expanded class below about 10^5 terms."""
+    rnd = draw(st.randoms(use_true_random=False))
+    kind = rnd.choice("ACD")
+    if kind == "A":
+        n = rnd.randint(2, 12)
+        d = rnd.randint(1, n - 1)
+        caps = [n - d] * d
+    else:
+        n = rnd.randint(2 if kind == "C" else 4, 8)
+        d = None
+        caps = [n if kind == "C" else n - 1] * n
+    mu = _random_shape(rnd, caps, 30, kind != "A")
+    lam = _random_shape(rnd, mu, 14, kind != "A")
+    rs = RootSystem(kind, n)
+    if kind == "A":
+        return rs, d, perm_of(lam, d, n), perm_of(mu, d, n)
+    return rs, d, perm_of_strict(lam, rs), perm_of_strict(mu, rs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(larger_on_variety_pairs())
+def test_hecke_agrees_with_svt_on_random_larger_pairs(pair):
+    rs, d, w, v = pair
+    assert pullback(rs, d, w, v, backend="hecke", cap=30).value == pullback(
+        rs, d, w, v, backend="svt"
+    ).value
+    assert hilbert_data(rs, d, w, v, method="hecke").m == hilbert_data(rs, d, w, v).m
 
 
 @pytest.mark.parametrize("backend", ["eyd", "svt"])
