@@ -50,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=list(restriction.BACKENDS), default="svt")
     p.add_argument("--emit", choices=list(EMITS), default="class")
     p.add_argument("--format", choices=["text", "json", "latex"], default="text",
-                   dest="fmt")
+                   dest="fmt",
+                   help="latex applies to --emit class (the factored form) and "
+                   "--emit diagrams (TikZ); every other emit prints its text form")
     p.add_argument("--trunc", type=int, default=3, help="character truncation degree")
     p.add_argument("--count-only", action="store_true", dest="count_only")
     p.add_argument("--check", action="store_true",

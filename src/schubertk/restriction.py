@@ -17,13 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from . import hecke
-from .diagrams import (
-    ambient_boxes,
-    enumerate_eyd,
-    geometry_of,
-    reading_word,
-    reflection_tableau,
-)
+from .diagrams import enumerate_eyd, geometry_of, reading_word, reflection_tableau
 from .ring import (
     GradedSeries,
     LaurentPoly,
@@ -46,15 +40,13 @@ from .weyl import (
     RootSystem,
     WeylElement,
     apply,
-    eps_of_entry,
-    full_window,
     is_minimal_rep,
     is_positive_root_vector,
     length,
-    mult,
     negate_weight,
-    simple_reflection,
     simple_roots,
+    window_apply,
+    window_right_mult,
 )
 
 BACKENDS = ("eyd", "svt", "hecke")
@@ -107,9 +99,18 @@ def _validated_shapes(rstype: RootSystem, d, w: WeylElement, v: WeylElement) -> 
     return d, shape_of(w, d), shape_of(v, d)
 
 
-def _hecke_word(rstype: RootSystem, d: int, mu) -> tuple:
-    """The reading word of the reflection tableau of mu: a reduced word for v."""
-    return reading_word(reflection_tableau(mu, rstype, d if rstype.kind == "A" else None))
+def _tableau_word(rstype: RootSystem, d: int, mu) -> tuple:
+    """(boxes, word): the boxes of the reflection tableau T_mu in reading
+    order and its reading word, a reduced word for v."""
+    T = reflection_tableau(mu, rstype, d if rstype.kind == "A" else None)
+    return T.reading_boxes, reading_word(T)
+
+
+def _box_exponents(rstype: RootSystem, boxes, word) -> dict:
+    """{box: -r(c)} for the box at reading position c of T_mu: the exponent
+    g of the factor (e^g - 1) that the box brings to a term, in every
+    backend (Graham-Willems restriction through the r-values)."""
+    return dict(zip(boxes, map(negate_weight, r_values(word, rstype))))
 
 
 def levi_complement_roots(rstype: RootSystem, d: int = None) -> list:
@@ -148,22 +149,21 @@ def tangent_weights(rstype: RootSystem, d, v: WeylElement) -> list:
 
 
 def r_values(word, rstype: RootSystem) -> list:
-    """r(c) = s_1 s_2 ... s_{c-1}(alpha_c) along a reduced word; positive roots."""
+    """r(c) = s_1 s_2 ... s_{c-1}(alpha_c) along a reduced word; positive roots.
+
+    The prefix is carried as a window.  l(u s_i) > l(u) iff u(alpha_i) > 0,
+    so the word is reduced exactly when every r(c) is positive."""
     alphas = simple_roots(rstype)
+    win = tuple(range(1, rstype.rank + 1))
     out = []
-    u = None
     for c, i in enumerate(word):
         if not 1 <= i <= rstype.num_simple:
             raise ValueError(f"letter {i} out of range for {rstype}")
-        alpha = alphas[i - 1]
-        r = alpha if u is None else apply(u, alpha)
+        r = window_apply(win, alphas[i - 1])
         if not is_positive_root_vector(r):
             raise ValueError(f"word is not reduced: r({c + 1}) is a negative root")
         out.append(r)
-        s = simple_reflection(rstype, i)
-        u = s if u is None else mult(u, s)
-    if u is not None and length(u) != len(word):
-        raise ValueError("word is not reduced")
+        win = window_right_mult(rstype.kind, win, i)
     return out
 
 
@@ -193,34 +193,6 @@ def xi_vector(rstype: RootSystem, d, v: WeylElement) -> tuple:
         if pairing != -1:
             raise RuntimeError(f"xi pairing failed: {alpha}(xi) = {pairing}")
     return xi
-
-
-def _eyd_factor_exponent(rstype: RootSystem, d: int, v: WeylElement, box) -> tuple:
-    """Exponent g with factor (e^g - 1) for a diagram box; g = -r for the
-    positive root r attached to the box."""
-    n = rstype.rank
-    i, j = box
-    fw = full_window(v)
-    if rstype.kind == "A":
-        a, b = fw[d - i], fw[d + j - 1]  # v_{d+1-i}, v_{d+j}
-        vec = [0] * n
-        vec[a - 1] += 1
-        vec[b - 1] -= 1
-        return tuple(vec)
-    if rstype.kind == "C":
-        ea = eps_of_entry(fw[n + i - 1], n)
-        eb = eps_of_entry(fw[n + j - 1], n)
-        return tuple(-(x + y) for x, y in zip(ea, eb))
-    if rstype.kind == "B":
-        if i == j:
-            return tuple(-x for x in eps_of_entry(fw[n + i - 1], n))
-        ea = eps_of_entry(fw[n + i - 1], n)
-        eb = eps_of_entry(fw[n + j - 1], n)
-        return tuple(-(x + y) for x, y in zip(ea, eb))
-    # type D: columns are labelled v_{n+2}, v_{n+3}, ...
-    ea = eps_of_entry(fw[n + i - 1], n)
-    eb = eps_of_entry(fw[n + j], n)
-    return tuple(-(x + y) for x, y in zip(ea, eb))
 
 
 def _sum_of_products(rank: int, terms) -> LaurentPoly:
@@ -253,33 +225,23 @@ def pullback_terms(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     if not contains(lam, mu):
         return []
     geometry = geometry_of(rstype)
+    boxes, word = _tableau_word(rstype, d, mu)
+    # each backend lists its terms as tuples of boxes of D_mu
     if backend == "eyd":
-        terms = []
-        for C in enumerate_eyd(lam, mu, geometry):
-            terms.append(
-                tuple(
-                    _eyd_factor_exponent(rstype, d, v, box)
-                    for box in C.sorted_boxes()
-                )
-            )
-        return terms
-    if backend == "svt":
-        terms = []
+        terms = (C.sorted_boxes() for C in enumerate_eyd(lam, mu, geometry))
+    elif backend == "svt":  # the boxes of f(T)
         entry_bound = d if rstype.kind == "A" else None
-        for T in enumerate_svt(lam, mu, geometry, d=entry_bound):
-            exps = []
-            for (i, j), entries in T.cells:
-                for x in entries:
-                    exps.append(_eyd_factor_exponent(rstype, d, v, (x, x + j - i)))
-            terms.append(tuple(exps))
-        return terms
-    # hecke: explicit subsequence enumeration against the tableau word
-    word = _hecke_word(rstype, d, mu)
-    rvals = r_values(word, rstype)
-    terms = []
-    for sub in hecke.hecke_subsequences(w, word, cap=cap):
-        terms.append(tuple(negate_weight(rvals[p - 1]) for p in sub.indices))
-    return terms
+        terms = (
+            tuple((x, x + j - i) for (i, j), entries in T.cells for x in entries)
+            for T in enumerate_svt(lam, mu, geometry, d=entry_bound)
+        )
+    else:
+        terms = (
+            tuple(boxes[p - 1] for p in sub.indices)
+            for sub in hecke.hecke_subsequences(w, word, cap=cap)
+        )
+    exps = _box_exponents(rstype, boxes, word)
+    return [tuple(exps[box] for box in term) for term in terms]
 
 
 def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
@@ -299,10 +261,10 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
         return KClass(rstype, d, LaurentPoly.zero(n), on_variety=False)
     if backend == "hecke":
         _check_cap(mu, cap)
-        word = _hecke_word(rstype, d, mu)
+        word = _tableau_word(rstype, d, mu)[1]
         return KClass(rstype, d, pullback_hecke_with_word(rstype, w, word))
     if backend == "svt":
-        total = _svt_class(rstype, d, v, lam, mu)
+        total = _svt_class(rstype, d, lam, mu)
     else:
         total = _sum_of_products(n, pullback_terms(rstype, d, w, v, backend=backend))
     sign = -1 if length(w) % 2 else 1
@@ -314,15 +276,14 @@ def _check_cap(mu, cap: int) -> None:
         raise ValueError(f"|mu| = {size(mu)} exceeds cap {cap}")
 
 
-def _svt_class(rstype: RootSystem, d: int, v: WeylElement, lam, mu) -> LaurentPoly:
+def _svt_class(rstype: RootSystem, d: int, lam, mu) -> LaurentPoly:
     """sum over the set-valued tableaux T of prod_{x in T(i,j)} (e^{g(x, j-i)} - 1)
-    by the transfer DP.  The entries of a box below its maximum contribute
+    by the transfer DP, with g(x, j-i) the exponent of the box (x, x+j-i) of
+    f(T).  The entries of a box below its maximum contribute
     1 + (e^g - 1) = e^g each, so every transition is one fused kernel call."""
     geometry = geometry_of(rstype)
-    exps = {
-        (x, y - x): _eyd_factor_exponent(rstype, d, v, (x, y))
-        for x, y in ambient_boxes(mu, geometry)
-    }
+    table = _box_exponents(rstype, *_tableau_word(rstype, d, mu))
+    exps = {(x, y - x): e for (x, y), e in table.items()}
     # every partial product uses each (entry, diagonal) pair at most once
     span = check_span(max(
         (sum(abs(g[c]) for g in exps.values()) for c in range(rstype.rank)), default=0
@@ -380,7 +341,7 @@ def hilbert_data(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
         return HilbertData(d_w, ())
     geometry = geometry_of(rstype)
     if method == "hecke":
-        sizes = hecke.subsequence_stats(w, _hecke_word(rstype, d, mu))
+        sizes = hecke.subsequence_stats(w, _tableau_word(rstype, d, mu)[1])
     elif method == "eyd":
         sizes = Counter(len(C) for C in enumerate_eyd(lam, mu, geometry))
     else:

@@ -119,13 +119,7 @@ def apply(w: WeylElement, mu: Weight) -> Weight:
     n = w.rstype.rank
     if len(mu) != n:
         raise ValueError(f"weight length {len(mu)} != rank {n}")
-    out = [0] * n
-    for i, t in enumerate(w.window):
-        if t > 0:
-            out[t - 1] += mu[i]
-        else:
-            out[-t - 1] -= mu[i]
-    return tuple(out)
+    return window_apply(w.window, mu)
 
 
 def mult(u: WeylElement, w: WeylElement) -> WeylElement:
@@ -254,9 +248,20 @@ def format_weight(mu: Weight, latex: bool = False) -> str:
     return "".join(parts) if parts else "0"
 
 
-# Window-level helpers used by the 0-Hecke fold inner loops.  They avoid
-# building WeylElement instances in hot paths; the tuple is always a valid
-# window for the ambient root system.
+# Window-level helpers used by the 0-Hecke fold inner loops and by
+# `restriction.r_values`.  They avoid building WeylElement instances in hot
+# paths; the tuple is always a valid window for the ambient root system.
+
+def window_apply(win: tuple, mu: Weight) -> Weight:
+    """The action of :func:`apply` on a bare window."""
+    out = [0] * len(win)
+    for i, t in enumerate(win):
+        if t > 0:
+            out[t - 1] += mu[i]
+        else:
+            out[-t - 1] -= mu[i]
+    return tuple(out)
+
 
 def window_right_mult(kind: str, win: tuple, i: int) -> tuple:
     """win * s_i (acts on positions)."""

@@ -35,6 +35,7 @@ from schubertk.shapes import (
     size,
 )
 from schubertk.restriction import (
+    BACKENDS,
     graded_character,
     hilbert_data,
     hilbert_polynomial_coeffs,
@@ -42,6 +43,7 @@ from schubertk.restriction import (
     pullback,
     pullback_b_via_d,
     pullback_hecke_with_word,
+    pullback_terms,
 )
 from schubertk.tableaux import count_entries, enumerate_svt, f_inverse, f_map, svt_dp
 from schubertk.weyl import (
@@ -408,6 +410,14 @@ def test_criterion_10_nonreduced_subsequences_admit_commuting_pair():
         if w not in fc_cache:
             fc_cache[w] = is_fully_commutative(w)
         assert fc_cache[w], (rs, w)  # the Prop's hypothesis holds in these cases
+        # the factored classes agree as multisets of root subsets, and no
+        # term repeats a root
+        factored = []
+        for backend in BACKENDS:
+            terms = pullback_terms(rs, d, w, v, backend=backend)
+            assert all(len(set(t)) == len(t) for t in terms), (rs, w, v, backend)
+            factored.append(Counter(frozenset(t) for t in terms))
+        assert factored[0] == factored[1] == factored[2], (rs, w, v)
         word = reading_word(reflection_tableau(mu, rs, d))
         for sub in hecke_subsequences(w, word):
             if sub.excess == 0:
@@ -427,5 +437,6 @@ def test_criterion_10_nonreduced_subsequences_admit_commuting_pair():
     assert not violations
     assert instances == expected_instances > 500
     print(
-        f"ACCEPTANCE 10: PASS ({instances} non-reduced subsequences all admit the i<j pair)"
+        f"ACCEPTANCE 10: PASS ({instances} non-reduced subsequences all admit the i<j pair;"
+        " factored terms agree across the backends)"
     )

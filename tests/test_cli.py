@@ -202,6 +202,15 @@ def test_latex_class_is_factored(capsys):
     assert out.count(r"\left(") == 40  # 11 terms: 5*3 + 5*4 + 1*5 factors
 
 
+@pytest.mark.parametrize("emit", ["hilbert", "hilbert-poly", "mult", "tableaux", "character"])
+def test_latex_format_prints_the_text_form_outside_class_and_diagrams(capsys, emit):
+    argv = f"--type C --rank 4 --lambda 2,1 --mu 4,2,1 --emit {emit}".split()
+    assert run(argv) == 0
+    text = capture(capsys)
+    assert run(argv + ["--format", "latex"]) == 0
+    assert capture(capsys) == text
+
+
 def test_character_emit(capsys):
     argv = "--type A --n 7 --d 3 --w 1,3,5,2,4,6,7 --v 4,6,7,1,2,3,5 --emit character --trunc 2".split()
     assert run(argv) == 0

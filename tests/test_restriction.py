@@ -102,9 +102,18 @@ def test_r_values_examples():
     assert r_values((2,), rs) == [(0, 1, -1)]
     with pytest.raises(ValueError):
         r_values((1, 1), rs)
+    # the first bad letter can follow a longer reduced prefix, and then only
+    # the sign of the last r-value shows that the word is not reduced
+    for kind, rank, word in [("A", 3, (1, 2, 1, 2)), ("C", 2, (1, 2, 1, 2, 1)),
+                             ("B", 3, (3, 2, 3, 2, 3))]:
+        rs = RootSystem(kind, rank)
+        assert len(r_values(word[:-1], rs)) == len(word) - 1
+        with pytest.raises(ValueError, match=rf"r\({len(word)}\) is a negative root"):
+            r_values(word, rs)
 
 
 def _box_formula_r(rs, d, v, box):
+    """The closed-form root of a box of T_mu at the fixed point v, per type."""
     n = rs.rank
     i, j = box
     fw = full_window(v)
@@ -131,12 +140,32 @@ def _box_formula_r(rs, d, v, box):
 def test_r_values_match_box_formulas(rs, d, v):
     if v is None:
         v = parse_window(rs, "3,5,6,8,1,2,4,7")
+    _assert_r_values_match_box_formulas(rs, d, v)
+
+
+def _assert_r_values_match_box_formulas(rs, d, v):
     mu = shape_of(v, d if rs.kind == "A" else rs.rank)
     T = reflection_tableau(mu, rs, d)
     word = reading_word(T)
     rvals = r_values(word, rs)
     for c, box in enumerate(T.reading_boxes):
-        assert rvals[c] == _box_formula_r(rs, d, v, box), (box, rvals[c])
+        assert rvals[c] == _box_formula_r(rs, d, v, box), (rs, v, box, rvals[c])
+
+
+def test_r_values_match_box_formulas_at_every_fixed_point():
+    # every backend labels its boxes by the r-values; the closed forms are
+    # checked here only, at every minimal representative of small rank
+    configs = (
+        [(RootSystem("A", n), d) for n in range(2, 8) for d in range(1, n)]
+        + [(RootSystem(k, n), None) for k in "BC" for n in range(2, 7)]
+        + [(RootSystem("D", n), None) for n in range(3, 8)]
+    )
+    points = 0
+    for rs, d in configs:
+        for v in minimal_reps(rs, d):
+            _assert_r_values_match_box_formulas(rs, d, v)
+            points += 1
+    assert points == 612
 
 
 def test_type_b_closed_form_uses_unshifted_indices():
