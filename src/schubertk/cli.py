@@ -8,6 +8,7 @@ cross-check mismatch, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -33,7 +34,10 @@ from .weyl import RootSystem, format_weight, length, parse_window
 EMITS = ("class", "hilbert", "hilbert-poly", "mult", "diagrams", "tableaux", "character")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parse_args keeps
+    no state between calls."""
     p = argparse.ArgumentParser(
         prog="schubertk",
         description="Restrictions of Schubert classes to fixed points in "
@@ -137,9 +141,8 @@ def _latex_class(rstype, d, w, v, backend, cap):
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_signed_windows(argv))
+        args = build_parser().parse_args(_attach_signed_windows(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -151,7 +154,7 @@ def run(argv) -> int:
         if args.check:
             return _run_check(args, rstype, d, w, v, lam, mu)
         return _run_emit(args, rstype, d, w, v, lam, mu)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:  # RuntimeError: a failed internal check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

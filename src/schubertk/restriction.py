@@ -175,24 +175,34 @@ def xi_vector(rstype: RootSystem, d, v: WeylElement) -> tuple:
     """
     if rstype.kind == "B":
         raise ValueError("type B is not cominuscule; compute through D_{n+1}")
-    n = rstype.rank
     if rstype.kind == "A":
         d = _resolve_d(rstype, d)
-        base = [Fraction(1)] * d + [Fraction(0)] * (n - d)
+    ixi, den = _scaled_xi(rstype, d, v, tangent_weights(rstype, d, v))
+    return tuple(Fraction(x, den) for x in ixi)
+
+
+def _scaled_xi(rstype: RootSystem, d, v: WeylElement, weights) -> tuple:
+    """(den * xi, den) as integers, den = 1 in type A and 2 in types C, D:
+    xi = v(sum of the first d eps_i), resp. v(sum eps_i / 2).  Checks
+    alpha(xi) = -1 for every alpha in weights, the tangent weights at v."""
+    n = rstype.rank
+    if rstype.kind == "A":
+        base, den = [1] * d + [0] * (n - d), 1
     else:
-        base = [Fraction(1, 2)] * n
-    out = [Fraction(0)] * n
-    for i, t in enumerate(v.window):
+        base, den = [1] * n, 2
+    ixi = [0] * n
+    for b, t in zip(base, v.window):
         if t > 0:
-            out[t - 1] += base[i]
+            ixi[t - 1] += b
         else:
-            out[-t - 1] -= base[i]
-    xi = tuple(out)
-    for alpha in tangent_weights(rstype, d, v):
-        pairing = sum(Fraction(c) * x for c, x in zip(alpha, xi))
-        if pairing != -1:
-            raise RuntimeError(f"xi pairing failed: {alpha}(xi) = {pairing}")
-    return xi
+            ixi[-t - 1] -= b
+    for alpha in weights:
+        pairing = sum(c * x for c, x in zip(alpha, ixi))
+        if pairing != -den:
+            raise RuntimeError(
+                f"xi pairing failed: {alpha}(xi) = {Fraction(pairing, den)}"
+            )
+    return ixi, den
 
 
 def _sum_of_products(rank: int, terms) -> LaurentPoly:
@@ -354,38 +364,38 @@ def hilbert_data(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
 def hilbert_polynomial_coeffs(data: HilbertData) -> tuple:
     """Coefficients (ascending in n) of h(n) = sum (-1)^k m_k binom(n+K-1, K-1)
     with K = d_w - k; exact rationals.  A K = 0 term only occurs for the
-    degenerate point case and contributes the zero polynomial here."""
-    coeffs = [Fraction(0)]
-    for k, mk in enumerate(data.m):
-        K = data.d_w - k
-        if K <= 0:
-            continue
-        term = _binom_poly(K)
-        term = [c * mk * (-1) ** k for c in term]
-        if len(term) > len(coeffs):
-            coeffs.extend([Fraction(0)] * (len(term) - len(coeffs)))
-        for idx, c in enumerate(term):
-            coeffs[idx] += c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    degenerate point case and contributes the zero polynomial here.
 
+    binom(n+K-1, K-1) = (n+1)...(n+K-1) / (K-1)!, so the sum is taken over
+    the integers, scaled by (d_w - 1)!, and divided once at the end.
 
-def _binom_poly(K: int) -> list:
-    """binom(n+K-1, K-1) as a polynomial in n: prod_{j=1}^{K-1}(n+j)/(K-1)!."""
-    poly = [Fraction(1)]
-    for j in range(1, K):
-        poly = [Fraction(0)] + poly  # multiply by n
-        for idx in range(len(poly) - 1):
-            poly[idx] += j * poly[idx + 1]
-    fact = 1
-    for j in range(2, K):
-        fact *= j
-    return [c / fact for c in poly]
+    >>> hilbert_polynomial_coeffs(HilbertData(2, (1,)))
+    (Fraction(1, 1), Fraction(1, 1))
+    """
+    acc = [0]  # sum over K' <= K of c_K' (n+1)...(n+K'-1) (K-1)!/(K'-1)!
+    rising = [1]  # (n+1)...(n+K-1)
+    scale = 1  # (K-1)!
+    for K in range(1, data.d_w + 1):
+        if K > 1:
+            rising = [0] + rising  # times (n + K - 1)
+            for idx in range(len(rising) - 1):
+                rising[idx] += (K - 1) * rising[idx + 1]
+            acc = [(K - 1) * c for c in acc] + [0]
+            scale *= K - 1
+        k = data.d_w - K
+        if k < len(data.m) and data.m[k]:
+            mk = -data.m[k] if k % 2 else data.m[k]
+            for idx, c in enumerate(rising):
+                acc[idx] += mk * c
+    while len(acc) > 1 and acc[-1] == 0:
+        acc.pop()
+    return tuple(Fraction(c, scale) for c in acc)
 
 
 def hilbert_polynomial_value(data: HilbertData, n: int) -> int:
-    """Exact Hilbert function value; agrees with the polynomial for all n >= 0."""
+    """Exact Hilbert function value; agrees with the polynomial for all n >= 1.
+    At n = 0 a K = 0 term (the point case) adds (-1)^k m_k, which the
+    polynomial does not carry."""
     if n < 0:
         raise ValueError("Hilbert function argument must be nonnegative")
     total = 0
@@ -430,9 +440,10 @@ def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
             return series
         n = rstype.rank
         return GradedSeries(N, [specialize_zero(s, n + 1) for s in series.slices])
-    xi = xi_vector(rstype, d, v)
-    numerator = pullback(rstype, d, w, v, backend="svt").value
     weights = tangent_weights(rstype, d, v)
+    ixi, den = _scaled_xi(rstype, d, v, weights)
+    numerator = pullback(rstype, d, w, v, backend="svt").value
+    xi = [Fraction(x, den) for x in ixi]
     return geometric_expand(numerator, weights, xi, N, dimension_only=dimension_only)
 
 

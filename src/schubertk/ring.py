@@ -30,6 +30,7 @@ from math import comb, lcm
 DIGIT = 16
 LIMIT = (1 << (DIGIT - 1)) - 1
 _MASK = (1 << DIGIT) - 1
+MAX_EXPANSION = 10**7
 
 
 def check_span(span: int) -> int:
@@ -232,7 +233,7 @@ def _integer_grading(xi) -> tuple:
     """(xi scaled to integers, the scale): degrees become integer dot products."""
     xi = [Fraction(x) for x in xi]
     den = lcm(*(x.denominator for x in xi))
-    return [int(x * den) for x in xi], den
+    return [x.numerator * (den // x.denominator) for x in xi], den
 
 
 def _degree(exponent, ixi, den) -> int:
@@ -282,7 +283,9 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int,
 
     Each -mu must have xi-degree exactly 1 (every tangent weight pairs to -1
     in the cominuscule setting), so the expansion is graded and finite per
-    degree.
+    degree.  Every numerator term meets every monomial of degree <= N in the
+    denominator weights, so more than MAX_EXPANSION such pairs is a
+    ValueError before any slice is built.
     """
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
@@ -296,6 +299,12 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int,
         span = check_span(
             numerator.span + N * max(map(span_of, denom_weights), default=0)
         )
+        work = len(numerator.packed) * comb(N + len(denom_weights), len(denom_weights))
+        if work > MAX_EXPANSION:
+            raise ValueError(
+                f"the character to degree {N} needs up to {work} term products, "
+                f"more than {MAX_EXPANSION}; lower the truncation degree"
+            )
     slices = [{} for _ in range(N + 1)]
     for k, c in numerator.packed.items():
         e = unpack(k, rank)

@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 
-from schubertk import restriction
-from schubertk.cli import run
+from schubertk import cli, restriction
+from schubertk.cli import build_parser, run
 from schubertk.ring import poly_from_json
 from schubertk.restriction import pullback
 from schubertk.weyl import RootSystem, parse_window
@@ -301,3 +302,52 @@ def test_latex_class_honours_cap(capsys):
     assert capture(capsys) == "1"
     assert run(argv + ["--format", "latex"]) == 0
     assert capture(capsys) == "1"
+
+
+@pytest.mark.parametrize(
+    "target, emit", [("hilbert_data", "hilbert-poly"), ("graded_character", "character")]
+)
+def test_internal_check_failure_exits_2_with_one_line(target, emit, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("xi pairing failed: (1, 0, 0, 0)(xi) = 0")
+
+    monkeypatch.setattr(restriction, target, fail)
+    argv = "--type C --rank 4 --lambda 2,1 --mu 4,2,1 --emit".split()
+    assert run(argv + [emit]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: xi pairing failed")
+    assert "Traceback" not in out.err
+
+
+def test_character_truncation_is_bounded_before_the_work(capsys):
+    argv = "--type A --n 4 --d 2 --lambda 1 --mu 2,1 --emit character --trunc 400"
+    start = time.perf_counter()
+    assert run(argv.split()) == 2
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "truncation degree" in out.err
+
+
+def test_reused_parser_leaks_no_state(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    pair = "--type C --rank 4 --lambda 2,1 --mu 4,2,1"
+    queries = [
+        f"{pair} --emit diagrams --count-only --reduced-only",
+        "--type Z --rank 4 --w 1,2 --v 2,1",
+        "--help",
+        f"{pair} --emit class",
+        # a leaked --count-only or --reduced-only would change this listing
+        f"{pair} --emit diagrams",
+    ]
+
+    def outputs():
+        return [(run(q.split()), capsys.readouterr()) for q in queries]
+
+    shared = outputs()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = outputs()
+    assert [code for code, _ in shared] == [0, 2, 0, 0, 0]
+    assert shared == fresh

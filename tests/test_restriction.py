@@ -354,6 +354,80 @@ def test_hilbert_point_case():
     assert hilbert_polynomial_value(data, 3) == 0
 
 
+def _times_linear(poly, root):
+    """poly (ascending coefficients) times (n - root)."""
+    out = [Fraction(0)] * (len(poly) + 1)
+    for i, c in enumerate(poly):
+        out[i + 1] += c
+        out[i] -= root * c
+    return out
+
+
+def _lagrange(points):
+    """Ascending coefficients of the polynomial through [(x, y), ...]."""
+    total = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [c / (xi - xj) for c in _times_linear(basis, xj)]
+        for k, c in enumerate(basis):
+            total[k] += yi * c
+    while len(total) > 1 and total[-1] == 0:
+        total.pop()
+    return tuple(total)
+
+
+@pytest.mark.parametrize(
+    "rs,d",
+    [(RootSystem("A", 5), 2), (RootSystem("A", 6), 3), (C4, None),
+     (RootSystem("D", 5), None)],
+)
+def test_hilbert_polynomial_coeffs_interpolate_the_hilbert_function(rs, d):
+    # d_w + 1 values at n >= 1 determine a polynomial of degree <= d_w; a
+    # K = 0 term (the point case) only shows at n = 0
+    reps = list(minimal_reps(rs, d))
+    points = 0
+    for w in reps:
+        for v in reps:
+            data = hilbert_data(rs, d, w, v)
+            if not data.m:
+                continue
+            points += data.d_w == 0
+            ns = range(1, data.d_w + 2)
+            values = [(n, hilbert_polynomial_value(data, n)) for n in ns]
+            assert hilbert_polynomial_coeffs(data) == _lagrange(values), (w, v)
+    assert points > 0
+
+
+def _xi_reference(rstype, d, v):
+    """xi built in Fractions: v applied to the sum of the first d eps_i
+    (type A), resp. to the sum of eps_i / 2 (types C, D)."""
+    n = rstype.rank
+    if rstype.kind == "A":
+        base = [Fraction(1)] * d + [Fraction(0)] * (n - d)
+    else:
+        base = [Fraction(1, 2)] * n
+    out = [Fraction(0)] * n
+    for i, t in enumerate(v.window):
+        if t > 0:
+            out[t - 1] += base[i]
+        else:
+            out[-t - 1] -= base[i]
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "rs,d",
+    [(RootSystem("A", 6), 3), (RootSystem("C", 5), None), (RootSystem("D", 5), None)],
+)
+def test_xi_vector_matches_the_fraction_construction(rs, d):
+    for v in minimal_reps(rs, d):
+        xi = xi_vector(rs, d, v)
+        assert xi == _xi_reference(rs, d, v)
+        assert all(type(x) is Fraction for x in xi)
+
+
 def test_graded_character_smooth_and_point_cases():
     rs = RootSystem("A", 4)
     idm = identity(rs)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from schubertk.ring import (
     LIMIT,
+    MAX_EXPANSION,
     LaurentPoly,
     add_binomial_into,
     add_into,
@@ -136,6 +137,17 @@ def test_geometric_expand_degree_precondition():
     xi = (Fraction(1), Fraction(0))
     with pytest.raises(ValueError):
         geometric_expand(LaurentPoly.one(2), [(-2, 0)], xi, 1)
+
+
+def test_geometric_expand_bounds_the_expansion_before_the_work():
+    # 1 term x C(30 + 10, 10) monomials of degree <= 30 in 10 weights
+    xi = (Fraction(1), Fraction(0))
+    weights = [(-1, j) for j in range(10)]
+    assert comb(40, 10) > MAX_EXPANSION
+    with pytest.raises(ValueError, match="truncation degree"):
+        geometric_expand(LaurentPoly.one(2), weights, xi, 30)
+    dims = geometric_expand(LaurentPoly.one(2), weights, xi, 30, dimension_only=True)
+    assert dims.slices[30] == comb(39, 9)
 
 
 def test_geometric_expand_type_a_worked_example():
