@@ -12,14 +12,14 @@ import functools
 import json
 import sys
 
-from . import hecke, restriction
+from . import restriction
 from .diagrams import (
     boxset_to_json,
     boxset_to_tikz,
     enumerate_eyd,
     geometry_of,
 )
-from .ring import format_poly, poly_to_json
+from .ring import format_poly, poly_to_json, signed_sum
 from .shapes import (
     contains,
     parse_shape,
@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="run all applicable backends and compare")
     p.add_argument("--reduced-only", action="store_true", dest="reduced_only")
-    p.add_argument("--cap", type=int, default=hecke.DEFAULT_CAP,
-                   help="hecke subsequence word-length cap")
     return p
 
 
@@ -124,9 +122,9 @@ def _base_doc(rstype, d, w, v, lam, mu):
     }
 
 
-def _latex_class(rstype, d, w, v, backend, cap):
+def _latex_class(rstype, d, w, v, backend):
     """The factored form of the class; it is never expanded."""
-    terms = restriction.pullback_terms(rstype, d, w, v, backend=backend, cap=cap)
+    terms = restriction.pullback_terms(rstype, d, w, v, backend=backend)
     if not terms:
         return "0"
     sign = "-" if length(w) % 2 else ""
@@ -160,7 +158,7 @@ def run(argv) -> int:
 
 
 def _run_check(args, rstype, d, w, v, lam, mu) -> int:
-    report = restriction.check_backends(rstype, d, w, v, cap=args.cap)
+    report = restriction.check_backends(rstype, d, w, v)
     names = [name for name, _ in report.classes]
     if report.agree:
         print(f"{len(names)} backends agree: {', '.join(names)}")
@@ -176,9 +174,9 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
 
     if emit == "class":
         if fmt == "latex":
-            print(_latex_class(rstype, d, w, v, args.backend, args.cap))
+            print(_latex_class(rstype, d, w, v, args.backend))
             return 0
-        cls = restriction.pullback(rstype, d, w, v, backend=args.backend, cap=args.cap)
+        cls = restriction.pullback(rstype, d, w, v, backend=args.backend)
         if fmt == "json":
             doc["class"] = poly_to_json(cls.value)
             print(json.dumps(doc, sort_keys=True))
@@ -208,15 +206,12 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
             print(f"mult = {data.multiplicity}")
             print(f"H(t) = {restriction.hilbert_series_str(data)}")
             return 0
-        parts = []
-        for k, mk in enumerate(data.m):
-            if mk == 0:
-                continue
+        def term(k, mk):
             K = data.d_w - k
-            body = f"{mk}*binom(n+{K - 1},{K - 1})" if K > 0 else f"{mk}*[n=0]"
-            sign = "-" if k % 2 else ("+" if parts else "")
-            parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-        print(f"h(n) = {' '.join(parts) if parts else '0'}")
+            return f"{mk}*binom(n+{K - 1},{K - 1})" if K > 0 else f"{mk}*[n=0]"
+
+        hn = signed_sum((k % 2 == 1, term(k, mk)) for k, mk in enumerate(data.m) if mk)
+        print(f"h(n) = {hn}")
         coeffs = restriction.hilbert_polynomial_coeffs(data)
         print(f"coefficients (ascending) = [{', '.join(str(c) for c in coeffs)}]")
         return 0
@@ -242,10 +237,7 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
         return 0
 
     if emit == "tableaux":
-        entry_bound = d if rstype.kind == "A" else None
-        items = enumerate_svt(
-            lam, mu, geometry, d=entry_bound, single_valued_only=args.reduced_only
-        )
+        items = enumerate_svt(lam, mu, geometry, single_valued_only=args.reduced_only)
         if fmt == "json":
             doc["tableaux"] = [svt_to_json(T) for T in items]
             print(json.dumps(doc, sort_keys=True))

@@ -18,7 +18,7 @@ from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
-from .ring import add_into
+from .ring import MAX_EXPANSION, add_into
 from .weyl import (
     CACHE_SIZE,
     RootSystem,
@@ -35,7 +35,7 @@ from .weyl import (
     window_right_mult,
 )
 
-DEFAULT_CAP = 24
+MAX_COMMUTATION_CLASS = 200000
 
 
 class HeckeSubseq(NamedTuple):
@@ -89,18 +89,19 @@ def _reaching(w: WeylElement, word) -> list:
     return reach
 
 
-def hecke_subsequences(w: WeylElement, word, cap: int = DEFAULT_CAP) -> list:
+def hecke_subsequences(w: WeylElement, word) -> list:
     """All index subsequences of word whose fold is w, in lexicographic order.
 
     Distinct index tuples count separately even when they spell the same
     letters.  An explicit depth-first search that keeps a branch only while
     its fold state can still reach w (`_reaching`), so every branch ends in
-    an output.  Raises if the word is longer than cap.
+    an output.  `subsequence_stats` counts the subsequences first, and more
+    than MAX_EXPANSION of them raise before any is listed.
     """
-    if len(word) > cap:
-        raise ValueError(f"word length {len(word)} exceeds cap {cap}")
+    total = sum(subsequence_stats(w, word).values())
+    if total > MAX_EXPANSION:
+        raise ValueError(f"{total} subwords fold to w, more than {MAX_EXPANSION}")
     rs = w.rstype
-    _check_letters(word, rs)
     kind = rs.kind
     lw = length(w)
     reach = _reaching(w, word)
@@ -189,8 +190,9 @@ def m_order(rstype: RootSystem, i: int, j: int) -> int:
     return m
 
 
-def commutation_class(word, rstype: RootSystem, max_size: int = 200000) -> list:
-    """All words reachable from a reduced word by swapping adjacent commuting letters."""
+def commutation_class(word, rstype: RootSystem) -> list:
+    """All words reachable from a reduced word by swapping adjacent commuting
+    letters; RuntimeError past MAX_COMMUTATION_CLASS words."""
     word = tuple(word)
     _fold_reduced_check(word, rstype)
     seen = {word}
@@ -204,7 +206,7 @@ def commutation_class(word, rstype: RootSystem, max_size: int = 200000) -> list:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-                    if len(seen) > max_size:
+                    if len(seen) > MAX_COMMUTATION_CLASS:
                         raise RuntimeError("commutation class too large")
     return sorted(seen)
 

@@ -19,6 +19,7 @@ from math import comb
 from . import hecke
 from .diagrams import enumerate_eyd, geometry_of, reading_word, reflection_tableau
 from .ring import (
+    MAX_EXPANSION,
     GradedSeries,
     LaurentPoly,
     add_binomial_into,
@@ -26,7 +27,7 @@ from .ring import (
     check_span,
     geometric_expand,
     pack,
-    span_of,
+    signed_sum,
     specialize_zero,
 )
 from .shapes import (
@@ -205,13 +206,18 @@ def _scaled_xi(rstype: RootSystem, d, v: WeylElement, weights) -> tuple:
     return ixi, den
 
 
-def _sum_of_products(rank: int, terms) -> LaurentPoly:
-    """sum over terms of prod_g (e^g - 1), every term folded into one running
-    packed dict: its last factor is fused into the sum."""
+def _span_bound(exps) -> int:
+    """The largest per-coordinate sum of |g_c| over the exponents g of a
+    class's boxes or letters: every term uses each of them at most once, so
+    this bounds every coordinate of every partial product."""
+    return check_span(max(map(sum, zip(*(map(abs, g) for g in exps))), default=0))
+
+
+def _sum_of_products(terms) -> dict:
+    """sum over terms of prod_g (e^g - 1) as a packed dict, every term folded
+    into one running dict: its last factor is fused into the sum."""
     total = {}
-    span = 0
     for exps in terms:
-        span = max(span, check_span(sum(map(span_of, exps))))
         factors = [pack(g) for g in exps]
         acc = {0: 1}
         for g in factors[:-1]:
@@ -222,11 +228,11 @@ def _sum_of_products(rank: int, terms) -> LaurentPoly:
             add_binomial_into(total, acc, factors[-1])
         else:
             add_into(total, acc)
-    return LaurentPoly.from_packed(rank, total, span)
+    return total
 
 
 def pullback_terms(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
-                   backend: str = "eyd", cap: int = hecke.DEFAULT_CAP) -> list:
+                   backend: str = "eyd") -> list:
     """The factored form of the class: a list of terms, each a tuple of
     exponents g, so that i_v*[O_{X^w}] = (-1)^{l(w)} sum_t prod (e^g - 1)."""
     if backend not in BACKENDS:
@@ -240,28 +246,29 @@ def pullback_terms(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     if backend == "eyd":
         terms = (C.sorted_boxes() for C in enumerate_eyd(lam, mu, geometry))
     elif backend == "svt":  # the boxes of f(T)
-        entry_bound = d if rstype.kind == "A" else None
         terms = (
             tuple((x, x + j - i) for (i, j), entries in T.cells for x in entries)
-            for T in enumerate_svt(lam, mu, geometry, d=entry_bound)
+            for T in enumerate_svt(lam, mu, geometry)
         )
     else:
         terms = (
             tuple(boxes[p - 1] for p in sub.indices)
-            for sub in hecke.hecke_subsequences(w, word, cap=cap)
+            for sub in hecke.hecke_subsequences(w, word)
         )
     exps = _box_exponents(rstype, boxes, word)
     return [tuple(exps[box] for box in term) for term in terms]
 
 
 def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
-             backend: str = "eyd", cap: int = hecke.DEFAULT_CAP) -> KClass:
+             backend: str = "eyd") -> KClass:
     """The class i_v*[O_{X^w}] as an expanded Laurent polynomial.
 
     All three backends return identical polynomials: svt runs the transfer
     DP over set-valued tableaux, eyd expands the explicit sum over excited
     diagrams, and hecke sums over the 0-Hecke subwords of a reduced word for
-    v by the fold DP and is the ground truth.
+    v by the fold DP and is the ground truth.  The eyd expansion is refused
+    before any diagram is listed when it would write more than
+    MAX_EXPANSION monomials.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -269,61 +276,63 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     n = rstype.rank
     if not contains(lam, mu):
         return KClass(rstype, d, LaurentPoly.zero(n), on_variety=False)
+    boxes, word = _tableau_word(rstype, d, mu)
     if backend == "hecke":
-        _check_cap(mu, cap)
-        word = _tableau_word(rstype, d, mu)[1]
         return KClass(rstype, d, pullback_hecke_with_word(rstype, w, word))
+    table = _box_exponents(rstype, boxes, word)
+    span = _span_bound(table.values())
+    geometry = geometry_of(rstype)
     if backend == "svt":
-        total = _svt_class(rstype, d, lam, mu)
+        packed = _svt_class(lam, mu, geometry, table)
     else:
-        total = _sum_of_products(n, pullback_terms(rstype, d, w, v, backend=backend))
+        _check_eyd_expansion(lam, mu, geometry)
+        packed = _sum_of_products(pullback_terms(rstype, d, w, v, backend="eyd"))
     sign = -1 if length(w) % 2 else 1
-    return KClass(rstype, d, total * sign)
+    return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span) * sign)
 
 
-def _check_cap(mu, cap: int) -> None:
-    if size(mu) > cap:
-        raise ValueError(f"|mu| = {size(mu)} exceeds cap {cap}")
+def _check_eyd_expansion(lam, mu, geometry: str) -> None:
+    """The explicit eyd sum writes sum_k c_k 2^k monomials before they merge,
+    c_k the number of diagrams with k boxes; the transfer DP counts them."""
+    work = sum(c << k for k, c in svt_dp(lam, mu, geometry, count_entries).items())
+    if work > MAX_EXPANSION:
+        raise ValueError(
+            f"the eyd expansion writes {work} monomials, more than {MAX_EXPANSION}; "
+            "use --backend svt|hecke"
+        )
 
 
-def _svt_class(rstype: RootSystem, d: int, lam, mu) -> LaurentPoly:
+def _svt_class(lam, mu, geometry: str, table: dict) -> dict:
     """sum over the set-valued tableaux T of prod_{x in T(i,j)} (e^{g(x, j-i)} - 1)
     by the transfer DP, with g(x, j-i) the exponent of the box (x, x+j-i) of
-    f(T).  The entries of a box below its maximum contribute
+    f(T) in table.  The entries of a box below its maximum contribute
     1 + (e^g - 1) = e^g each, so every transition is one fused kernel call."""
-    geometry = geometry_of(rstype)
-    table = _box_exponents(rstype, *_tableau_word(rstype, d, mu))
-    exps = {(x, y - x): e for (x, y), e in table.items()}
-    # every partial product uses each (entry, diagonal) pair at most once
-    span = check_span(max(
-        (sum(abs(g[c]) for g in exps.values()) for c in range(rstype.rank)), default=0
-    ))
-    g = {key: pack(e) for key, e in exps.items()}
+    g = {(x, y - x): pack(e) for (x, y), e in table.items()}
 
     def step(dst, src, q, below, largest):
         add_binomial_into(dst, src, g[largest, q], sum(g[x, q] for x in below))
 
-    return LaurentPoly.from_packed(rstype.rank, svt_dp(lam, mu, geometry, step), span)
+    return svt_dp(lam, mu, geometry, step)
 
 
 def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> LaurentPoly:
     """Hecke-backend class over an arbitrary reduced word for v (signed): the
     sum over T(w, word) of prod (e^{-r} - 1), by the fold DP."""
     exps = [negate_weight(r) for r in r_values(word, rstype)]
-    span = check_span(sum(map(span_of, exps)))  # bounds every partial product
+    span = _span_bound(exps)
     packed = hecke.fold_dp(w, word, list(map(pack, exps)), add_binomial_into, add_into)
     sign = -1 if length(w) % 2 else 1
     return LaurentPoly.from_packed(rstype.rank, packed, span) * sign
 
 
-def pullback_b_via_d(w: WeylElement, v: WeylElement, backend: str = "svt") -> KClass:
+def pullback_b_via_d(w: WeylElement, v: WeylElement) -> KClass:
     """Type B_n class through the D_{n+1} identification: compute upstairs,
     then send eps_{n+1} to 0."""
     if w.rstype.kind != "B" or v.rstype.kind != "B":
         raise ValueError("pullback_b_via_d expects type B elements")
     n = w.rstype.rank
     wD, vD = bd_identify_inverse(w), bd_identify_inverse(v)
-    cls = pullback(wD.rstype, None, wD, vD, backend=backend)
+    cls = pullback(wD.rstype, None, wD, vD, backend="svt")
     return KClass(w.rstype, n, specialize_zero(cls.value, n + 1), cls.on_variety)
 
 
@@ -412,21 +421,15 @@ def hilbert_polynomial_value(data: HilbertData, n: int) -> int:
 
 
 def hilbert_series_str(data: HilbertData) -> str:
-    if not data.m:
-        return "0"
-    parts = []
-    for k, mk in enumerate(data.m):
-        if mk == 0:
-            continue
-        K = data.d_w - k
-        body = str(mk) if K == 0 else f"{mk}/(1-t)^{K}"
-        sign = "-" if k % 2 else ("+" if parts else "")
-        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-    return " ".join(parts) if parts else "0"
+    return signed_sum(
+        (k % 2 == 1, str(mk) if data.d_w == k else f"{mk}/(1-t)^{data.d_w - k}")
+        for k, mk in enumerate(data.m)
+        if mk
+    )
 
 
 def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
-                     N: int, dimension_only: bool = False) -> GradedSeries:
+                     N: int) -> GradedSeries:
     """Truncated character of the tangent-cone coordinate ring at v.
 
     Dimension slices agree with the Hilbert polynomial values.  The cominuscule
@@ -435,16 +438,14 @@ def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     d = _validated_shapes(rstype, d, w, v)[0]
     if rstype.kind == "B":
         wD, vD = bd_identify_inverse(w), bd_identify_inverse(v)
-        series = graded_character(wD.rstype, None, wD, vD, N, dimension_only)
-        if dimension_only:
-            return series
+        series = graded_character(wD.rstype, None, wD, vD, N)
         n = rstype.rank
         return GradedSeries(N, [specialize_zero(s, n + 1) for s in series.slices])
     weights = tangent_weights(rstype, d, v)
     ixi, den = _scaled_xi(rstype, d, v, weights)
     numerator = pullback(rstype, d, w, v, backend="svt").value
     xi = [Fraction(x, den) for x in ixi]
-    return geometric_expand(numerator, weights, xi, N, dimension_only=dimension_only)
+    return geometric_expand(numerator, weights, xi, N)
 
 
 @dataclass
@@ -454,18 +455,13 @@ class BackendReport:
     first_diff: str = ""
 
 
-def check_backends(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
-                   cap: int = hecke.DEFAULT_CAP) -> BackendReport:
+def check_backends(rstype: RootSystem, d, w: WeylElement, v: WeylElement) -> BackendReport:
     """Run every applicable backend and compare the expanded classes bit-exactly.
 
-    A hecke word longer than cap is rejected before any backend runs."""
-    lam, mu = _validated_shapes(rstype, d, w, v)[1:]
-    if contains(lam, mu):
-        _check_cap(mu, cap)
+    eyd runs first, so an eyd expansion past MAX_EXPANSION is refused before
+    any class is computed."""
     names = list(BACKENDS)
-    classes = [
-        (name, pullback(rstype, d, w, v, backend=name, cap=cap)) for name in names
-    ]
+    classes = [(name, pullback(rstype, d, w, v, backend=name)) for name in names]
     if rstype.kind == "B":
         classes.append(("b-via-d", pullback_b_via_d(w, v)))
     base = classes[0][1].value

@@ -62,7 +62,11 @@ def _bias(rank: int) -> int:
 
 
 def unpack(key: int, rank: int) -> tuple:
-    """The exponent vector of a packed key."""
+    """The exponent vector of a packed key.
+
+    >>> unpack(pack((3, -1, 0, -LIMIT)), 4)
+    (3, -1, 0, -32767)
+    """
     k = key + _bias(rank)
     return tuple(((k >> s) & _MASK) - LIMIT for s in range(0, DIGIT * rank, DIGIT))
 
@@ -334,41 +338,45 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int,
     return GradedSeries(N, [LaurentPoly.from_packed(rank, s, span) for s in slices])
 
 
+def signed_sum(terms) -> str:
+    """Join (negative, body) pairs into a signed sum; "0" when there are none.
+
+    >>> signed_sum([(False, "2"), (True, "t"), (False, "t^2")])
+    '2 - t + t^2'
+    >>> signed_sum([(True, "1")]), signed_sum([])
+    ('-1', '0')
+    """
+    parts = []
+    for negative, body in terms:
+        sign = "-" if negative else ("+" if parts else "")
+        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
+    return " ".join(parts) or "0"
+
+
 def format_poly(p: LaurentPoly, latex: bool = False) -> str:
     """Render as a sum of c * e^{...} monomials, sorted by exponent vector."""
-    if p.is_zero():
-        return "0"
     from .weyl import format_weight
 
-    parts = []
-    for e, c in p.sorted_terms():
-        if all(x == 0 for x in e):
-            body = str(abs(c))
-        else:
-            weight = format_weight(e, latex=latex)
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            body = f"{mag}e^{{{weight}}}"
-        sign = "-" if c < 0 else ("+" if parts else "")
-        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-    return " ".join(parts)
+    def body(e, c):
+        if not any(e):
+            return str(c)
+        mag = "" if c == 1 else f"{c}*"
+        return f"{mag}e^{{{format_weight(e, latex=latex)}}}"
+
+    return signed_sum((c < 0, body(e, abs(c))) for e, c in p.sorted_terms())
 
 
 def format_tpoly(coeffs: dict) -> str:
     """Render an ev_xi result as a polynomial in t."""
-    if not coeffs:
-        return "0"
-    parts = []
-    for d in sorted(coeffs, reverse=True):
-        c = coeffs[d]
-        mag = abs(c)
+
+    def body(d, c):
         if d == 0:
-            body = str(mag)
-        else:
-            t = "t" if d == 1 else f"t^{d}"
-            body = t if mag == 1 else f"{mag}*{t}"
-        sign = "-" if c < 0 else ("+" if parts else "")
-        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-    return " ".join(parts)
+            return str(c)
+        t = "t" if d == 1 else f"t^{d}"
+        return t if c == 1 else f"{c}*{t}"
+
+    terms = sorted(coeffs.items(), reverse=True)
+    return signed_sum((c < 0, body(d, abs(c))) for d, c in terms)
 
 
 def poly_to_json(p: LaurentPoly) -> dict:

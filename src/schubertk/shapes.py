@@ -133,7 +133,6 @@ def _symmetric_from_strict(lam, kind: str) -> tuple:
         rows[i] = lam[i - 1] + (i - 1) + shift
     if kind == "D" and r % 2 == 1:
         rows[r + 1] = r + 1
-    d0 = len(rows)
     nrows = max(rows.values(), default=0)
     out = []
     for i in range(1, nrows + 1):
@@ -144,15 +143,14 @@ def _symmetric_from_strict(lam, kind: str) -> tuple:
     return trim(out)
 
 
-def perm_of_strict(lam, rstype: RootSystem, rank: int = None) -> WeylElement:
+def perm_of_strict(lam, rstype: RootSystem) -> WeylElement:
     """Inverse of strict_partition_of."""
     if rstype.kind == "A":
         raise ValueError("perm_of_strict applies to types B/C/D")
     lam = trim(lam)
     if not is_strict_partition(lam):
         raise ValueError(f"{lam} is not a strict partition")
-    n = rstype.rank if rank is None else rank
-    rstype = RootSystem(rstype.kind, n)
+    n = rstype.rank
     bound = n if rstype.kind in ("B", "C") else n - 1
     if lam and lam[0] > bound:
         raise ValueError(f"{lam} does not fit: largest part exceeds {bound}")

@@ -3,10 +3,11 @@ import time
 
 import pytest
 
-from schubertk import cli, restriction
+from schubertk import cli, hecke, restriction
 from schubertk.cli import build_parser, run
 from schubertk.ring import poly_from_json
 from schubertk.restriction import pullback
+from schubertk.tableaux import count_entries
 from schubertk.weyl import RootSystem, parse_window
 
 
@@ -80,19 +81,40 @@ def test_check_mode_agrees(capsys):
     assert "4 backends agree" in out
 
 
-def test_check_rejects_the_cap_before_any_pullback(capsys, monkeypatch):
+def test_check_rejects_a_large_eyd_expansion_before_any_enumeration(capsys, monkeypatch):
+    # sum_k c_k 2^k = 42065920 monomials for the eyd sum, counted by the
+    # transfer DP alone
     calls = []
-    real = restriction.pullback
 
-    def counted(*args, **kw):
-        calls.append(kw.get("backend"))
-        return real(*args, **kw)
+    def record(name, real):
+        def wrapped(*args, **kw):
+            calls.append((name, args[-1]))
+            return real(*args, **kw)
+        return wrapped
 
-    monkeypatch.setattr(restriction, "pullback", counted)
-    code = run("--type A --n 12 --d 6 --lambda 4,3,2,1 --mu 6,6,5,4,3,2 --check".split())
+    monkeypatch.setattr(restriction, "enumerate_eyd", record("eyd", restriction.enumerate_eyd))
+    monkeypatch.setattr(hecke, "fold_dp", record("fold", hecke.fold_dp))
+    monkeypatch.setattr(restriction, "svt_dp", record("svt_dp", restriction.svt_dp))
+    code = run("--type A --n 12 --d 6 --lambda 4,4,2,2 --mu 6,6,6,5,4,4 --check".split())
     assert code == 2
-    assert capsys.readouterr().err.strip() == "error: |mu| = 26 exceeds cap 24"
-    assert calls == []
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: the eyd expansion writes 42065920 monomials, more than 10000000; "
+        "use --backend svt|hecke\n"
+    )
+    assert calls == [("svt_dp", count_entries)]
+
+
+def test_check_agrees_on_a_26_letter_hecke_word(capsys):
+    code = run("--type A --n 12 --d 6 --lambda 4,3,2,1 --mu 6,6,5,4,3,2 --check".split())
+    assert code == 0
+    assert capture(capsys) == "3 backends agree: eyd, svt, hecke"
+
+
+def test_cap_option_is_gone(capsys):
+    assert run("--type A --n 7 --d 3 --lambda 1 --mu 2,1 --cap 24".split()) == 2
+    assert "unrecognized arguments: --cap 24" in capsys.readouterr().err
 
 
 def test_check_mode_reports_injected_corruption(capsys, monkeypatch):
@@ -295,13 +317,30 @@ def test_exponent_outside_packing_range_exits_2(capsys):
     assert err.startswith("error: ") and "packing range" in err
 
 
-def test_latex_class_honours_cap(capsys):
-    # the factored form is listed under --cap, as the expanded text form is
-    argv = "--type A --n 12 --d 6 --lambda= --mu 6,6,6,6,1 --backend hecke --cap 25".split()
+def test_latex_class_of_a_long_hecke_word(capsys):
+    # a 25-letter word for v and w = id: one subword, the empty one
+    argv = "--type A --n 12 --d 6 --lambda= --mu 6,6,6,6,1 --backend hecke".split()
     assert run(argv) == 0
     assert capture(capsys) == "1"
     assert run(argv + ["--format", "latex"]) == 0
     assert capture(capsys) == "1"
+
+
+@pytest.mark.parametrize("backend", ["eyd", "svt", "hecke"])
+def test_one_term_class_of_a_30_box_shape_prints_at_once(backend, capsys):
+    # lam = mu = (6^5): one term with 30 factors, while the eyd expansion
+    # would write 2^30 monomials
+    argv = "--type A --n 12 --d 6 --lambda 6,6,6,6,6 --mu 6,6,6,6,6 --format latex"
+    start = time.perf_counter()
+    assert run(argv.split() + ["--backend", backend]) == 0
+    assert time.perf_counter() - start < 0.1
+    out = capture(capsys)
+    factors = out.split(r"\right)")
+    assert factors[-1] == "" and len(factors) == 31
+    want = sorted(
+        rf"\left(e^{{\epsilon_{a}-\epsilon_{b}}}-1" for a in range(8, 13) for b in range(2, 8)
+    )
+    assert sorted(factors[:-1]) == want
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 import itertools
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
 
+from schubertk import hecke
 from schubertk.diagrams import reading_word, reflection_tableau
 from schubertk.hecke import (
     _reaching,
@@ -45,8 +47,19 @@ def test_subsequences_examples():
     assert hecke_subsequences(identity(A3), (1, 2, 1))[0].indices == ()
     w0 = WeylElement(A3, (3, 2, 1))
     assert hecke_subsequences(w0, (1, 2)) == []
-    with pytest.raises(ValueError):
+    # 2^30 - 1 subwords fold to s_1: counted, then refused without listing
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="1073741823 subwords"):
         hecke_subsequences(s1, (1,) * 30)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_subword_listing_is_bounded_by_its_exact_size(monkeypatch):
+    s1 = simple_reflection(A3, 1)
+    monkeypatch.setattr(hecke, "MAX_EXPANSION", 7)  # (1, 1, 1) has 7 subwords
+    assert len(hecke_subsequences(s1, (1, 1, 1))) == 7
+    with pytest.raises(ValueError, match="15 subwords fold to w, more than 7"):
+        hecke_subsequences(s1, (1, 1, 1, 1))
 
 
 def test_subsequences_match_naive_bitmask():
@@ -126,7 +139,7 @@ def test_subword_listing_does_not_recurse_per_letter():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 20)
     try:
-        subs = hecke_subsequences(w, word, cap=36)
+        subs = hecke_subsequences(w, word)
     finally:
         sys.setrecursionlimit(limit)
     assert [t.indices for t in subs] == [tuple(range(1, 37))]

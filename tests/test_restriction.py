@@ -489,9 +489,24 @@ def test_backend_report():
     assert report_b.agree and len(report_b.classes) == 4
 
 
-def test_hecke_cap():
-    with pytest.raises(ValueError):
-        pullback(A7, 3, WA, VA, backend="hecke", cap=5)
+def test_eyd_expansion_is_bounded_before_the_work(monkeypatch):
+    # the bound is the exact number of monomials the eyd sum writes
+    work = sum(2 ** len(t) for t in pullback_terms(A7, 3, WA, VA))
+    monkeypatch.setattr(restriction, "MAX_EXPANSION", work)
+    assert pullback(A7, 3, WA, VA, backend="eyd") == pullback(A7, 3, WA, VA, backend="svt")
+    monkeypatch.setattr(restriction, "MAX_EXPANSION", work - 1)
+    with pytest.raises(ValueError, match=f"writes {work} monomials"):
+        pullback(A7, 3, WA, VA, backend="eyd")
+    monkeypatch.undo()
+
+    def unexpected(*args):
+        raise AssertionError("diagrams listed")
+
+    monkeypatch.setattr(restriction, "enumerate_eyd", unexpected)
+    rs = RootSystem("A", 12)
+    w, v = perm_of((4, 4, 2, 2), 6, 12), perm_of((6, 6, 6, 5, 4, 4), 6, 12)
+    with pytest.raises(ValueError, match="42065920 monomials.*--backend svt[|]hecke"):
+        pullback(rs, 6, w, v, backend="eyd")
 
 
 def test_reduced_word_independence_small():
@@ -575,11 +590,11 @@ def test_transfer_dp_pinned_large_instances():
     assert hilbert_data(rs, 6, w, v).m == (206, 618, 723, 416, 123, 18, 1)
     svt = pullback(rs, 6, w, v, backend="svt").value
     assert len(svt.packed) == 21393
-    assert pullback(rs, 6, w, v, backend="hecke", cap=31).value == svt
+    assert pullback(rs, 6, w, v, backend="hecke").value == svt
     assert hilbert_data(rs, 6, w, v, method="hecke").m == (206, 618, 723, 416, 123, 18, 1)
     w, v = perm_of((4, 3, 2, 1), 6, 12), perm_of((6, 6, 5, 4, 3, 2), 6, 12)
     svt = pullback(rs, 6, w, v, backend="svt").value
-    assert pullback(rs, 6, w, v, backend="hecke", cap=26).value == svt
+    assert pullback(rs, 6, w, v, backend="hecke").value == svt
     assert pullback(rs, 6, w, v, backend="eyd").value == svt
 
 
@@ -639,7 +654,7 @@ def larger_on_variety_pairs(draw):
 @given(larger_on_variety_pairs())
 def test_hecke_agrees_with_svt_on_random_larger_pairs(pair):
     rs, d, w, v = pair
-    assert pullback(rs, d, w, v, backend="hecke", cap=30).value == pullback(
+    assert pullback(rs, d, w, v, backend="hecke").value == pullback(
         rs, d, w, v, backend="svt"
     ).value
     assert hilbert_data(rs, d, w, v, method="hecke").m == hilbert_data(rs, d, w, v).m
