@@ -125,17 +125,13 @@ def _base_doc(rstype, d, w, v, lam, mu):
 def _latex_class(rstype, d, w, v, backend):
     """The factored form of the class; it is never expanded."""
     terms = restriction.pullback_terms(rstype, d, w, v, backend=backend)
-    if not terms:
-        return "0"
-    sign = "-" if length(w) % 2 else ""
-    rendered = []
-    for exps in terms:
-        factors = "".join(
-            rf"\left(e^{{{format_weight(g, latex=True)}}}-1\right)" for g in exps
-        )
-        rendered.append(factors if factors else "1")
-    joiner = " - " if sign else " + "
-    return sign + joiner.join(rendered)
+    negative = length(w) % 2 == 1
+
+    def body(exps):
+        factors = (rf"\left(e^{{{format_weight(g, latex=True)}}}-1\right)" for g in exps)
+        return "".join(factors) or "1"
+
+    return signed_sum((negative, body(exps)) for exps in terms)
 
 
 def run(argv) -> int:

@@ -95,16 +95,17 @@ def hecke_subsequences(w: WeylElement, word) -> list:
     Distinct index tuples count separately even when they spell the same
     letters.  An explicit depth-first search that keeps a branch only while
     its fold state can still reach w (`_reaching`), so every branch ends in
-    an output.  `subsequence_stats` counts the subsequences first, and more
-    than MAX_EXPANSION of them raise before any is listed.
+    an output.  The fold DP counts the subsequences first, on the same reach
+    table, and more than MAX_EXPANSION of them raise before any is listed.
     """
-    total = sum(subsequence_stats(w, word).values())
+    rs = w.rstype
+    _check_letters(word, rs)
+    reach = _reaching(w, word)
+    total = sum(_fold(w, word, [1] * len(word), add_into, _skip_and_take, reach).values())
     if total > MAX_EXPANSION:
         raise ValueError(f"{total} subwords fold to w, more than {MAX_EXPANSION}")
-    rs = w.rstype
     kind = rs.kind
     lw = length(w)
-    reach = _reaching(w, word)
     ident = tuple(range(1, rs.rank + 1))
     stack = [(0, ident, ())] if ident in reach[0] else []
     out = []
@@ -133,10 +134,14 @@ def fold_dp(w: WeylElement, word, factors, take, stay) -> dict:
     kept only while some subword of the rest of the word folds it to w
     (`_reaching`), so the DP starts empty when w is out of reach.
     """
+    _check_letters(word, w.rstype)
+    return _fold(w, word, factors, take, stay, _reaching(w, word))
+
+
+def _fold(w: WeylElement, word, factors, take, stay, reach) -> dict:
+    """The loop of `fold_dp` over a reach table built for w and word."""
     rs = w.rstype
-    _check_letters(word, rs)
     kind = rs.kind
-    reach = _reaching(w, word)
     ident = tuple(range(1, rs.rank + 1))
     states = {ident: {0: 1}} if ident in reach[0] else {}
     for i, f, ahead in zip(word, factors, reach[1:]):

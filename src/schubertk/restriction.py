@@ -94,16 +94,21 @@ def _validated_shapes(rstype: RootSystem, d, w: WeylElement, v: WeylElement) -> 
     if rstype != w.rstype or rstype != v.rstype:
         raise ValueError("root system mismatch")
     d = _resolve_d(rstype, d)
-    aflag = d if rstype.kind == "A" else None
-    if not is_minimal_rep(w, aflag) or not is_minimal_rep(v, aflag):
-        raise ValueError("w and v must be minimal representatives")
     return d, shape_of(w, d), shape_of(v, d)
+
+
+def _lift_b(w: WeylElement, v: WeylElement) -> tuple:
+    """(D_{n+1}, None, wD, vD) for type B_n elements: B_n is not cominuscule,
+    and its class, Hilbert data and character are computed through the
+    identification with D_{n+1}."""
+    wD, vD = bd_identify_inverse(w), bd_identify_inverse(v)
+    return wD.rstype, None, wD, vD
 
 
 def _tableau_word(rstype: RootSystem, d: int, mu) -> tuple:
     """(boxes, word): the boxes of the reflection tableau T_mu in reading
     order and its reading word, a reduced word for v."""
-    T = reflection_tableau(mu, rstype, d if rstype.kind == "A" else None)
+    T = reflection_tableau(mu, rstype, d)
     return T.reading_boxes, reading_word(T)
 
 
@@ -144,7 +149,7 @@ def levi_complement_roots(rstype: RootSystem, d: int = None) -> list:
 
 def tangent_weights(rstype: RootSystem, d, v: WeylElement) -> list:
     """Weights of the tangent space at the fixed point v: v applied to -Phi(g/p)."""
-    if not is_minimal_rep(v, d if rstype.kind == "A" else None):
+    if not is_minimal_rep(v, d):
         raise ValueError(f"{v} is not a minimal representative")
     return [apply(v, negate_weight(beta)) for beta in levi_complement_roots(rstype, d)]
 
@@ -331,8 +336,7 @@ def pullback_b_via_d(w: WeylElement, v: WeylElement) -> KClass:
     if w.rstype.kind != "B" or v.rstype.kind != "B":
         raise ValueError("pullback_b_via_d expects type B elements")
     n = w.rstype.rank
-    wD, vD = bd_identify_inverse(w), bd_identify_inverse(v)
-    cls = pullback(wD.rstype, None, wD, vD, backend="svt")
+    cls = pullback(*_lift_b(w, v), backend="svt")
     return KClass(w.rstype, n, specialize_zero(cls.value, n + 1), cls.on_variety)
 
 
@@ -342,19 +346,13 @@ def hilbert_data(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     diagrams of k extra boxes, equally the number of set-valued tableaux
     with |lam| + k entries or of Hecke subsequences with excess k.  "svt"
     counts by the transfer DP, "eyd" lists the diagrams and "hecke" runs
-    the fold DP.  Type B is defined through the D_{n+1} identification."""
+    the fold DP.  Type B returns the data of the D_{n+1} identification:
+    dim G/P and l(w) agree across it."""
     if method not in ("svt", "eyd", "hecke"):
         raise ValueError(f"unknown method {method!r}")
     d, lam, mu = _validated_shapes(rstype, d, w, v)
     if rstype.kind == "B":
-        data = hilbert_data(
-            RootSystem("D", rstype.rank + 1),
-            None,
-            bd_identify_inverse(w),
-            bd_identify_inverse(v),
-            method=method,
-        )
-        return HilbertData(dim_gp(rstype) - length(w), data.m)
+        return hilbert_data(*_lift_b(w, v), method=method)
     d_w = dim_gp(rstype, d) - length(w)
     if not contains(lam, mu):
         return HilbertData(d_w, ())
@@ -437,8 +435,7 @@ def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     D_{n+1} and its slices are specialized back."""
     d = _validated_shapes(rstype, d, w, v)[0]
     if rstype.kind == "B":
-        wD, vD = bd_identify_inverse(w), bd_identify_inverse(v)
-        series = graded_character(wD.rstype, None, wD, vD, N)
+        series = graded_character(*_lift_b(w, v), N)
         n = rstype.rank
         return GradedSeries(N, [specialize_zero(s, n + 1) for s in series.slices])
     weights = tangent_weights(rstype, d, v)

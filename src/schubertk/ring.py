@@ -267,22 +267,16 @@ def ev_xi(p: LaurentPoly, xi) -> dict:
 
 @dataclass
 class GradedSeries:
-    """Truncated character; slices[i] collects the monomials of xi-degree i.
-
-    In dimension-only mode the slices are plain integers.
-    """
+    """Truncated character; slices[i] collects the monomials of xi-degree i."""
 
     trunc: int
     slices: list
 
     def dims(self) -> list:
-        return [
-            s if isinstance(s, int) else s.coefficient_sum() for s in self.slices
-        ]
+        return [s.coefficient_sum() for s in self.slices]
 
 
-def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int,
-                     dimension_only: bool = False) -> GradedSeries:
+def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> GradedSeries:
     """Expand num / prod_{mu} (1 - e^{-mu}) as a character up to xi-degree N.
 
     Each -mu must have xi-degree exactly 1 (every tangent weight pairs to -1
@@ -298,17 +292,14 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int,
         if _degree([-x for x in mu], ixi, den) != 1:
             raise ValueError(f"denominator weight {mu} does not have xi-degree -1")
     rank = numerator.rank
-    if not dimension_only:
-        # a degree-i slice is the numerator times i denominator monomials
-        span = check_span(
-            numerator.span + N * max(map(span_of, denom_weights), default=0)
+    # a degree-i slice is the numerator times i denominator monomials
+    span = check_span(numerator.span + N * max(map(span_of, denom_weights), default=0))
+    work = len(numerator.packed) * comb(N + len(denom_weights), len(denom_weights))
+    if work > MAX_EXPANSION:
+        raise ValueError(
+            f"the character to degree {N} needs up to {work} term products, "
+            f"more than {MAX_EXPANSION}; lower the truncation degree"
         )
-        work = len(numerator.packed) * comb(N + len(denom_weights), len(denom_weights))
-        if work > MAX_EXPANSION:
-            raise ValueError(
-                f"the character to degree {N} needs up to {work} term products, "
-                f"more than {MAX_EXPANSION}; lower the truncation degree"
-            )
     slices = [{} for _ in range(N + 1)]
     for k, c in numerator.packed.items():
         e = unpack(k, rank)
@@ -317,15 +308,6 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int,
             raise ValueError(f"negative-degree monomial {e} in numerator")
         if d <= N:
             slices[d][k] = c
-    if dimension_only:
-        nums = [sum(s.values()) for s in slices]
-        dim = len(denom_weights)
-        vals = [
-            sum(nums[k] * comb(i - k + dim - 1, dim - 1) for k in range(i + 1))
-            for i in range(N + 1)
-        ]
-        return GradedSeries(N, vals)
-
     for mu in denom_weights:
         step = pack([-x for x in mu])
         new = []
@@ -353,7 +335,7 @@ def signed_sum(terms) -> str:
     return " ".join(parts) or "0"
 
 
-def format_poly(p: LaurentPoly, latex: bool = False) -> str:
+def format_poly(p: LaurentPoly) -> str:
     """Render as a sum of c * e^{...} monomials, sorted by exponent vector."""
     from .weyl import format_weight
 
@@ -361,7 +343,7 @@ def format_poly(p: LaurentPoly, latex: bool = False) -> str:
         if not any(e):
             return str(c)
         mag = "" if c == 1 else f"{c}*"
-        return f"{mag}e^{{{format_weight(e, latex=latex)}}}"
+        return f"{mag}e^{{{format_weight(e)}}}"
 
     return signed_sum((c < 0, body(e, abs(c))) for e, c in p.sorted_terms())
 

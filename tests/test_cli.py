@@ -289,6 +289,21 @@ def test_invalid_inputs_exit_2(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, good, bad", [
+    ("--type A --n 7 --d 3", "1,3,5,2,4,6,7", "2,1,3,4,5,6,7"),
+    ("--type B --rank 5", "1,2,4,-5,-3", "2,1,3,4,5"),
+    ("--type C --rank 4", "1,2,-4,-3", "2,1,3,4"),
+    ("--type D --rank 6", "1,2,4,6,-5,-3", "2,1,3,4,5,6"),
+], ids=["A", "B", "C", "D"])
+def test_non_minimal_windows_exit_2_with_one_line(argv, good, bad, capsys):
+    for w, v in ((bad, good), (good, bad)):
+        assert run(argv.split() + ["--w", w, "--v", v]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+        assert "is not minimal" in out.err
+
+
 def test_window_and_shape_inputs_agree(capsys):
     a = "--type A --n 7 --d 3 --w 1,3,5,2,4,6,7 --v 4,6,7,1,2,3,5 --emit mult".split()
     b = "--type A --n 7 --d 3 --lambda 2,1 --mu 4,4,3 --emit mult".split()

@@ -234,3 +234,16 @@ def test_repeated_letter_with_commuting_gap(kind, rank, wlen):
             for j in range(i + 1, len(word))
         )
         assert found, (word, w)
+
+
+def test_subword_listing_builds_one_reach_table(monkeypatch):
+    calls = []
+
+    def counting(w, word):
+        calls.append(word)
+        return _reaching(w, word)
+
+    monkeypatch.setattr(hecke, "_reaching", counting)
+    subs = hecke_subsequences(simple_reflection(A3, 1), (1, 2, 1))
+    assert [t.indices for t in subs] == [(1,), (1, 3), (3,)]
+    assert calls == [(1, 2, 1)]

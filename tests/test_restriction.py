@@ -11,6 +11,7 @@ from schubertk.diagrams import reading_word, reflection_tableau
 from schubertk.hecke import commutation_class
 from schubertk.ring import LaurentPoly, dual, ev_xi
 from schubertk.shapes import (
+    bd_identify_inverse,
     contains,
     minimal_reps,
     perm_of,
@@ -314,13 +315,17 @@ def test_hilbert_data_rejects_unknown_method(rs, d, w, v):
         hilbert_data(rs, d, w, v, method="subsets")
 
 
-@pytest.mark.parametrize("compute", [
+# every validating entry point of restriction
+ENTRY_POINTS = pytest.mark.parametrize("compute", [
     lambda rs, d, w, v: pullback(rs, d, w, v),
     lambda rs, d, w, v: pullback_terms(rs, d, w, v),
     lambda rs, d, w, v: hilbert_data(rs, d, w, v),
     lambda rs, d, w, v: hilbert_data(rs, d, w, v, method="hecke"),
     lambda rs, d, w, v: graded_character(rs, d, w, v, 1),
 ], ids=["pullback", "pullback_terms", "hilbert", "hilbert_hecke", "character"])
+
+
+@ENTRY_POINTS
 def test_root_system_mismatch_is_rejected(compute):
     # elements of A_5 (B_5) must not be read as elements of A_6 (B_6)
     A5 = RootSystem("A", 5)
@@ -329,6 +334,45 @@ def test_root_system_mismatch_is_rejected(compute):
         compute(RootSystem("A", 6), 2, w, v)
     with pytest.raises(ValueError, match="root system mismatch"):
         compute(RootSystem("B", 6), None, WB, VB)
+
+
+# (rs, d, a minimal representative, an element that is not one) per type
+NON_MINIMAL = [
+    (A7, 3, WA, parse_window(A7, "2,1,3,4,5,6,7")),
+    (B5, None, WB, parse_window(B5, "2,1,3,4,5")),
+    (C4, None, WC, parse_window(C4, "2,1,3,4")),
+    (D6, None, WD, parse_window(D6, "2,1,3,4,5,6")),
+]
+
+
+@ENTRY_POINTS
+@pytest.mark.parametrize("rs, d, good, bad", NON_MINIMAL, ids=["A", "B", "C", "D"])
+def test_non_minimal_elements_are_rejected(compute, rs, d, good, bad):
+    for w, v in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="is not minimal"):
+            compute(rs, d, w, v)
+
+
+@pytest.mark.parametrize("rank", range(2, 7))
+def test_b_to_d_lift_keeps_length_and_dimension(rank):
+    rs = RootSystem("B", rank)
+    assert dim_gp(rs) == dim_gp(RootSystem("D", rank + 1))
+    for w in minimal_reps(rs):
+        assert length(bd_identify_inverse(w)) == length(w), w
+
+
+@pytest.mark.parametrize("method", ["svt", "eyd", "hecke"])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_type_b_hilbert_data_is_that_of_the_lifted_pair(rank, method):
+    rs = RootSystem("B", rank)
+    reps = minimal_reps(rs)
+    for w in reps:
+        wD = bd_identify_inverse(w)
+        for v in reps:
+            data = hilbert_data(rs, None, w, v, method=method)
+            lifted = hilbert_data(wD.rstype, None, wD, bd_identify_inverse(v), method=method)
+            assert data == lifted, (w, v)
+            assert data.d_w == dim_gp(rs) - length(w)
 
 
 def test_hilbert_polynomial_values():
