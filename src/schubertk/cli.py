@@ -212,15 +212,18 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
         print(f"coefficients (ascending) = [{', '.join(str(c) for c in coeffs)}]")
         return 0
 
+    # off the variety there is nothing to list, and the enumerators raise
+    on_variety = doc["status"] == "on-variety"
     if args.count_only and emit in ("diagrams", "tableaux"):
         # f matches the diagrams with the tableaux, and the reduced ones
         # with the single-valued tableaux: count them by the transfer DP
-        counts = svt_dp(lam, mu, geometry, count_entries)
-        print(counts[size(lam)] if args.reduced_only else sum(counts.values()))
+        counts = svt_dp(lam, mu, geometry, count_entries) if on_variety else {}
+        print(counts.get(size(lam), 0) if args.reduced_only else sum(counts.values()))
         return 0
 
     if emit == "diagrams":
-        items = enumerate_eyd(lam, mu, geometry, reduced_only=args.reduced_only)
+        items = (enumerate_eyd(lam, mu, geometry, reduced_only=args.reduced_only)
+                 if on_variety else [])
         if fmt == "json":
             doc["diagrams"] = [boxset_to_json(C) for C in items]
             print(json.dumps(doc, sort_keys=True))
@@ -233,7 +236,8 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
         return 0
 
     if emit == "tableaux":
-        items = enumerate_svt(lam, mu, geometry, single_valued_only=args.reduced_only)
+        items = (enumerate_svt(lam, mu, geometry, single_valued_only=args.reduced_only)
+                 if on_variety else [])
         if fmt == "json":
             doc["tableaux"] = [svt_to_json(T) for T in items]
             print(json.dumps(doc, sort_keys=True))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .shapes import contains, size, trim
+from .shapes import contains, largest_part, size, trim
 from .weyl import RootSystem
 
 GEOMETRIES = ("ordinary", "shiftedBC", "shiftedD")
@@ -173,7 +173,7 @@ def reflection_tableau(mu, rstype: RootSystem, d: int = None) -> ReflectionTable
             raise ValueError(f"{mu} does not fit in a {d}x{n - d} box")
     else:
         d = n
-        bound = n if kind in ("B", "C") else n - 1
+        bound = largest_part(rstype)
         if mu and mu[0] > bound:
             raise ValueError(f"{mu} does not fit: largest part exceeds {bound}")
     entries = {}

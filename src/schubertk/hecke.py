@@ -4,9 +4,10 @@ The 0-Hecke monoid multiplies by ``H_s H_w = H_{sw}`` when the length goes
 up and absorbs the letter otherwise.  `fold_dp` sums over the subwords of a
 word that fold to w in one pass over fold states; with the kernels of
 `ring` it computes the hecke class and, in `subsequence_stats`, the Hilbert
-counts.  `hecke_subsequences` lists those subwords one by one, for the
-factored LaTeX form and as a test oracle.  Both keep only the fold states
-from which the rest of the word can still fold to w (`_reaching`).
+counts.  `hecke_subsequences` lists those subwords through the same DP,
+with one bit per letter, for the factored LaTeX form and as a test oracle.
+Both keep only the fold states from which the rest of the word can still
+fold to w (`_reaching`).
 `demazure_fold` folds through the root action, independently of the window
 helpers, and the full-commutativity utilities support the reduced-word
 property tests.
@@ -93,34 +94,21 @@ def hecke_subsequences(w: WeylElement, word) -> list:
     """All index subsequences of word whose fold is w, in lexicographic order.
 
     Distinct index tuples count separately even when they spell the same
-    letters.  An explicit depth-first search that keeps a branch only while
-    its fold state can still reach w (`_reaching`), so every branch ends in
-    an output.  The fold DP counts the subsequences first, on the same reach
-    table, and more than MAX_EXPANSION of them raise before any is listed.
+    letters.  The fold DP counts the subsequences first, and more than
+    MAX_EXPANSION of them raise before any is listed.  It then lists them on
+    the same reach table with factor 2^c for letter c: a key is the bit set
+    of one subword's taken positions, and no two subwords share a key.
     """
-    rs = w.rstype
-    _check_letters(word, rs)
+    _check_letters(word, w.rstype)
     reach = _reaching(w, word)
     total = sum(_fold(w, word, [1] * len(word), add_into, _skip_and_take, reach).values())
     if total > MAX_EXPANSION:
         raise ValueError(f"{total} subwords fold to w, more than {MAX_EXPANSION}")
-    kind = rs.kind
+    bits = [1 << c for c in range(len(word))]
+    subwords = _fold(w, word, bits, add_into, _skip_and_take, reach)
     lw = length(w)
-    ident = tuple(range(1, rs.rank + 1))
-    stack = [(0, ident, ())] if ident in reach[0] else []
-    out = []
-    while stack:
-        pos, win, chosen = stack.pop()
-        if pos == len(word):
-            out.append(HeckeSubseq(chosen, len(chosen), len(chosen) - lw))
-            continue
-        i = word[pos]
-        taken = window_right_mult(kind, win, i) if window_right_ascent(kind, win, i) else win
-        for nxt, indices in ((win, chosen), (taken, chosen + (pos + 1,))):
-            if nxt in reach[pos + 1]:
-                stack.append((pos + 1, nxt, indices))
-    out.sort(key=lambda t: t.indices)
-    return out
+    chosen = sorted(tuple(c + 1 for c, b in enumerate(bits) if key & b) for key in subwords)
+    return [HeckeSubseq(t, len(t), len(t) - lw) for t in chosen]
 
 
 def fold_dp(w: WeylElement, word, factors, take, stay) -> dict:

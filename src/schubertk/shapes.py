@@ -2,20 +2,17 @@
 representatives, including the B_{n-1} <-> D_n fixed-point identification.
 
 Partitions are plain tuples with trailing zeros trimmed.  In types B/C/D the
-partition of an element is computed by embedding the signed window into the
-full 2n-window and reusing the type A formula with d = n: one code path.
+strict partition of a minimal representative is read off the barred letters
+of its window: a part p bars the letter top - p, with top = n + 1 in B/C and
+top = n in D (one more than the largest part).  In D the letter n is barred
+with no part when the number of parts is odd, which keeps the bar count even.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .weyl import (
-    RootSystem,
-    WeylElement,
-    full_window,
-    is_minimal_rep,
-)
+from .weyl import RootSystem, WeylElement, is_minimal_rep
 
 
 def trim(parts) -> tuple:
@@ -72,18 +69,14 @@ def transpose(lam) -> tuple:
     return tuple(sum(1 for a in lam if a >= j) for j in range(1, lam[0] + 1))
 
 
-def _window_partition(window, d: int) -> tuple:
-    """(lambda_v)_i = v_{d+1-i} - (d+1-i) for a numeric window."""
-    return trim(window[d - i] - (d + 1 - i) for i in range(1, d + 1))
-
-
 def partition_of(v: WeylElement, d: int) -> tuple:
-    """Partition of a type A minimal representative in W^{P_d}."""
+    """Partition of a type A minimal representative in W^{P_d}:
+    (lambda_v)_i = v_{d+1-i} - (d+1-i)."""
     if v.rstype.kind != "A":
         raise ValueError("partition_of is the type A bijection; use strict_partition_of")
     if not is_minimal_rep(v, d):
         raise ValueError(f"{v} is not minimal in W^P_{d}")
-    return _window_partition(v.window, d)
+    return trim(v.window[d - i] - (d + 1 - i) for i in range(1, d + 1))
 
 
 def perm_of(lam, d: int, n: int) -> WeylElement:
@@ -98,66 +91,53 @@ def perm_of(lam, d: int, n: int) -> WeylElement:
     return WeylElement(RootSystem("A", n), tuple(head + tail))
 
 
-def symmetric_partition_of(w: WeylElement) -> tuple:
-    """lambda_w of a B/C/D minimal representative, via the 2n-window."""
+def largest_part(rstype: RootSystem) -> int:
+    """The largest part of a B/C/D shape: n in B/C, n - 1 in D."""
+    return rstype.rank if rstype.kind in ("B", "C") else rstype.rank - 1
+
+
+def strict_partition_of(w: WeylElement) -> tuple:
+    """The strict partition indexing w: a barred letter k gives the part
+    top - k, with top = largest_part + 1.
+
+    >>> from schubertk.weyl import RootSystem, parse_window
+    >>> strict_partition_of(parse_window(RootSystem("C", 6), "1,4,-6,-5,-3,-2"))
+    (5, 4, 2, 1)
+    >>> strict_partition_of(parse_window(RootSystem("D", 6), "1,4,-6,-5,-3,-2"))
+    (4, 3, 1)
+    """
     if w.rstype.kind == "A":
         raise ValueError("expected a type B/C/D element")
     if not is_minimal_rep(w):
         raise ValueError(f"{w} is not minimal in W^P_n")
-    lam = _window_partition(full_window(w), w.rstype.rank)
-    if transpose(lam) != lam:
-        raise RuntimeError(f"lambda_w = {lam} is not symmetric; corrupt element {w}")
-    return lam
-
-
-def strict_partition_of(w: WeylElement) -> tuple:
-    """The strict partition indexing w: drop boxes below (B/C) or on/below (D)
-    the diagonal of the symmetric diagram lambda_w."""
-    lam = symmetric_partition_of(w)
-    shift = 0 if w.rstype.kind in ("B", "C") else 1
-    return trim(max(part(lam, i) - (i - 1) - shift, 0) for i in range(1, len(lam) + 1))
-
-
-def _symmetric_from_strict(lam, kind: str) -> tuple:
-    """Rebuild the symmetric partition whose shifted half is lam.
-
-    B/C read lam as diagonal hooks with arm a_i = lam_i - 1; type D uses
-    arm a_i = lam_i and appends a lone diagonal box when needed to keep the
-    number of diagonal boxes even.
-    """
-    lam = trim(lam)
-    r = len(lam)
-    shift = 0 if kind in ("B", "C") else 1
-    rows = {}
-    for i in range(1, r + 1):
-        rows[i] = lam[i - 1] + (i - 1) + shift
-    if kind == "D" and r % 2 == 1:
-        rows[r + 1] = r + 1
-    nrows = max(rows.values(), default=0)
-    out = []
-    for i in range(1, nrows + 1):
-        if i in rows:
-            out.append(rows[i])
-        else:
-            out.append(sum(1 for j in rows.values() if j >= i))
-    return trim(out)
+    top = largest_part(w.rstype) + 1
+    parts = (top + t for t in w.window if t < 0)
+    return tuple(sorted((p for p in parts if p), reverse=True))  # D drops the letter n's 0
 
 
 def perm_of_strict(lam, rstype: RootSystem) -> WeylElement:
-    """Inverse of strict_partition_of."""
+    """Inverse of strict_partition_of: plain letters ascending, then barred
+    letters largest first.
+
+    >>> from schubertk.weyl import RootSystem
+    >>> perm_of_strict((5, 4, 2, 1), RootSystem("C", 6))
+    WeylElement(C6: 1,4,-6,-5,-3,-2)
+    >>> perm_of_strict((4, 3, 1), RootSystem("D", 6))
+    WeylElement(D6: 1,4,-6,-5,-3,-2)
+    """
     if rstype.kind == "A":
         raise ValueError("perm_of_strict applies to types B/C/D")
     lam = trim(lam)
     if not is_strict_partition(lam):
         raise ValueError(f"{lam} is not a strict partition")
-    n = rstype.rank
-    bound = n if rstype.kind in ("B", "C") else n - 1
+    n, bound = rstype.rank, largest_part(rstype)
     if lam and lam[0] > bound:
         raise ValueError(f"{lam} does not fit: largest part exceeds {bound}")
-    big = _symmetric_from_strict(lam, rstype.kind)
-    v2n = perm_of(big, n, 2 * n)
-    signed = tuple(t if t <= n else -(2 * n + 1 - t) for t in v2n.window[:n])
-    return WeylElement(rstype, signed)
+    barred = {bound + 1 - p for p in lam}
+    if rstype.kind == "D" and len(lam) % 2:
+        barred.add(n)
+    plain = [k for k in range(1, n + 1) if k not in barred]
+    return WeylElement(rstype, tuple(plain + [-k for k in sorted(barred, reverse=True)]))
 
 
 def bd_identify(w: WeylElement) -> WeylElement:
@@ -199,11 +179,8 @@ def all_shapes(rstype: RootSystem, d: int = None):
         if d is None:
             raise ValueError("type A needs d")
         return _box_partitions(d, n - d)
-    bound = n if rstype.kind in ("B", "C") else n - 1
-    shapes = []
-    for r in range(bound + 1):
-        for combo in combinations(range(1, bound + 1), r):
-            shapes.append(tuple(sorted(combo, reverse=True)))
+    parts = range(largest_part(rstype), 0, -1)
+    shapes = [combo for r in range(len(parts) + 1) for combo in combinations(parts, r)]
     return sorted(shapes, key=lambda s: (sum(s), s))
 
 

@@ -269,6 +269,29 @@ def test_off_variety_status(capsys):
     assert doc["class"]["monomials"] == []
 
 
+@pytest.mark.parametrize("pair", [
+    "--type A --n 4 --d 2 --lambda 2 --mu 1",
+    "--type B --n 3 --lambda 2 --mu 1",
+    "--type C --n 3 --lambda 2 --mu 1",
+    "--type D --n 4 --lambda 2 --mu 1",
+], ids=["A", "B", "C", "D"])
+def test_off_variety_listings_are_empty(pair, capsys):
+    for emit in ("diagrams", "tableaux"):
+        for variant in ("", " --reduced-only"):
+            for fmt in ("text", "json", "latex"):
+                argv = f"{pair} --emit {emit} --format {fmt}{variant}".split()
+                assert run(argv) == 0
+                out = capsys.readouterr()
+                assert out.err == ""
+                if fmt == "json":
+                    doc = json.loads(out.out)
+                    assert doc["status"] == "off-variety" and doc[emit] == []
+                else:
+                    assert out.out == ""
+                assert run(argv + ["--count-only"]) == 0
+                assert capsys.readouterr() == ("0\n", "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -17,11 +17,11 @@ from schubertk.shapes import (
     perm_of_strict,
     shape_of,
     strict_partition_of,
-    symmetric_partition_of,
     transpose,
 )
 from schubertk.weyl import (
     RootSystem,
+    WeylElement,
     full_window,
     identity,
     length,
@@ -84,17 +84,37 @@ def test_transpose_lemma_for_minimal_reps():
             assert lam_t == expect
 
 
+def symmetric_reading(w):
+    """lambda_w read off the 2n-window: the type A formula with d = n."""
+    n = w.rstype.rank
+    return partition_of(WeylElement(RootSystem("A", 2 * n), full_window(w)), n)
+
+
+def strict_reading(w):
+    """The strict partition of w by the 2n-window: lambda_w less its boxes
+    below (B/C) or on and below (D) the diagonal."""
+    shift = 0 if w.rstype.kind in ("B", "C") else 1
+    return tuple(p for p in (a - i - shift for i, a in enumerate(symmetric_reading(w))) if p > 0)
+
+
 def test_strict_partition_examples():
     rsB = RootSystem("B", 6)
     rsC = RootSystem("C", 6)
     rsD = RootSystem("D", 6)
     for rs in (rsB, rsC):
         w = parse_window(rs, "1,4,-6,-5,-3,-2")
-        assert symmetric_partition_of(w) == (5, 5, 4, 4, 2)
-        assert strict_partition_of(w) == (5, 4, 2, 1)
+        assert symmetric_reading(w) == (5, 5, 4, 4, 2)
+        assert strict_partition_of(w) == strict_reading(w) == (5, 4, 2, 1)
     wD = parse_window(rsD, "1,4,-6,-5,-3,-2")
-    assert strict_partition_of(wD) == (4, 3, 1)
+    assert strict_partition_of(wD) == strict_reading(wD) == (4, 3, 1)
     assert strict_partition_of(identity(rsC)) == ()
+
+
+@pytest.mark.parametrize("kind", ["B", "C", "D"])
+def test_barred_letters_match_the_2n_window_reading(kind):
+    for rank in range(3 if kind == "D" else 2, 8):
+        for w in minimal_reps(RootSystem(kind, rank)):
+            assert strict_partition_of(w) == strict_reading(w)
 
 
 def test_length_components_oracle():
@@ -157,14 +177,15 @@ def test_bd_identify_examples():
     assert bd_identify_inverse(identity(RootSystem("B", 5))) == identity(rsD)
 
 
-def test_bd_identify_preserves_strict_partition_exhaustive_d4():
-    rs = RootSystem("D", 4)
-    reps = minimal_reps(rs)
-    assert len(reps) == 8
-    for w in reps:
-        u = bd_identify(w)
-        assert strict_partition_of(u) == strict_partition_of(w)
-        assert bd_identify_inverse(u) == w
+def test_bd_identify_preserves_strict_partition_exhaustive():
+    for n in range(2, 8):
+        rs = RootSystem("D", n + 1)
+        reps = minimal_reps(rs)
+        assert len(reps) == 2 ** n
+        for w in reps:
+            u = bd_identify(w)
+            assert strict_partition_of(u) == strict_partition_of(w)
+            assert bd_identify_inverse(u) == w == perm_of_strict(strict_partition_of(u), rs)
 
 
 def test_contains_examples():
@@ -195,7 +216,7 @@ def test_symmetry_lemma():
             fw = full_window(w)
             n = rs.rank
             assert all(fw[2 * n - 1 - i] == 2 * n + 1 - fw[i] for i in range(n))
-            lam = symmetric_partition_of(w)
+            lam = symmetric_reading(w)
             assert transpose(lam) == lam
 
 
