@@ -10,7 +10,6 @@ from .weyl import (
     RootSystem,
     WeylElement,
     apply,
-    identity,
     inverse,
     is_minimal_rep,
     length,
@@ -20,33 +19,18 @@ from .weyl import (
     simple_reflection,
     simple_roots,
 )
-from .hecke import (
-    commutation_class,
-    demazure_fold,
-    hecke_subsequences,
-    is_fully_commutative,
-)
+from .hecke import hecke_subsequences
 from .shapes import (
-    bd_identify,
     bd_identify_inverse,
     contains,
     partition_of,
     perm_of,
     perm_of_strict,
     strict_partition_of,
-    transpose,
 )
-from .diagrams import (
-    BoxSet,
-    enumerate_eyd,
-    energies,
-    excite,
-    reading_word,
-    reflection_tableau,
-    subword_of,
-)
-from .tableaux import SetValuedTableau, enumerate_svt, f_inverse, f_map
-from .ring import GradedSeries, LaurentPoly, dual, ev_xi, geometric_expand, specialize_zero
+from .diagrams import BoxSet, enumerate_eyd, reading_word, reflection_tableau
+from .tableaux import SetValuedTableau, enumerate_svt, f_map
+from .ring import GradedSeries, LaurentPoly, geometric_expand, specialize_zero
 from .restriction import (
     HilbertData,
     KClass,
@@ -59,7 +43,27 @@ from .restriction import (
     pullback_b_via_d,
     r_values,
     tangent_weights,
-    xi_vector,
 )
+
+__all__ = [
+    # weyl
+    "RootSystem", "WeylElement", "apply", "inverse", "is_minimal_rep", "length",
+    "mult", "parse_window", "reduced_word", "simple_reflection", "simple_roots",
+    # hecke
+    "hecke_subsequences",
+    # shapes
+    "bd_identify_inverse", "contains", "partition_of", "perm_of", "perm_of_strict",
+    "strict_partition_of",
+    # diagrams
+    "BoxSet", "enumerate_eyd", "reading_word", "reflection_tableau",
+    # tableaux
+    "SetValuedTableau", "enumerate_svt", "f_map",
+    # ring
+    "GradedSeries", "LaurentPoly", "geometric_expand", "specialize_zero",
+    # restriction
+    "HilbertData", "KClass", "check_backends", "graded_character", "hilbert_data",
+    "hilbert_polynomial_coeffs", "hilbert_polynomial_value", "pullback",
+    "pullback_b_via_d", "r_values", "tangent_weights",
+]
 
 __version__ = "0.1.0"

@@ -2,16 +2,14 @@
 reflection-valued tableaux and their reading words.
 
 Boxes are (row, col) pairs, 1-indexed, rows top to bottom.  Shifted diagrams
-store boxes in absolute coordinates with col >= row; the type D column shift
-only enters the weight formulas, never the stored geometry.
+store boxes in absolute coordinates with col >= row, in type D as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .shapes import contains, largest_part, size, trim
+from .shapes import contains, largest_part, trim
 from .weyl import RootSystem
 
 GEOMETRIES = ("ordinary", "shiftedBC", "shiftedD")
@@ -66,27 +64,15 @@ def initial_diagram(lam, mu, geometry: str) -> BoxSet:
     return BoxSet(geometry, trim(mu), ambient_boxes(lam, geometry))
 
 
-def excite(C: BoxSet, box, kind) -> BoxSet | None:
-    """Apply one excitation based at box, or return None when blocked.
-
-    kind is "type1" (move) or "type2" (add).  Off-diagonal boxes need the
-    three boxes (i+1,j), (i,j+1), (i+1,j+1) free inside the ambient; the
-    shifted diagonal rules need two (B/C) or four (D) free boxes and move by
-    one or two diagonal steps respectively.
-    """
-    if kind not in ("type1", "type2"):
-        raise ValueError(f"unknown excitation kind {kind!r}")
-    i, j = box
-    if (i, j) not in C.boxes:
-        raise ValueError(f"box {box} not in the diagram")
-    legal = ambient_boxes(C.ambient, C.geometry)
-    new = _excited(C.boxes, legal, C.geometry, (i, j), kind == "type1")
-    return None if new is None else BoxSet(C.geometry, C.ambient, new)
-
-
 def _excited(boxes: frozenset, legal: frozenset, geometry: str, box, move: bool):
-    """The boxes after the excitation of `excite` at box (a move, or else an
-    add), or None when it is blocked; legal is the ambient's box set."""
+    """The boxes after one excitation at box, or None when it is blocked;
+    legal is the ambient's box set.
+
+    Off-diagonal boxes need the three boxes (i+1,j), (i,j+1), (i+1,j+1)
+    free inside the ambient; the shifted diagonal rules need two (B/C) or
+    four (D) free boxes and move by one or two diagonal steps.  A move
+    (type 1) takes box there, an add (type 2) keeps it.
+    """
     i, j = box
     if geometry == "ordinary" or i != j:
         needed = ((i + 1, j), (i, j + 1), (i + 1, j + 1))
@@ -124,21 +110,6 @@ def enumerate_eyd(lam, mu, geometry: str, reduced_only: bool = False) -> list:
                         nxt.append(new)
         frontier = nxt
     return [BoxSet(geometry, start.ambient, boxes) for boxes in sorted(seen, key=sorted)]
-
-
-def energies(C: BoxSet, lam) -> tuple:
-    """(e1, e2): the type 1 and type 2 energies of C relative to lam."""
-    lam = trim(lam)
-    dl = ambient_boxes(lam, C.geometry)
-
-    def weight(boxes):
-        if C.geometry == "shiftedD":
-            return sum(i + j if i < j else i for (i, j) in boxes)
-        return sum(i + j for (i, j) in boxes)
-
-    e1 = Fraction(weight(C.boxes) - weight(dl), 2)
-    e2 = len(C.boxes) - size(lam)
-    return e1, e2
 
 
 @dataclass(frozen=True)
@@ -197,25 +168,8 @@ def reading_word(T: ReflectionTableau) -> tuple:
     return tuple(T.entries[b] for b in T.reading_boxes)
 
 
-def subword_of(C: BoxSet, T: ReflectionTableau) -> tuple:
-    """Reading-order positions of the boxes of C, 1-based."""
-    if not C.boxes <= frozenset(T.reading_boxes):
-        raise ValueError("diagram does not sit inside the tableau shape")
-    return tuple(
-        pos for pos, box in enumerate(T.reading_boxes, start=1) if box in C.boxes
-    )
-
-
 def boxset_to_json(C: BoxSet) -> dict:
     return {"ambient": list(C.ambient), "boxes": [list(b) for b in C.sorted_boxes()]}
-
-
-def boxset_from_json(data: dict, geometry: str) -> BoxSet:
-    return BoxSet(
-        geometry,
-        tuple(data["ambient"]),
-        frozenset(tuple(b) for b in data["boxes"]),
-    )
 
 
 def boxset_to_tikz(C: BoxSet) -> str:

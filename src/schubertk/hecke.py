@@ -8,35 +8,20 @@ counts.  `hecke_subsequences` lists those subwords through the same DP,
 with one bit per letter, for the factored LaTeX form and as a test oracle.
 Both keep only the fold states from which the rest of the word can still
 fold to w (`_reaching`).
-`demazure_fold` folds through the root action, independently of the window
-helpers, and the full-commutativity utilities support the reduced-word
-property tests.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from functools import lru_cache
 from typing import NamedTuple
 
 from .ring import MAX_EXPANSION, add_into
 from .weyl import (
-    CACHE_SIZE,
     RootSystem,
     WeylElement,
-    apply,
-    identity,
-    is_positive_root_vector,
     length,
-    mult,
-    reduced_word,
-    simple_reflection,
-    simple_roots,
     window_right_ascent,
     window_right_mult,
 )
-
-MAX_COMMUTATION_CLASS = 200000
 
 
 class HeckeSubseq(NamedTuple):
@@ -49,21 +34,6 @@ def _check_letters(word, rstype: RootSystem):
     for i in word:
         if not 1 <= i <= rstype.num_simple:
             raise ValueError(f"letter {i} out of range for {rstype}")
-
-
-def demazure_fold(word, rstype: RootSystem) -> WeylElement:
-    """Fold H_{s_1}...H_{s_q} right to left; the empty word folds to the identity."""
-    _check_letters(word, rstype)
-    alphas = simple_roots(rstype)
-    u = identity(rstype)
-    uinv = u
-    for i in reversed(word):
-        # l(s_i u) > l(u) iff u^{-1}(alpha_i) is positive
-        if is_positive_root_vector(apply(uinv, alphas[i - 1])):
-            s = simple_reflection(rstype, i)
-            u = mult(s, u)
-            uinv = mult(uinv, s)
-    return u
 
 
 def _reaching(w: WeylElement, word) -> list:
@@ -168,67 +138,3 @@ def subsequence_stats(w: WeylElement, word) -> dict:
     """
     counts = fold_dp(w, word, [1] * len(word), add_into, _skip_and_take)
     return dict(sorted(counts.items()))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def m_order(rstype: RootSystem, i: int, j: int) -> int:
-    """Order of s_i s_j in W, derived from the root system rather than a table."""
-    st = mult(simple_reflection(rstype, i), simple_reflection(rstype, j))
-    u = st
-    m = 1
-    ident = identity(rstype)
-    while u != ident:
-        u = mult(st, u)
-        m += 1
-    return m
-
-
-def commutation_class(word, rstype: RootSystem) -> list:
-    """All words reachable from a reduced word by swapping adjacent commuting
-    letters; RuntimeError past MAX_COMMUTATION_CLASS words."""
-    word = tuple(word)
-    _fold_reduced_check(word, rstype)
-    seen = {word}
-    queue = deque([word])
-    while queue:
-        cur = queue.popleft()
-        for k in range(len(cur) - 1):
-            a, b = cur[k], cur[k + 1]
-            if a != b and m_order(rstype, a, b) == 2:
-                nxt = cur[:k] + (b, a) + cur[k + 2:]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-                    if len(seen) > MAX_COMMUTATION_CLASS:
-                        raise RuntimeError("commutation class too large")
-    return sorted(seen)
-
-
-def _fold_reduced_check(word, rstype: RootSystem) -> WeylElement:
-    w = demazure_fold(word, rstype)
-    if length(w) != len(word):
-        raise ValueError(f"word {tuple(word)} is not reduced")
-    return w
-
-
-def _has_braid_factor(word, rstype: RootSystem) -> bool:
-    for k in range(len(word) - 1):
-        a, b = word[k], word[k + 1]
-        if a == b:
-            continue
-        m = m_order(rstype, a, b)
-        if m < 3 or k + m > len(word):
-            continue
-        if all(word[k + t] == (a if t % 2 == 0 else b) for t in range(m)):
-            return True
-    return False
-
-
-def is_fully_commutative(w: WeylElement) -> bool:
-    """True iff no word in the commutation class of a reduced word for w
-    contains a braid factor s,t,s,... of length m(s,t) >= 3 (Stembridge's
-    criterion)."""
-    rs = w.rstype
-    return not any(
-        _has_braid_factor(word, rs) for word in commutation_class(reduced_word(w), rs)
-    )

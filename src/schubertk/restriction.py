@@ -71,15 +71,6 @@ class HilbertData:
         return self.m[0] if self.m else 0
 
 
-def dim_gp(rstype: RootSystem, d: int = None) -> int:
-    n = rstype.rank
-    if rstype.kind == "A":
-        return d * (n - d)
-    if rstype.kind in ("B", "C"):
-        return n * (n + 1) // 2
-    return n * (n - 1) // 2
-
-
 def _resolve_d(rstype: RootSystem, d) -> int:
     if rstype.kind == "A":
         if d is None or not 1 <= d <= rstype.rank - 1:
@@ -147,6 +138,12 @@ def levi_complement_roots(rstype: RootSystem, d: int = None) -> list:
     return out
 
 
+def dim_gp(rstype: RootSystem, d: int = None) -> int:
+    """dim G/P, the number of positive roots outside the Levi; ValueError
+    on a bad d in type A."""
+    return len(levi_complement_roots(rstype, d))
+
+
 def tangent_weights(rstype: RootSystem, d, v: WeylElement) -> list:
     """Weights of the tangent space at the fixed point v: v applied to -Phi(g/p)."""
     if not is_minimal_rep(v, d):
@@ -171,20 +168,6 @@ def r_values(word, rstype: RootSystem) -> list:
         out.append(r)
         win = window_right_mult(rstype.kind, win, i)
     return out
-
-
-def xi_vector(rstype: RootSystem, d, v: WeylElement) -> tuple:
-    """The grading vector with alpha(xi) = -1 for every tangent weight at v.
-
-    Exists in the cominuscule cases only: any d in type A, the maximal
-    parabolic in types C and D.  Type B is rejected; use the D identification.
-    """
-    if rstype.kind == "B":
-        raise ValueError("type B is not cominuscule; compute through D_{n+1}")
-    if rstype.kind == "A":
-        d = _resolve_d(rstype, d)
-    ixi, den = _scaled_xi(rstype, d, v, tangent_weights(rstype, d, v))
-    return tuple(Fraction(x, den) for x in ixi)
 
 
 def _scaled_xi(rstype: RootSystem, d, v: WeylElement, weights) -> tuple:
@@ -434,6 +417,8 @@ def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     types A, C, D are expanded directly; type B is computed upstairs in
     D_{n+1} and its slices are specialized back."""
     d = _validated_shapes(rstype, d, w, v)[0]
+    if N < 0:
+        raise ValueError("truncation degree must be nonnegative")
     if rstype.kind == "B":
         series = graded_character(*_lift_b(w, v), N)
         n = rstype.rank

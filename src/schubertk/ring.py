@@ -1,9 +1,9 @@
 """Exact arithmetic in the representation ring R(T).
 
 LaurentPoly is a sparse map from exponent vectors in Z^rank to arbitrary
-precision integer coefficients.  ev_xi collapses a polynomial along a
-rational grading vector, and geometric_expand produces the truncated graded
-character num / prod (1 - e^{-mu}).
+precision integer coefficients.  geometric_expand produces the truncated
+graded character num / prod (1 - e^{-mu}), graded along a rational vector
+xi.
 
 Encoding.  An exponent vector (e_1, ..., e_rank) is stored as the one
 integer e_1 + e_2 B + ... + e_rank B^(rank-1) with B = 2^16: balanced
@@ -210,13 +210,6 @@ class LaurentPoly:
         return f"LaurentPoly({format_poly(self)})"
 
 
-def dual(p: LaurentPoly) -> LaurentPoly:
-    """The involution e^lam -> e^{-lam}; negating a key negates every digit."""
-    return LaurentPoly.from_packed(
-        p.rank, {-k: c for k, c in p.packed.items()}, p.span
-    )
-
-
 def specialize_zero(p: LaurentPoly, coord: int) -> LaurentPoly:
     """Send eps_coord to 0 (1-based), dropping the coordinate and merging terms."""
     if not 1 <= coord <= p.rank:
@@ -248,21 +241,6 @@ def _degree(exponent, ixi, den) -> int:
             f"non-integral degree {Fraction(val, den)} for exponent {tuple(exponent)}"
         )
     return deg
-
-
-def xi_degree(exponent, xi) -> int:
-    """mu(xi) for an exponent vector; must be an integer."""
-    return _degree(exponent, *_integer_grading(xi))
-
-
-def ev_xi(p: LaurentPoly, xi) -> dict:
-    """Sum c_mu t^{mu(xi)}, returned as a degree -> coefficient map."""
-    ixi, den = _integer_grading(xi)
-    out = {}
-    for e, c in p.terms.items():
-        d = _degree(e, ixi, den)
-        out[d] = out.get(d, 0) + c
-    return {d: c for d, c in out.items() if c}
 
 
 @dataclass
@@ -346,19 +324,6 @@ def format_poly(p: LaurentPoly) -> str:
         return f"{mag}e^{{{format_weight(e)}}}"
 
     return signed_sum((c < 0, body(e, abs(c))) for e, c in p.sorted_terms())
-
-
-def format_tpoly(coeffs: dict) -> str:
-    """Render an ev_xi result as a polynomial in t."""
-
-    def body(d, c):
-        if d == 0:
-            return str(c)
-        t = "t" if d == 1 else f"t^{d}"
-        return t if c == 1 else f"{c}*{t}"
-
-    terms = sorted(coeffs.items(), reverse=True)
-    return signed_sum((c < 0, body(d, abs(c))) for d, c in terms)
 
 
 def poly_to_json(p: LaurentPoly) -> dict:

@@ -57,18 +57,6 @@ def contains(lam, mu) -> bool:
     return all(a <= b for a, b in zip(lam, mu))
 
 
-def transpose(lam) -> tuple:
-    """Column lengths of the diagram.
-
-    >>> transpose((4, 4, 3))
-    (3, 3, 3, 2)
-    """
-    lam = trim(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for a in lam if a >= j) for j in range(1, lam[0] + 1))
-
-
 def partition_of(v: WeylElement, d: int) -> tuple:
     """Partition of a type A minimal representative in W^{P_d}:
     (lambda_v)_i = v_{d+1-i} - (d+1-i)."""
@@ -138,22 +126,6 @@ def perm_of_strict(lam, rstype: RootSystem) -> WeylElement:
         barred.add(n)
     plain = [k for k in range(1, n + 1) if k not in barred]
     return WeylElement(rstype, tuple(plain + [-k for k in sorted(barred, reverse=True)]))
-
-
-def bd_identify(w: WeylElement) -> WeylElement:
-    """D_n -> B_{n-1}: delete the entry of absolute value n from the window.
-
-    >>> from schubertk.weyl import RootSystem, parse_window
-    >>> bd_identify(parse_window(RootSystem("D", 6), "1,4,-6,-5,-3,-2"))
-    WeylElement(B5: 1,4,-5,-3,-2)
-    """
-    if w.rstype.kind != "D":
-        raise ValueError("bd_identify expects a type D element")
-    if not is_minimal_rep(w):
-        raise ValueError(f"{w} is not minimal in W^P_n")
-    n = w.rstype.rank
-    win = tuple(t for t in w.window if abs(t) != n)
-    return WeylElement(RootSystem("B", n - 1), win)
 
 
 def bd_identify_inverse(u: WeylElement) -> WeylElement:

@@ -1,9 +1,11 @@
-"""Set-valued (shifted) tableaux restricted by an ambient shape, and the
-explicit bijection f with excited Young diagrams.
+"""Set-valued (shifted) tableaux restricted by an ambient shape: their
+enumeration, the transfer DP `svt_dp` over them, and the map f onto excited
+Young diagrams.
 
 A filling is semistandard when rows are weakly and columns strictly
 increasing entry-by-entry; it is restricted by mu when every entry x of box
-(i,j) satisfies x+j-i <= mu(x) (ordinary) or j-i <= mu(x)-1 (shifted).
+(i,j) satisfies x+j-i <= mu(x) (ordinary) or j-i <= mu(x)-1 (shifted), and
+in shiftedD a diagonal entry also keeps the parity of its row.
 """
 
 from __future__ import annotations
@@ -35,12 +37,6 @@ class SetValuedTableau:
         if any(not es for _, es in cells):
             raise ValueError("every box needs a nonempty entry set")
 
-    def entry(self, box) -> tuple:
-        for b, es in self.cells:
-            if b == box:
-                return es
-        return ()
-
     def entry_count(self) -> int:
         return sum(len(es) for _, es in self.cells)
 
@@ -49,41 +45,11 @@ class SetValuedTableau:
         return f"SVT({self.geometry}, {self.shape} in {self.ambient}; {body})"
 
 
-def _restriction_ok(geometry: str, mu, x: int, i: int, j: int) -> bool:
-    if geometry == "ordinary":
-        return x + j - i <= part(mu, x)
-    if geometry == "shiftedD" and i == j and (x - i) % 2:
-        # type D diagonal excitations move two steps, so a diagonal entry
-        # keeps the parity of its starting row
-        return False
-    return j - i <= part(mu, x) - 1
-
-
-def is_semistandard(T: SetValuedTableau) -> bool:
-    by_box = dict(T.cells)
-    for (i, j), es in T.cells:
-        right = by_box.get((i, j + 1))
-        if right is not None and max(es) > min(right):
-            return False
-        below = by_box.get((i + 1, j))
-        if below is not None and max(es) >= min(below):
-            return False
-    return True
-
-
-def is_restricted(T: SetValuedTableau) -> bool:
-    return all(
-        _restriction_ok(T.geometry, T.ambient, x, i, j)
-        for (i, j), es in T.cells
-        for x in es
-    )
-
-
 def _box_values(geometry: str, mu, top: int, i: int, j: int) -> list:
     """The entries x <= top that the restriction by mu allows in box (i,j),
-    ascending from the least one a semistandard filling can hold there (with
-    the diagonal parity gaps in shiftedD).  The neighbours of the box only
-    raise the lower end, so every feasible entry set is drawn from a suffix."""
+    ascending from the least one a semistandard filling can hold there.  The
+    neighbours of the box only raise the lower end, so every feasible entry
+    set is drawn from a suffix."""
     values = []
     for x in range(i if geometry == "ordinary" else 1, top + 1):
         if geometry == "ordinary":
@@ -92,7 +58,9 @@ def _box_values(geometry: str, mu, top: int, i: int, j: int) -> list:
             exceeded = j - i > part(mu, x) - 1
         if exceeded:
             break  # the bound only tightens as x grows
-        if _restriction_ok(geometry, mu, x, i, j):
+        # type D diagonal excitations move two steps, so a diagonal entry
+        # keeps the parity of its starting row
+        if not (geometry == "shiftedD" and i == j and (x - i) % 2):
             values.append(x)
     return values
 
@@ -220,12 +188,6 @@ def _nonempty_subsets(values, singles_only):
         yield tuple(values[b] for b in range(n) if mask >> b & 1)
 
 
-def top_tableau(lam, mu, geometry: str) -> SetValuedTableau:
-    """T^top: every box of row i holds the single entry i; f maps it to D_lam."""
-    cells = tuple((box, (box[0],)) for box in ambient_boxes(lam, geometry))
-    return SetValuedTableau(geometry, trim(lam), trim(mu), cells)
-
-
 def f_map(T: SetValuedTableau) -> BoxSet:
     """f(T) = {(x, x+j-i) : x an entry of box (i,j)}; lands in E_lam(mu)."""
     image = set()
@@ -240,87 +202,8 @@ def f_map(T: SetValuedTableau) -> BoxSet:
     return C
 
 
-def f_inverse(C: BoxSet, lam) -> SetValuedTableau:
-    """The unique T with f(T) = C, filled one diagonal at a time from the top.
-
-    Follows the constructive uniqueness argument: an entry x on diagonal q
-    goes into the single box of lam's diagonal q compatible with the already
-    filled diagonal q+1.
-    """
-    lam = trim(lam)
-    shape_boxes = ambient_boxes(lam, C.geometry)
-    diagonals = sorted({j - i for (i, j) in shape_boxes}, reverse=True)
-    filled = {}
-    for q in diagonals:
-        lam_boxes = sorted(b for b in shape_boxes if b[1] - b[0] == q)
-        entries = sorted(i for (i, j) in C.boxes if j - i == q)
-        for x in entries:
-            spot = None
-            for (i, j) in lam_boxes:
-                above_right = filled.get((i - 1, j))
-                if above_right is not None and x <= max(above_right):
-                    continue
-                right = filled.get((i, j + 1))
-                if right is not None and x > min(right):
-                    continue
-                spot = (i, j)
-                break
-            if spot is None:
-                raise ValueError(f"{C} is not in the image of f for shape {lam}")
-            filled.setdefault(spot, []).append(x)
-    leftover = {b for b in shape_boxes if b not in filled}
-    if leftover:
-        raise ValueError(f"{C} is not in the image of f for shape {lam}")
-    T = SetValuedTableau(
-        C.geometry, lam, C.ambient, tuple((b, tuple(es)) for b, es in filled.items())
-    )
-    if not is_semistandard(T) or not is_restricted(T) or f_map(T).boxes != C.boxes:
-        raise ValueError(f"{C} is not in the image of f for shape {lam}")
-    return T
-
-
-def excite_tableau(T: SetValuedTableau, box, x: int, kind: str):
-    """One tableau excitation in the ordinary geometry (test oracle for f).
-
-    Type 1 replaces x by x+1 in the box, type 2 adds x+1; both need x+1 absent
-    from the box and its neighbours and the restriction bound to keep holding.
-    """
-    if T.geometry != "ordinary":
-        raise ValueError("tableau excitations are defined for the ordinary geometry")
-    if kind not in ("type1", "type2"):
-        raise ValueError(f"unknown excitation kind {kind!r}")
-    i, j = box
-    by_box = dict(T.cells)
-    es = by_box.get((i, j), ())
-    if x not in es:
-        raise ValueError(f"entry {x} not in box {box}")
-    if x in by_box.get((i, j + 1), ()):
-        return None
-    if x + 1 in es or x + 1 in by_box.get((i + 1, j), ()):
-        return None
-    if not _restriction_ok("ordinary", T.ambient, x + 1, i, j):
-        return None
-    new = set(es)
-    if kind == "type1":
-        new.remove(x)
-    new.add(x + 1)
-    cells = dict(by_box)
-    cells[(i, j)] = tuple(sorted(new))
-    T2 = SetValuedTableau(T.geometry, T.shape, T.ambient, tuple(cells.items()))
-    if not is_semistandard(T2):
-        return None
-    return T2
-
-
 def svt_to_json(T: SetValuedTableau) -> dict:
     return {
         "shape": list(T.shape),
         "cells": [{"box": list(b), "set": list(es)} for b, es in T.cells],
     }
-
-
-def svt_from_json(data: dict, geometry: str, mu) -> SetValuedTableau:
-    cells = tuple(
-        (tuple(cell["box"]), tuple(cell["set"])) for cell in data["cells"]
-    )
-    return SetValuedTableau(geometry, tuple(data["shape"]), trim(mu), cells)

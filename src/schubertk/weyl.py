@@ -95,10 +95,6 @@ class WeylElement:
         return f"WeylElement({self.rstype.kind}{self.rstype.rank}: {format_window(self)})"
 
 
-def identity(rstype: RootSystem) -> WeylElement:
-    return WeylElement(rstype, tuple(range(1, rstype.rank + 1)))
-
-
 def simple_reflection(rstype: RootSystem, i: int) -> WeylElement:
     """The i-th simple reflection as a window, 1-based index."""
     n = rstype.rank
@@ -206,16 +202,6 @@ def full_window(w: WeylElement) -> tuple:
     n = w.rstype.rank
     first = tuple(t if t > 0 else 2 * n + 1 + t for t in w.window)
     return first + tuple(2 * n + 1 - t for t in reversed(first))
-
-
-def eps_of_entry(x: int, n: int) -> Weight:
-    """The weight eps_x for an entry of a 2n-window, with eps_bar(m) = -eps_m."""
-    v = [0] * n
-    if x <= n:
-        v[x - 1] = 1
-    else:
-        v[2 * n - x] = -1
-    return tuple(v)
 
 
 def negate_weight(a: Weight) -> Weight:

@@ -1,0 +1,318 @@
+"""Reference implementations that the tests check the library against.
+
+None of them is called by the library: each restates a definition of the
+paper (the Demazure product through the root action, excitation moves,
+the restriction condition on tableaux, the inverse of f, full
+commutativity) or is a tool the tests need (energies, JSON readers, the
+grading of a polynomial along xi).
+"""
+
+from collections import Counter, deque
+from fractions import Fraction
+from functools import lru_cache
+
+from schubertk.diagrams import BoxSet, ReflectionTableau, ambient_boxes
+from schubertk.ring import LaurentPoly
+from schubertk.shapes import part, size, trim
+from schubertk.tableaux import SetValuedTableau, f_map
+from schubertk.weyl import (
+    CACHE_SIZE,
+    RootSystem,
+    WeylElement,
+    apply,
+    is_minimal_rep,
+    is_positive_root_vector,
+    length,
+    mult,
+    reduced_word,
+    simple_reflection,
+    simple_roots,
+)
+
+MAX_COMMUTATION_CLASS = 200000
+
+
+# -- Weyl groups and 0-Hecke folds ------------------------------------------
+
+def identity(rstype: RootSystem) -> WeylElement:
+    return WeylElement(rstype, tuple(range(1, rstype.rank + 1)))
+
+
+def eps_of_entry(x: int, n: int) -> tuple:
+    """The weight eps_x for an entry of a 2n-window, with eps_bar(m) = -eps_m."""
+    v = [0] * n
+    if x <= n:
+        v[x - 1] = 1
+    else:
+        v[2 * n - x] = -1
+    return tuple(v)
+
+
+def demazure_fold(word, rstype: RootSystem) -> WeylElement:
+    """Fold H_{s_1}...H_{s_q} right to left through the root action; the
+    empty word folds to the identity."""
+    for i in word:
+        if not 1 <= i <= rstype.num_simple:
+            raise ValueError(f"letter {i} out of range for {rstype}")
+    alphas = simple_roots(rstype)
+    u = uinv = identity(rstype)
+    for i in reversed(word):
+        # l(s_i u) > l(u) iff u^{-1}(alpha_i) is positive
+        if is_positive_root_vector(apply(uinv, alphas[i - 1])):
+            s = simple_reflection(rstype, i)
+            u, uinv = mult(s, u), mult(uinv, s)
+    return u
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def m_order(rstype: RootSystem, i: int, j: int) -> int:
+    """Order of s_i s_j in W, derived from the root system rather than a table."""
+    st = mult(simple_reflection(rstype, i), simple_reflection(rstype, j))
+    u, m = st, 1
+    ident = identity(rstype)
+    while u != ident:
+        u = mult(st, u)
+        m += 1
+    return m
+
+
+def commutation_class(word, rstype: RootSystem) -> list:
+    """All words reachable from a reduced word by swapping adjacent commuting
+    letters; RuntimeError past MAX_COMMUTATION_CLASS words."""
+    word = tuple(word)
+    if length(demazure_fold(word, rstype)) != len(word):
+        raise ValueError(f"word {word} is not reduced")
+    seen = {word}
+    queue = deque([word])
+    while queue:
+        cur = queue.popleft()
+        for k in range(len(cur) - 1):
+            a, b = cur[k], cur[k + 1]
+            if a != b and m_order(rstype, a, b) == 2:
+                nxt = cur[:k] + (b, a) + cur[k + 2:]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+                    if len(seen) > MAX_COMMUTATION_CLASS:
+                        raise RuntimeError("commutation class too large")
+    return sorted(seen)
+
+
+def _has_braid_factor(word, rstype: RootSystem) -> bool:
+    for k in range(len(word) - 1):
+        a, b = word[k], word[k + 1]
+        if a == b:
+            continue
+        m = m_order(rstype, a, b)
+        if m < 3 or k + m > len(word):
+            continue
+        if all(word[k + t] == (a if t % 2 == 0 else b) for t in range(m)):
+            return True
+    return False
+
+
+def is_fully_commutative(w: WeylElement) -> bool:
+    """True iff no word in the commutation class of a reduced word for w
+    contains a braid factor s,t,s,... of length m(s,t) >= 3 (Stembridge's
+    criterion)."""
+    rs = w.rstype
+    return not any(
+        _has_braid_factor(word, rs) for word in commutation_class(reduced_word(w), rs)
+    )
+
+
+# -- partitions -------------------------------------------------------------
+
+def transpose(lam) -> tuple:
+    """Column lengths of the diagram."""
+    lam = trim(lam)
+    if not lam:
+        return ()
+    return tuple(sum(1 for a in lam if a >= j) for j in range(1, lam[0] + 1))
+
+
+def bd_identify(w: WeylElement) -> WeylElement:
+    """D_n -> B_{n-1}: delete the entry of absolute value n from the window."""
+    if w.rstype.kind != "D":
+        raise ValueError("bd_identify expects a type D element")
+    if not is_minimal_rep(w):
+        raise ValueError(f"{w} is not minimal in W^P_n")
+    n = w.rstype.rank
+    win = tuple(t for t in w.window if abs(t) != n)
+    return WeylElement(RootSystem("B", n - 1), win)
+
+
+# -- excited Young diagrams -------------------------------------------------
+
+def excite(C: BoxSet, box, kind) -> BoxSet | None:
+    """One excitation of C at box, or None when it is blocked.
+
+    The boxes right of and below box (the diagonal rule of B/C and the
+    two-step diagonal rule of D in the shifted geometries) must be free
+    inside the ambient; a type 1 excitation moves box to the last of them,
+    a type 2 excitation adds that box.
+    """
+    if kind not in ("type1", "type2"):
+        raise ValueError(f"unknown excitation kind {kind!r}")
+    if box not in C.boxes:
+        raise ValueError(f"box {box} not in the diagram")
+    i, j = box
+    if C.geometry == "ordinary" or i != j:
+        free = [(i + 1, j), (i, j + 1), (i + 1, j + 1)]
+    elif C.geometry == "shiftedBC":
+        free = [(i, i + 1), (i + 1, i + 1)]
+    else:
+        free = [(i, i + 1), (i + 1, i + 1), (i + 1, i + 2), (i + 2, i + 2)]
+    legal = ambient_boxes(C.ambient, C.geometry)
+    if any(b not in legal or b in C.boxes for b in free):
+        return None
+    kept = C.boxes - {box} if kind == "type1" else C.boxes
+    return BoxSet(C.geometry, C.ambient, kept | {free[-1]})
+
+
+def energies(C: BoxSet, lam) -> tuple:
+    """(e1, e2): the type 1 and type 2 energies of C relative to lam."""
+    lam = trim(lam)
+    dl = ambient_boxes(lam, C.geometry)
+
+    def weight(boxes):
+        if C.geometry == "shiftedD":
+            return sum(i + j if i < j else i for (i, j) in boxes)
+        return sum(i + j for (i, j) in boxes)
+
+    return Fraction(weight(C.boxes) - weight(dl), 2), len(C.boxes) - size(lam)
+
+
+def subword_of(C: BoxSet, T: ReflectionTableau) -> tuple:
+    """Reading-order positions of the boxes of C, 1-based."""
+    if not C.boxes <= frozenset(T.reading_boxes):
+        raise ValueError("diagram does not sit inside the tableau shape")
+    return tuple(pos for pos, box in enumerate(T.reading_boxes, start=1) if box in C.boxes)
+
+
+def boxset_from_json(data: dict, geometry: str) -> BoxSet:
+    return BoxSet(geometry, tuple(data["ambient"]), frozenset(tuple(b) for b in data["boxes"]))
+
+
+# -- set-valued tableaux ----------------------------------------------------
+
+def restricted(geometry: str, mu, x: int, i: int, j: int) -> bool:
+    """Entry x of box (i, j) is restricted by mu: x + j - i <= mu_x
+    (ordinary) or j - i <= mu_x - 1 (shifted); a type D diagonal entry also
+    keeps the parity of its row, since diagonal excitations move two steps."""
+    if geometry == "ordinary":
+        return x + j - i <= part(mu, x)
+    if geometry == "shiftedD" and i == j and (x - i) % 2:
+        return False
+    return j - i <= part(mu, x) - 1
+
+
+def is_restricted(T: SetValuedTableau) -> bool:
+    return all(restricted(T.geometry, T.ambient, x, i, j) for (i, j), es in T.cells for x in es)
+
+
+def is_semistandard(T: SetValuedTableau) -> bool:
+    by_box = dict(T.cells)
+    for (i, j), es in T.cells:
+        right = by_box.get((i, j + 1))
+        if right is not None and max(es) > min(right):
+            return False
+        below = by_box.get((i + 1, j))
+        if below is not None and max(es) >= min(below):
+            return False
+    return True
+
+
+def top_tableau(lam, mu, geometry: str) -> SetValuedTableau:
+    """T^top: every box of row i holds the single entry i; f maps it to D_lam."""
+    cells = tuple((box, (box[0],)) for box in ambient_boxes(lam, geometry))
+    return SetValuedTableau(geometry, trim(lam), trim(mu), cells)
+
+
+def f_inverse(C: BoxSet, lam) -> SetValuedTableau:
+    """The unique T with f(T) = C, filled one diagonal at a time from the top.
+
+    Follows the constructive uniqueness argument: an entry x on diagonal q
+    goes into the single box of lam's diagonal q compatible with the already
+    filled diagonal q+1.
+    """
+    lam = trim(lam)
+    shape_boxes = ambient_boxes(lam, C.geometry)
+    filled = {}
+    for q in sorted({j - i for (i, j) in shape_boxes}, reverse=True):
+        lam_boxes = sorted(b for b in shape_boxes if b[1] - b[0] == q)
+        for x in sorted(i for (i, j) in C.boxes if j - i == q):
+            spot = None
+            for (i, j) in lam_boxes:
+                above_right = filled.get((i - 1, j))
+                if above_right is not None and x <= max(above_right):
+                    continue
+                right = filled.get((i, j + 1))
+                if right is not None and x > min(right):
+                    continue
+                spot = (i, j)
+                break
+            if spot is None:
+                raise ValueError(f"{C} is not in the image of f for shape {lam}")
+            filled.setdefault(spot, []).append(x)
+    if set(filled) != shape_boxes:
+        raise ValueError(f"{C} is not in the image of f for shape {lam}")
+    T = SetValuedTableau(
+        C.geometry, lam, C.ambient, tuple((b, tuple(es)) for b, es in filled.items())
+    )
+    if not is_semistandard(T) or not is_restricted(T) or f_map(T).boxes != C.boxes:
+        raise ValueError(f"{C} is not in the image of f for shape {lam}")
+    return T
+
+
+def excite_tableau(T: SetValuedTableau, box, x: int, kind: str):
+    """One tableau excitation in the ordinary geometry.
+
+    Type 1 replaces x by x+1 in the box, type 2 adds x+1; both need x+1 absent
+    from the box and its neighbours and the restriction bound to keep holding.
+    """
+    if T.geometry != "ordinary":
+        raise ValueError("tableau excitations are defined for the ordinary geometry")
+    if kind not in ("type1", "type2"):
+        raise ValueError(f"unknown excitation kind {kind!r}")
+    i, j = box
+    by_box = dict(T.cells)
+    es = by_box.get((i, j), ())
+    if x not in es:
+        raise ValueError(f"entry {x} not in box {box}")
+    if x in by_box.get((i, j + 1), ()):
+        return None
+    if x + 1 in es or x + 1 in by_box.get((i + 1, j), ()):
+        return None
+    if not restricted("ordinary", T.ambient, x + 1, i, j):
+        return None
+    new = set(es)
+    if kind == "type1":
+        new.remove(x)
+    new.add(x + 1)
+    by_box[(i, j)] = tuple(sorted(new))
+    T2 = SetValuedTableau(T.geometry, T.shape, T.ambient, tuple(by_box.items()))
+    return T2 if is_semistandard(T2) else None
+
+
+def svt_from_json(data: dict, geometry: str, mu) -> SetValuedTableau:
+    cells = tuple((tuple(cell["box"]), tuple(cell["set"])) for cell in data["cells"])
+    return SetValuedTableau(geometry, tuple(data["shape"]), trim(mu), cells)
+
+
+# -- grading along xi -------------------------------------------------------
+
+def xi_degree(exponent, xi) -> int:
+    """mu(xi) for an exponent vector; ValueError unless it is an integer."""
+    deg = sum(Fraction(x) * c for x, c in zip(xi, exponent))
+    if deg.denominator != 1:
+        raise ValueError(f"non-integral degree {deg} for exponent {tuple(exponent)}")
+    return int(deg)
+
+
+def ev_xi(p: LaurentPoly, xi) -> dict:
+    """Sum c_mu t^{mu(xi)}, returned as a degree -> coefficient map."""
+    out = Counter()
+    for e, c in p.terms.items():
+        out[xi_degree(e, xi)] += c
+    return {d: c for d, c in out.items() if c}

@@ -8,7 +8,7 @@ import random
 from collections import Counter
 from math import factorial
 
-
+from oracles import demazure_fold, f_inverse, identity, is_fully_commutative, m_order, subword_of
 from schubertk.diagrams import (
     BoxSet,
     ambient_boxes,
@@ -16,14 +16,8 @@ from schubertk.diagrams import (
     geometry_of,
     reading_word,
     reflection_tableau,
-    subword_of,
 )
-from schubertk.hecke import (
-    demazure_fold,
-    hecke_subsequences,
-    is_fully_commutative,
-    m_order,
-)
+from schubertk.hecke import hecke_subsequences
 from schubertk.ring import LaurentPoly
 from schubertk.shapes import (
     all_shapes,
@@ -45,11 +39,10 @@ from schubertk.restriction import (
     pullback_hecke_with_word,
     pullback_terms,
 )
-from schubertk.tableaux import count_entries, enumerate_svt, f_inverse, f_map, svt_dp
+from schubertk.tableaux import count_entries, enumerate_svt, f_map, svt_dp
 from schubertk.weyl import (
     RootSystem,
     apply,
-    identity,
     inverse,
     length,
     mult,

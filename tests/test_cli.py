@@ -169,7 +169,8 @@ def test_json_hilbert_document(capsys):
 
 
 def test_json_diagram_roundtrip(capsys):
-    from schubertk.diagrams import boxset_from_json, enumerate_eyd
+    from oracles import boxset_from_json
+    from schubertk.diagrams import enumerate_eyd
 
     argv = "--type C --rank 4 --lambda 2,1 --mu 4,2,1 --emit diagrams --format json".split()
     assert run(argv) == 0
@@ -187,7 +188,8 @@ def test_hilbert_poly_emit(capsys):
 
 
 def test_json_tableaux_roundtrip(capsys):
-    from schubertk.tableaux import enumerate_svt, svt_from_json
+    from oracles import svt_from_json
+    from schubertk.tableaux import enumerate_svt
 
     argv = "--type C --rank 4 --lambda 2,1 --mu 4,2,1 --emit tableaux --format json".split()
     assert run(argv) == 0

@@ -2,20 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import boxset_from_json, demazure_fold, energies, excite, subword_of
 from schubertk.diagrams import (
     BoxSet,
     ambient_boxes,
-    boxset_from_json,
     boxset_to_json,
-    energies,
     enumerate_eyd,
-    excite,
     initial_diagram,
     reading_word,
     reflection_tableau,
-    subword_of,
 )
-from schubertk.hecke import demazure_fold
 from schubertk.shapes import perm_of, perm_of_strict
 from schubertk.weyl import RootSystem, length
 

@@ -6,22 +6,14 @@ from collections import Counter
 
 import pytest
 
+from oracles import commutation_class, demazure_fold, identity, is_fully_commutative, m_order
 from schubertk import hecke
 from schubertk.diagrams import reading_word, reflection_tableau
-from schubertk.hecke import (
-    _reaching,
-    commutation_class,
-    demazure_fold,
-    hecke_subsequences,
-    is_fully_commutative,
-    m_order,
-    subsequence_stats,
-)
+from schubertk.hecke import _reaching, hecke_subsequences, subsequence_stats
 from schubertk.shapes import minimal_reps, perm_of, shape_of
 from schubertk.weyl import (
     RootSystem,
     WeylElement,
-    identity,
     length,
     reduced_word,
     simple_reflection,

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bd_identify, identity, transpose
 from schubertk.diagrams import ambient_boxes
 from schubertk.hecke import hecke_subsequences
 from schubertk.shapes import (
     all_shapes,
-    bd_identify,
     bd_identify_inverse,
     contains,
     format_shape,
@@ -17,13 +17,11 @@ from schubertk.shapes import (
     perm_of_strict,
     shape_of,
     strict_partition_of,
-    transpose,
 )
 from schubertk.weyl import (
     RootSystem,
     WeylElement,
     full_window,
-    identity,
     length,
     parse_window,
     reduced_word,

@@ -1,0 +1,38 @@
+"""Every public top-level function or class of schubertk is called in the
+package, exported in ``__all__`` or named by the benchmark; the references
+only the tests use live in ``tests/oracles.py``."""
+
+import ast
+import re
+from pathlib import Path
+
+import schubertk
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_public_definition_has_a_caller():
+    defined, used = [], set()
+    for path in sorted((ROOT / "src" / "schubertk").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)  # recursion is no caller
+                if not node.name.startswith("_"):
+                    defined.append(f"{path.stem}.{node.name}")
+            used |= names
+    bench = "\n".join(p.read_text() for p in (ROOT / "perfbench").glob("*.py"))
+    orphans = [
+        qual for qual in defined
+        if (name := qual.split(".")[1]) not in used | set(schubertk.__all__)
+        and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert orphans == []
+
+
+def test_all_names_resolve_and_match_the_readme():
+    assert all(hasattr(schubertk, name) for name in schubertk.__all__)
+    library = (ROOT / "README.md").read_text().split("## Library")[1].split("\n## ")[0]
+    listed = re.search(r"Public names[^:]*:(.*?)\n\n", library, re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(schubertk.__all__)

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubertk.hecke import demazure_fold
+from oracles import demazure_fold, identity
 from schubertk.weyl import (
     RootSystem,
     WeylElement,
     apply,
     format_window,
     full_window,
-    identity,
     inverse,
     is_minimal_rep,
     is_positive_root_vector,
