@@ -89,11 +89,11 @@ def _validated_shapes(rstype: RootSystem, d, w: WeylElement, v: WeylElement) -> 
 
 
 def _lift_b(w: WeylElement, v: WeylElement) -> tuple:
-    """(D_{n+1}, None, wD, vD) for type B_n elements: B_n is not cominuscule,
-    and its class, Hilbert data and character are computed through the
-    identification with D_{n+1}."""
+    """(D_{n+1}, n + 1, wD, vD) for type B_n elements: B_n is not
+    cominuscule, and its class, Hilbert data and character are computed
+    through the identification with D_{n+1}, which keeps both shapes."""
     wD, vD = bd_identify_inverse(w), bd_identify_inverse(v)
-    return wD.rstype, None, wD, vD
+    return wD.rstype, wD.rstype.rank, wD, vD
 
 
 def _tableau_word(rstype: RootSystem, d: int, mu) -> tuple:
@@ -202,21 +202,33 @@ def _span_bound(exps) -> int:
 
 
 def _sum_of_products(terms) -> dict:
-    """sum over terms of prod_g (e^g - 1) as a packed dict, every term folded
-    into one running dict: its last factor is fused into the sum."""
-    total = {}
-    for exps in terms:
-        factors = [pack(g) for g in exps]
-        acc = {0: 1}
-        for g in factors[:-1]:
-            nxt = {}
-            add_binomial_into(nxt, acc, g)
-            acc = nxt
-        if factors:
-            add_binomial_into(total, acc, factors[-1])
-        else:
-            add_into(total, acc)
-    return total
+    """sum over the list terms of prod_g (e^g - 1) as a packed dict, by
+    Horner's rule over the prefix trie of the terms: sums[j] is the sum over
+    the completions below path[:j], folded into its parent once, when the
+    next term leaves it, and a term adds the unit where it ends.  Any order
+    gives the same sum; sorted terms share the most work.
+
+    >>> _sum_of_products([((1,),), ((1,), (2,))])  # (e - 1) + (e - 1)(e^2 - 1)
+    {3: 1, 2: -1}
+    """
+    keys = {g: pack(g) for g in set().union(*terms)}
+    path, sums = [], [{}]
+
+    def fold_to(depth):
+        while len(path) > depth:  # arguments run left to right: parent, then child
+            add_binomial_into(sums[-2], sums.pop(), path.pop())
+
+    for term in terms:
+        factors = [keys[g] for g in term]
+        common = 0
+        while common < min(len(path), len(factors)) and path[common] == factors[common]:
+            common += 1
+        fold_to(common)
+        path += factors[common:]
+        sums += [{} for _ in factors[common:]]
+        sums[-1][0] = sums[-1].get(0, 0) + 1
+    fold_to(0)
+    return sums[0]
 
 
 def pullback_terms(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
@@ -252,11 +264,11 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     """The class i_v*[O_{X^w}] as an expanded Laurent polynomial.
 
     All three backends return identical polynomials: svt runs the transfer
-    DP over set-valued tableaux, eyd expands the explicit sum over excited
-    diagrams, and hecke sums over the 0-Hecke subwords of a reduced word for
-    v by the fold DP and is the ground truth.  The eyd expansion is refused
-    before any diagram is listed when it would write more than
-    MAX_EXPANSION monomials.
+    DP over set-valued tableaux, eyd lists the excited diagrams and sums
+    them by Horner's rule over their shared prefixes, and hecke sums over
+    the 0-Hecke subwords of a reduced word for v by the fold DP and is the
+    ground truth.  The eyd sum is refused before any diagram is listed when
+    its bound sum_k c_k 2^k passes MAX_EXPANSION.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -280,8 +292,8 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
 
 
 def _check_eyd_expansion(lam, mu, geometry: str) -> None:
-    """The explicit eyd sum writes sum_k c_k 2^k monomials before they merge,
-    c_k the number of diagrams with k boxes; the transfer DP counts them."""
+    """sum_k c_k 2^k, c_k the diagrams with k boxes as the transfer DP counts
+    them, bounds the eyd sum: it reads at most 2^k - 1 entries per diagram."""
     work = sum(c << k for k, c in svt_dp(lam, mu, geometry, count_entries).items())
     if work > MAX_EXPANSION:
         raise ValueError(
@@ -335,7 +347,7 @@ def hilbert_data(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
         raise ValueError(f"unknown method {method!r}")
     d, lam, mu = _validated_shapes(rstype, d, w, v)
     if rstype.kind == "B":
-        return hilbert_data(*_lift_b(w, v), method=method)
+        rstype, d, w, v = _lift_b(w, v)
     d_w = dim_gp(rstype, d) - length(w)
     if not contains(lam, mu):
         return HilbertData(d_w, ())
@@ -419,15 +431,17 @@ def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     d = _validated_shapes(rstype, d, w, v)[0]
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
+    n = rstype.rank
     if rstype.kind == "B":
-        series = graded_character(*_lift_b(w, v), N)
-        n = rstype.rank
-        return GradedSeries(N, [specialize_zero(s, n + 1) for s in series.slices])
+        rstype, d, w, v = _lift_b(w, v)
     weights = tangent_weights(rstype, d, v)
     ixi, den = _scaled_xi(rstype, d, v, weights)
     numerator = pullback(rstype, d, w, v, backend="svt").value
     xi = [Fraction(x, den) for x in ixi]
-    return geometric_expand(numerator, weights, xi, N)
+    series = geometric_expand(numerator, weights, xi, N)
+    if rstype.rank == n:
+        return series
+    return GradedSeries(N, [specialize_zero(s, n + 1) for s in series.slices])
 
 
 @dataclass

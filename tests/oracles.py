@@ -3,8 +3,9 @@
 None of them is called by the library: each restates a definition of the
 paper (the Demazure product through the root action, excitation moves,
 the restriction condition on tableaux, the inverse of f, full
-commutativity) or is a tool the tests need (energies, JSON readers, the
-grading of a polynomial along xi).
+commutativity, a sum of products multiplied out term by term) or is a
+tool the tests need (energies, JSON readers, the grading of a polynomial
+along xi).
 """
 
 from collections import Counter, deque
@@ -298,6 +299,25 @@ def excite_tableau(T: SetValuedTableau, box, x: int, kind: str):
 def svt_from_json(data: dict, geometry: str, mu) -> SetValuedTableau:
     cells = tuple((tuple(cell["box"]), tuple(cell["set"])) for cell in data["cells"])
     return SetValuedTableau(geometry, tuple(data["shape"]), trim(mu), cells)
+
+
+# -- sums of products -------------------------------------------------------
+
+def sum_of_products(terms, rank: int) -> dict:
+    """sum over terms of prod_g (e^g - 1), each term multiplied out on its
+    own in exponent tuples, as {exponent: coefficient} without zeros."""
+    total = Counter()
+    for term in terms:
+        prod = {(0,) * rank: 1}
+        for g in term:
+            nxt = Counter()
+            for e, c in prod.items():
+                nxt[tuple(a + b for a, b in zip(e, g))] += c
+                nxt[e] -= c
+            prod = nxt
+        for e, c in prod.items():
+            total[e] += c
+    return {e: c for e, c in total.items() if c}
 
 
 # -- grading along xi -------------------------------------------------------

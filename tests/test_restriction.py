@@ -1,3 +1,5 @@
+import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import commutation_class, eps_of_entry, ev_xi, identity
+from oracles import commutation_class, eps_of_entry, ev_xi, identity, sum_of_products
 from schubertk import hecke, restriction, ring
 from schubertk.diagrams import reading_word, reflection_tableau
 from schubertk.ring import LaurentPoly
@@ -359,6 +361,8 @@ def test_b_to_d_lift_keeps_length_and_dimension(rank):
     assert dim_gp(rs) == dim_gp(RootSystem("D", rank + 1))
     for w in minimal_reps(rs):
         assert length(bd_identify_inverse(w)) == length(w), w
+        # hilbert_data and graded_character reuse the B_n shapes upstairs
+        assert shape_of(bd_identify_inverse(w)) == shape_of(w), w
 
 
 @pytest.mark.parametrize("method", ["svt", "eyd", "hecke"])
@@ -556,7 +560,7 @@ def test_backend_report():
 
 
 def test_eyd_expansion_is_bounded_before_the_work(monkeypatch):
-    # the bound is the exact number of monomials the eyd sum writes
+    # the bound, sum_t 2^|t|, is an upper bound on the entries the eyd sum reads
     work = sum(2 ** len(t) for t in pullback_terms(A7, 3, WA, VA))
     monkeypatch.setattr(restriction, "MAX_EXPANSION", work)
     assert pullback(A7, 3, WA, VA, backend="eyd") == pullback(A7, 3, WA, VA, backend="svt")
@@ -573,6 +577,106 @@ def test_eyd_expansion_is_bounded_before_the_work(monkeypatch):
     w, v = perm_of((4, 4, 2, 2), 6, 12), perm_of((6, 6, 6, 5, 4, 4), 6, 12)
     with pytest.raises(ValueError, match="42065920 monomials.*--backend svt[|]hecke"):
         pullback(rs, 6, w, v, backend="eyd")
+
+
+def _decoded(packed, rank):
+    return {ring.unpack(k, rank): c for k, c in packed.items() if c}
+
+
+def _on_variety_pairs(rs, d=None):
+    reps = minimal_reps(rs, d)
+    shapes = [shape_of(u, d) for u in reps]
+    return [(w, v) for w, lam in zip(reps, shapes) for v, mu in zip(reps, shapes)
+            if contains(lam, mu)]
+
+
+def test_horner_sum_matches_the_term_by_term_expansion():
+    a, b, c = (1, 0, -1), (0, 2, 0), (-1, 1, 1)
+    for terms in ([], [()], [(a, b), (a, b)], [(a,), (a, b)], [(a, b), (a,)],
+                  [(a, b, c), (a,), (b,), (), (a, c), (a, b)]):
+        assert _decoded(restriction._sum_of_products(terms), 3) == sum_of_products(terms, 3)
+    assert restriction._sum_of_products([]) == {}
+    assert restriction._sum_of_products([()]) == {0: 1}
+
+
+def test_horner_sum_does_not_depend_on_the_order_of_the_terms():
+    rs = RootSystem("A", 7)
+    terms = pullback_terms(rs, 3, WA, VA)
+    expect = sum_of_products(terms, rs.rank)
+    rnd = random.Random(0)
+    for _ in range(5):
+        shuffled = rnd.sample(terms, len(terms))
+        assert _decoded(restriction._sum_of_products(shuffled), rs.rank) == expect
+
+
+@pytest.mark.parametrize("rs, d", [(RootSystem("A", 5), 2), (C4, None), (RootSystem("D", 5), None)])
+def test_horner_sum_matches_the_term_by_term_expansion_at_every_pair(rs, d):
+    for w, v in _on_variety_pairs(rs, d):
+        terms = pullback_terms(rs, d, w, v, backend="eyd")
+        got = _decoded(restriction._sum_of_products(terms), rs.rank)
+        assert got == sum_of_products(terms, rs.rank), (w, v)
+
+
+def _reads_of_the_eyd_class(monkeypatch, rs, d, w, v):
+    """(entries the eyd sum reads, the guard's count) for one pair."""
+    reads = []
+    real = restriction.add_binomial_into
+
+    def counted(dst, src, g, shift=0):
+        reads.append(len(src))
+        real(dst, src, g, shift)
+
+    monkeypatch.setattr(restriction, "MAX_EXPANSION", -1)
+    with pytest.raises(ValueError, match="writes [0-9]+ monomials") as refused:
+        pullback(rs, d, w, v, backend="eyd")
+    monkeypatch.setattr(restriction, "MAX_EXPANSION", ring.MAX_EXPANSION)
+    monkeypatch.setattr(restriction, "add_binomial_into", counted)
+    pullback(rs, d, w, v, backend="eyd")
+    monkeypatch.undo()
+    return sum(reads), int(re.search("writes ([0-9]+)", str(refused.value))[1])
+
+
+def test_the_eyd_guard_bounds_the_entries_the_sum_reads(monkeypatch):
+    systems = [(RootSystem("A", n), d) for n in range(2, 6) for d in range(1, n)]
+    systems += [(RootSystem(kind, n), None) for kind in "BCD" for n in range(2 + (kind == "D"), 6)]
+    for rs, d in systems:
+        for w, v in _on_variety_pairs(rs, d):
+            reads, guard = _reads_of_the_eyd_class(monkeypatch, rs, d, w, v)
+            assert reads <= guard, (w, v)
+
+
+@pytest.mark.parametrize("rs, d, lam, mu", [
+    (RootSystem("A", 11), 5, (3, 2, 2, 1), (6, 5, 4, 3, 2)),
+    (RootSystem("C", 6), None, (3, 2, 1), (6, 5, 4, 3, 2)),
+    (RootSystem("D", 7), None, (4, 2, 1), (6, 5, 4, 3, 2, 1)),
+], ids=["A11", "C6", "D7"])
+def test_the_eyd_sum_shares_the_prefixes_of_the_diagrams(monkeypatch, rs, d, lam, mu):
+    # the term-by-term sum reads sum_t (2^k_t - 1) entries, k_t the size of term t
+    if rs.kind == "A":
+        w, v = perm_of(lam, d, rs.rank), perm_of(mu, d, rs.rank)
+    else:
+        w, v = perm_of_strict(lam, rs), perm_of_strict(mu, rs)
+    per_term = sum(2 ** len(t) - 1 for t in pullback_terms(rs, d, w, v))
+    reads, guard = _reads_of_the_eyd_class(monkeypatch, rs, d, w, v)
+    assert 10 * reads <= per_term < guard
+
+
+# the character validates once itself and once more in pullback, as in A, C, D
+@pytest.mark.parametrize("compute, shapes", [
+    (lambda rs, w, v: hilbert_data(rs, None, w, v), 2),
+    (lambda rs, w, v: graded_character(rs, None, w, v, 2), 4),
+], ids=["hilbert", "character"])
+def test_type_b_input_is_validated_once(monkeypatch, compute, shapes):
+    calls = []
+    real = restriction.shape_of
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(restriction, "shape_of", counted)
+    compute(B5, WB, VB)
+    assert len(calls) == shapes
 
 
 def test_reduced_word_independence_small():
