@@ -126,9 +126,10 @@ def _latex_class(rstype, d, w, v, backend):
     """The factored form of the class; it is never expanded."""
     terms = restriction.pullback_terms(rstype, d, w, v, backend=backend)
     negative = length(w) % 2 == 1
+    pieces = {}
 
     def body(exps):
-        factors = (rf"\left(e^{{{format_weight(g, latex=True)}}}-1\right)" for g in exps)
+        factors = (rf"\left(e^{{{format_weight(g, True, pieces)}}}-1\right)" for g in exps)
         return "".join(factors) or "1"
 
     return signed_sum((negative, body(exps)) for exps in terms)

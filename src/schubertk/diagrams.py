@@ -8,6 +8,7 @@ store boxes in absolute coordinates with col >= row, in type D as well.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .shapes import contains, largest_part, trim
 from .weyl import RootSystem
@@ -23,9 +24,14 @@ def geometry_of(rstype: RootSystem) -> str:
 
 def ambient_boxes(mu, geometry: str) -> frozenset:
     """All boxes of D_mu (ordinary) or D'_mu (shifted)."""
+    return _boxes_of(trim(mu), geometry)
+
+
+@lru_cache(maxsize=256)
+def _boxes_of(mu: tuple, geometry: str) -> frozenset:
+    """ambient_boxes of a trimmed shape, built once for all diagrams in it."""
     if geometry not in GEOMETRIES:
         raise ValueError(f"unknown geometry {geometry!r}")
-    mu = trim(mu)
     boxes = set()
     for i, row_len in enumerate(mu, start=1):
         start = 1 if geometry == "ordinary" else i
@@ -42,7 +48,7 @@ class BoxSet:
     def __post_init__(self):
         object.__setattr__(self, "ambient", trim(self.ambient))
         object.__setattr__(self, "boxes", frozenset(self.boxes))
-        legal = ambient_boxes(self.ambient, self.geometry)
+        legal = _boxes_of(self.ambient, self.geometry)
         bad = self.boxes - legal
         if bad:
             raise ValueError(f"boxes {sorted(bad)} outside ambient {self.ambient}")

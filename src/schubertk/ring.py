@@ -10,9 +10,15 @@ integer e_1 + e_2 B + ... + e_rank B^(rank-1) with B = 2^16: balanced
 base-B digits.  While every coordinate lies in [-LIMIT, LIMIT] with
 LIMIT = 2^15 - 1 the encoding is unique and additive, so the product of two
 monomials is one integer addition and (e^g - 1) is a shift by the packed g.
-`pack` and `unpack` convert; the kernels `add_into` and `add_binomial_into`
-work on packed dicts {key: coef}.  Tuples appear only at the edges:
-`LaurentPoly.terms`, text, LaTeX and JSON.
+`pack` and `unpack_all` convert; the kernels `add_into` and
+`add_binomial_into` work on packed dicts {key: coef}.  Tuples appear only at
+the edges: `LaurentPoly.terms`, text, LaTeX and JSON.
+
+Decoding.  Keys are decoded in bulk, each at C speed.  Adding H, 2^15 in
+every digit, makes each digit e_i + 2^15 in [1, 2^16 - 1] with no borrow;
+xor H flips bit 15 of each, leaving e_i's 16-bit two's complement with no
+carry, which `struct` reads back as signed 16-bit integers.  The bytes are
+written and read little-endian by name, so no byte order is assumed.
 
 Range guard.  Every LaurentPoly carries `span`, an upper bound on |e_i|
 over its terms: spans add under multiplication and take the max under
@@ -25,7 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
+from struct import Struct
 
 DIGIT = 16
 LIMIT = (1 << (DIGIT - 1)) - 1
@@ -61,14 +69,20 @@ def _bias(rank: int) -> int:
     return LIMIT * (((1 << (DIGIT * rank)) - 1) // _MASK)
 
 
-def unpack(key: int, rank: int) -> tuple:
-    """The exponent vector of a packed key.
+@lru_cache(maxsize=64)
+def _decoder(rank: int) -> tuple:
+    """(H, bytes per key, reader of rank little-endian 16-bit digits)."""
+    return (_bias(rank) // LIMIT) << (DIGIT - 1), 2 * rank, Struct(f"<{rank}h").unpack
 
-    >>> unpack(pack((3, -1, 0, -LIMIT)), 4)
-    (3, -1, 0, -32767)
+
+def unpack_all(keys, rank: int) -> list:
+    """The exponent vectors of packed keys, in order.
+
+    >>> unpack_all([pack((3, -1, 0, -LIMIT)), 0], 4)
+    [(3, -1, 0, -32767), (0, 0, 0, 0)]
     """
-    k = key + _bias(rank)
-    return tuple(((k >> s) & _MASK) - LIMIT for s in range(0, DIGIT * rank, DIGIT))
+    flip, size, read = _decoder(rank)
+    return [read(((k + flip) ^ flip).to_bytes(size, "little")) for k in keys]
 
 
 def add_into(dst: dict, src: dict, g: int = 0) -> None:
@@ -128,7 +142,7 @@ class LaurentPoly:
     @property
     def terms(self) -> dict:
         """The polynomial as {exponent tuple: coefficient}, decoded afresh."""
-        return {unpack(k, self.rank): c for k, c in self.packed.items()}
+        return dict(zip(unpack_all(self.packed, self.rank), self.packed.values()))
 
     @classmethod
     def zero(cls, rank):
@@ -198,10 +212,10 @@ class LaurentPoly:
         )
 
     def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
+        return hash((self.rank, frozenset(self.packed.items())))
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        return sorted(zip(unpack_all(self.packed, self.rank), self.packed.values()))
 
     def coefficient_sum(self) -> int:
         return sum(self.packed.values())
@@ -262,6 +276,13 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> Grade
     degree.  Every numerator term meets every monomial of degree <= N in the
     denominator weights, so more than MAX_EXPANSION such pairs is a
     ValueError before any slice is built.
+
+    Each weight is divided out by 1/(1 - x) = 1 + x/(1 - x), x = e^{-mu}:
+    slice_i += x * slice_{i-1} in place for i = 1..N ascending, so slice_{i-1}
+    already holds its quotient; N kernel calls per weight.  The guard still
+    bounds the work: slice_i holds at most one entry per (numerator term,
+    monomial) pair of total degree i, so weight j reads at most
+    len(num) * C(N-1+j, j) entries, and these sum to len(num) * (C(N+D, D) - 1).
     """
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
@@ -279,8 +300,7 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> Grade
             f"more than {MAX_EXPANSION}; lower the truncation degree"
         )
     slices = [{} for _ in range(N + 1)]
-    for k, c in numerator.packed.items():
-        e = unpack(k, rank)
+    for e, (k, c) in zip(unpack_all(numerator.packed, rank), numerator.packed.items()):
         d = _degree(e, ixi, den)
         if d < 0:
             raise ValueError(f"negative-degree monomial {e} in numerator")
@@ -288,13 +308,8 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> Grade
             slices[d][k] = c
     for mu in denom_weights:
         step = pack([-x for x in mu])
-        new = []
-        for i in range(N + 1):
-            acc = {}
-            for k in range(i + 1):
-                add_into(acc, slices[i - k], k * step)
-            new.append(acc)
-        slices = new
+        for i in range(1, N + 1):
+            add_into(slices[i], slices[i - 1], step)
     return GradedSeries(N, [LaurentPoly.from_packed(rank, s, span) for s in slices])
 
 
@@ -317,11 +332,13 @@ def format_poly(p: LaurentPoly) -> str:
     """Render as a sum of c * e^{...} monomials, sorted by exponent vector."""
     from .weyl import format_weight
 
+    pieces = {}  # shared by every weight of p
+
     def body(e, c):
         if not any(e):
             return str(c)
         mag = "" if c == 1 else f"{c}*"
-        return f"{mag}e^{{{format_weight(e)}}}"
+        return f"{mag}e^{{{format_weight(e, pieces=pieces)}}}"
 
     return signed_sum((c < 0, body(e, abs(c))) for e, c in p.sorted_terms())
 

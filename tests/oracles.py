@@ -3,7 +3,8 @@
 None of them is called by the library: each restates a definition of the
 paper (the Demazure product through the root action, excitation moves,
 the restriction condition on tableaux, the inverse of f, full
-commutativity, a sum of products multiplied out term by term) or is a
+commutativity, a sum of products multiplied out term by term, a packed key
+read digit by digit, a geometric series convolved power by power) or is a
 tool the tests need (energies, JSON readers, the grading of a polynomial
 along xi).
 """
@@ -13,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from schubertk.diagrams import BoxSet, ReflectionTableau, ambient_boxes
-from schubertk.ring import LaurentPoly
+from schubertk.ring import DIGIT, LIMIT, LaurentPoly, add_into, pack
 from schubertk.shapes import part, size, trim
 from schubertk.tableaux import SetValuedTableau, f_map
 from schubertk.weyl import (
@@ -336,3 +337,29 @@ def ev_xi(p: LaurentPoly, xi) -> dict:
     for e, c in p.terms.items():
         out[xi_degree(e, xi)] += c
     return {d: c for d, c in out.items() if c}
+
+
+# -- packed keys and the geometric series -----------------------------------
+
+def unpack(key: int, rank: int) -> tuple:
+    """The exponent vector of a packed key, read digit by digit: with LIMIT
+    added to every digit, each one is a nonnegative 16-bit number.
+
+    >>> unpack(pack((3, -1, 0, -LIMIT)), 4)
+    (3, -1, 0, -32767)
+    """
+    mask = (1 << DIGIT) - 1
+    k = key + LIMIT * sum(1 << s for s in range(0, DIGIT * rank, DIGIT))
+    return tuple(((k >> s) & mask) - LIMIT for s in range(0, DIGIT * rank, DIGIT))
+
+
+def convolved_slices(slices, steps) -> list:
+    """Divide graded packed slices by each (1 - e^{step}) in turn, new slice i
+    being the sum over k <= i of e^{k step} times old slice i - k; returned
+    without zero entries."""
+    for step in steps:
+        old, slices = slices, [{} for _ in slices]
+        for i, acc in enumerate(slices):
+            for k in range(i + 1):
+                add_into(acc, old[i - k], k * step)
+    return [{k: c for k, c in s.items() if c} for s in slices]

@@ -1,0 +1,58 @@
+"""Byte identity of the rendered outputs.
+
+One sha256 covers (argv, exit code, stdout, stderr) of every query below,
+run in-process through ``cli.run``: ``--emit class`` in text, json and latex
+with each backend, and ``--emit character`` with ``--trunc`` 0-4 in text and
+json, at every pair of minimal coset representatives of A(5,2), B3, C3 and
+D4 (5548 queries).  The digest was recorded on the tree before the bulk key
+decoder, the shared weight-piece formatter and the recurrence in
+``geometric_expand`` went in, so it pins their output to the old code's,
+byte for byte.  Re-record it only for a change that means to alter output.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from schubertk import restriction
+from schubertk.cli import run
+from schubertk.shapes import minimal_reps
+from schubertk.weyl import RootSystem, format_window
+
+DIGEST = "4e7f3cdd800ca7a2602a299c31dc8b61b46d659b339d7523c6f2c45608a16192"
+
+GROUPS = (("A", 5, 2), ("B", 3, None), ("C", 3, None), ("D", 4, None))
+
+
+def queries():
+    for kind, rank, d in GROUPS:
+        rs = RootSystem(kind, rank)
+        head = ["--type", kind, "--n", str(rank)] + (["--d", str(d)] if d else [])
+        reps = [format_window(w) for w in minimal_reps(rs, d)]
+        for w in reps:
+            for v in reps:
+                pair = head + [f"--w={w}", f"--v={v}"]
+                for fmt in ("text", "json", "latex"):
+                    for backend in restriction.BACKENDS:
+                        yield pair + ["--emit", "class", "--format", fmt,
+                                      "--backend", backend]
+                for fmt in ("text", "json"):
+                    for trunc in range(5):
+                        yield pair + ["--emit", "character", "--format", fmt,
+                                      "--trunc", str(trunc)]
+
+
+def render_digest() -> tuple:
+    h = hashlib.sha256()
+    count = 0
+    for argv in queries():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        h.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+        count += 1
+    return count, h.hexdigest()
+
+
+def test_rendered_outputs_match_the_recorded_digest():
+    assert render_digest() == (5548, DIGEST)

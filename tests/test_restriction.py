@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import commutation_class, eps_of_entry, ev_xi, identity, sum_of_products
+from oracles import commutation_class, eps_of_entry, ev_xi, identity, sum_of_products, unpack
 from schubertk import hecke, restriction, ring
 from schubertk.diagrams import reading_word, reflection_tableau
 from schubertk.ring import LaurentPoly
@@ -580,7 +580,7 @@ def test_eyd_expansion_is_bounded_before_the_work(monkeypatch):
 
 
 def _decoded(packed, rank):
-    return {ring.unpack(k, rank): c for k, c in packed.items() if c}
+    return {unpack(k, rank): c for k, c in packed.items() if c}
 
 
 def _on_variety_pairs(rs, d=None):

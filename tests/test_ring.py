@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ev_xi, xi_degree
+from oracles import convolved_slices, ev_xi, unpack, xi_degree
 from schubertk.restriction import HilbertData, hilbert_polynomial_value
 from schubertk.ring import (
     LIMIT,
@@ -19,7 +19,7 @@ from schubertk.ring import (
     poly_from_json,
     poly_to_json,
     specialize_zero,
-    unpack,
+    unpack_all,
 )
 
 exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
@@ -256,7 +256,7 @@ def test_terms_hash_eq_and_json_match_the_tuple_representation(a, b):
     clean = {e: c for e, c in a.items() if c}
     p, q = LaurentPoly(3, a), LaurentPoly(3, b)
     assert p.terms == clean
-    assert hash(p) == hash((3, frozenset(clean.items())))
+    assert hash(p) == hash(LaurentPoly(3, clean))
     assert poly_to_json(p) == {
         "monomials": [{"exp": list(e), "coef": str(c)} for e, c in sorted(clean.items())]
     }
@@ -266,3 +266,57 @@ def test_terms_hash_eq_and_json_match_the_tuple_representation(a, b):
     for (x, _, z), c in clean.items():
         dropped[x, z] = dropped.get((x, z), 0) + c
     assert specialize_zero(p, 2).terms == {e: c for e, c in dropped.items() if c}
+
+
+@given(st.integers(1, 14).flatmap(
+    lambda n: st.lists(st.sampled_from([0, 1, -1, LIMIT, -LIMIT]) | st.integers(-LIMIT, LIMIT),
+                       min_size=n, max_size=n)))
+@example([LIMIT] * 14)
+@example([-LIMIT] * 14)
+@example([-1, 0, 1, -LIMIT, LIMIT, -1])
+@settings(max_examples=200, deadline=None)
+def test_bulk_decoder_matches_the_digit_reader(exp):
+    keys = [pack(exp), -pack(exp), 0]
+    assert unpack_all(keys, len(exp)) == [unpack(k, len(exp)) for k in keys]
+    assert unpack_all(keys, len(exp))[0] == tuple(exp)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+           st.lists(st.tuples(st.integers(0, 6), st.integers(-2, 2)), max_size=n, unique=True),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2), st.integers(-4, 4)),
+                    max_size=8),
+           st.integers(0, 6))))
+@example(([(0, 0)], [(0, 1, 1)], 2))
+@settings(max_examples=150, deadline=None)
+def test_geometric_expand_matches_the_power_by_power_convolution(case):
+    # weights -mu = (1, a, b) have xi-degree 1 along xi = eps_1^*; numerator
+    # terms repeat with opposite signs so that some cancel
+    raw, terms, N = case
+    weights = [(-1, -a, -b) for a, b in raw] or [(-1, 0, 0)]
+    num = {}
+    for d, a, c in terms:
+        num[d, a, -a] = num.get((d, a, -a), 0) + c
+        num[d, -a, a] = num.get((d, -a, a), 0) - c
+    p = LaurentPoly(3, num)
+    series = geometric_expand(p, weights, (Fraction(1), Fraction(0), Fraction(0)), N)
+    graded = [{} for _ in range(N + 1)]
+    for k, c in p.packed.items():
+        if (d := unpack(k, 3)[0]) <= N:
+            graded[d][k] = c
+    expected = convolved_slices(graded, [pack([-x for x in mu]) for mu in weights])
+    assert [s.packed for s in series.slices] == expected
+
+
+def test_equal_polynomials_built_by_different_routes_hash_equal():
+    p = LaurentPoly(2, {(1, -1): 3, (0, 2): -1, (0, 0): 7})
+    routes = [
+        mono(1, -1) * 3 - mono(0, 2) + 7,
+        LaurentPoly.from_packed(2, {pack((0, 0)): 7, pack((1, -1)): 3, pack((0, 2)): -1,
+                                    pack((5, 5)): 0}, 5),
+        (mono(1, -1) + mono(0, 1)) * (mono(0, 1) + 3) - mono(0, 1) * 3 + 7
+        - mono(1, 0) - mono(0, 2) * 2,
+        poly_from_json(poly_to_json(p), 2),
+    ]
+    for q in routes:
+        assert q == p and hash(q) == hash(p)
+    assert len({p, *routes}) == 1
