@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ring import MAX_EXPANSION, add_into
+from .ring import add_into, check_work
 from .weyl import (
     RootSystem,
     WeylElement,
@@ -64,16 +64,15 @@ def hecke_subsequences(w: WeylElement, word) -> list:
     """All index subsequences of word whose fold is w, in lexicographic order.
 
     Distinct index tuples count separately even when they spell the same
-    letters.  The fold DP counts the subsequences first, and more than
-    MAX_EXPANSION of them raise before any is listed.  It then lists them on
+    letters.  The fold DP counts the subsequences first, and the count
+    passes `check_work` before any is listed.  It then lists them on
     the same reach table with factor 2^c for letter c: a key is the bit set
     of one subword's taken positions, and no two subwords share a key.
     """
     _check_letters(word, w.rstype)
     reach = _reaching(w, word)
     total = sum(_fold(w, word, [1] * len(word), add_into, _skip_and_take, reach).values())
-    if total > MAX_EXPANSION:
-        raise ValueError(f"{total} subwords fold to w, more than {MAX_EXPANSION}")
+    check_work(total, "subwords fold to w", "the expanded class lists none of them")
     bits = [1 << c for c in range(len(word))]
     subwords = _fold(w, word, bits, add_into, _skip_and_take, reach)
     lw = length(w)
@@ -90,7 +89,8 @@ def fold_dp(w: WeylElement, word, factors, take, stay) -> dict:
     letter is skipped).  Otherwise the letter is absorbed, and
     ``stay(dst, src, f)`` adds skip and take into the same state.  A state is
     kept only while some subword of the rest of the word folds it to w
-    (`_reaching`), so the DP starts empty when w is out of reach.
+    (`_reaching`), so the DP starts empty when w is out of reach.  Before
+    each letter, the state entries read so far pass `check_work`.
     """
     _check_letters(word, w.rstype)
     return _fold(w, word, factors, take, stay, _reaching(w, word))
@@ -102,7 +102,9 @@ def _fold(w: WeylElement, word, factors, take, stay, reach) -> dict:
     kind = rs.kind
     ident = tuple(range(1, rs.rank + 1))
     states = {ident: {0: 1}} if ident in reach[0] else {}
+    work = 0
     for i, f, ahead in zip(word, factors, reach[1:]):
+        work = check_work(work) + sum(map(len, states.values()))
         nxt = {}
         for win, val in states.items():
             if not window_right_ascent(kind, win, i):

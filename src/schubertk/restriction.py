@@ -19,12 +19,12 @@ from math import comb
 from . import hecke
 from .diagrams import enumerate_eyd, geometry_of, reading_word, reflection_tableau
 from .ring import (
-    MAX_EXPANSION,
     GradedSeries,
     LaurentPoly,
     add_binomial_into,
     add_into,
     check_span,
+    check_work,
     geometric_expand,
     pack,
     signed_sum,
@@ -111,30 +111,21 @@ def _box_exponents(rstype: RootSystem, boxes, word) -> dict:
 
 
 def levi_complement_roots(rstype: RootSystem, d: int = None) -> list:
-    """Positive roots of g outside the Levi of the maximal parabolic."""
-    n = rstype.rank
-    out = []
-    if rstype.kind == "A":
+    """Positive roots of g outside the Levi of the maximal parabolic: the
+    eps_i - eps_j with i <= d < j in type A, else the eps_i + eps_j with
+    i < j, and with i = j also 2 eps_i in type C and eps_i in type B."""
+    n, kind = rstype.rank, rstype.kind
+    if kind == "A":
         d = _resolve_d(rstype, d)
-        for i in range(1, d + 1):
-            for j in range(d + 1, n + 1):
-                v = [0] * n
-                v[i - 1], v[j - 1] = 1, -1
-                out.append(tuple(v))
-        return out
-    for i in range(1, n + 1):
-        if rstype.kind == "B":
-            v = [0] * n
-            v[i - 1] = 1
-            out.append(tuple(v))
-        elif rstype.kind == "C":
-            v = [0] * n
-            v[i - 1] = 2
-            out.append(tuple(v))
-        for j in range(i + 1, n + 1):
-            v = [0] * n
-            v[i - 1], v[j - 1] = 1, 1
-            out.append(tuple(v))
+        pairs = [(i, j) for i in range(d) for j in range(d, n)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + (kind == "D"), n)]
+    out = []
+    for i, j in pairs:
+        v = [0] * n
+        v[i] += 1
+        v[j] += -1 if kind == "A" else int(i != j or kind == "C")
+        out.append(tuple(v))
     return out
 
 
@@ -206,16 +197,19 @@ def _sum_of_products(terms) -> dict:
     Horner's rule over the prefix trie of the terms: sums[j] is the sum over
     the completions below path[:j], folded into its parent once, when the
     next term leaves it, and a term adds the unit where it ends.  Any order
-    gives the same sum; sorted terms share the most work.
+    gives the same sum; sorted terms share the most work.  Before each fold,
+    the entries folded so far pass `check_work`.
 
     >>> _sum_of_products([((1,),), ((1,), (2,))])  # (e - 1) + (e - 1)(e^2 - 1)
     {3: 1, 2: -1}
     """
     keys = {g: pack(g) for g in set().union(*terms)}
-    path, sums = [], [{}]
+    path, sums, reads = [], [{}], 0
 
     def fold_to(depth):
+        nonlocal reads
         while len(path) > depth:  # arguments run left to right: parent, then child
+            reads = check_work(reads) + len(sums[-1])
             add_binomial_into(sums[-2], sums.pop(), path.pop())
 
     for term in terms:
@@ -267,8 +261,10 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     DP over set-valued tableaux, eyd lists the excited diagrams and sums
     them by Horner's rule over their shared prefixes, and hecke sums over
     the 0-Hecke subwords of a reduced word for v by the fold DP and is the
-    ground truth.  The eyd sum is refused before any diagram is listed when
-    its bound sum_k c_k 2^k passes MAX_EXPANSION.
+    ground truth.  Each engine keeps a running count of the entries it hands
+    to a kernel and passes it to `check_work` before each call, so a class
+    is refused at the first call after its work passes the budget, with a
+    message that names the factored --format latex.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -276,30 +272,19 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     n = rstype.rank
     if not contains(lam, mu):
         return KClass(rstype, d, LaurentPoly.zero(n), on_variety=False)
-    boxes, word = _tableau_word(rstype, d, mu)
-    if backend == "hecke":
-        return KClass(rstype, d, pullback_hecke_with_word(rstype, w, word))
-    table = _box_exponents(rstype, boxes, word)
-    span = _span_bound(table.values())
-    geometry = geometry_of(rstype)
-    if backend == "svt":
-        packed = _svt_class(lam, mu, geometry, table)
+    if backend == "eyd":
+        terms = pullback_terms(rstype, d, w, v, backend="eyd")
+        span = _span_bound(set().union(*terms))
+        packed = _sum_of_products(terms)
     else:
-        _check_eyd_expansion(lam, mu, geometry)
-        packed = _sum_of_products(pullback_terms(rstype, d, w, v, backend="eyd"))
+        boxes, word = _tableau_word(rstype, d, mu)
+        if backend == "hecke":
+            return KClass(rstype, d, pullback_hecke_with_word(rstype, w, word))
+        table = _box_exponents(rstype, boxes, word)
+        span = _span_bound(table.values())
+        packed = _svt_class(lam, mu, geometry_of(rstype), table)
     sign = -1 if length(w) % 2 else 1
     return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span) * sign)
-
-
-def _check_eyd_expansion(lam, mu, geometry: str) -> None:
-    """sum_k c_k 2^k, c_k the diagrams with k boxes as the transfer DP counts
-    them, bounds the eyd sum: it reads at most 2^k - 1 entries per diagram."""
-    work = sum(c << k for k, c in svt_dp(lam, mu, geometry, count_entries).items())
-    if work > MAX_EXPANSION:
-        raise ValueError(
-            f"the eyd expansion writes {work} monomials, more than {MAX_EXPANSION}; "
-            "use --backend svt|hecke"
-        )
 
 
 def _svt_class(lam, mu, geometry: str, table: dict) -> dict:
@@ -328,10 +313,8 @@ def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> Lauren
 def pullback_b_via_d(w: WeylElement, v: WeylElement) -> KClass:
     """Type B_n class through the D_{n+1} identification: compute upstairs,
     then send eps_{n+1} to 0."""
-    if w.rstype.kind != "B" or v.rstype.kind != "B":
-        raise ValueError("pullback_b_via_d expects type B elements")
     n = w.rstype.rank
-    cls = pullback(*_lift_b(w, v), backend="svt")
+    cls = pullback(*_lift_b(w, v), backend="svt")  # the lift rejects other types
     return KClass(w.rstype, n, specialize_zero(cls.value, n + 1), cls.on_variety)
 
 
@@ -454,8 +437,8 @@ class BackendReport:
 def check_backends(rstype: RootSystem, d, w: WeylElement, v: WeylElement) -> BackendReport:
     """Run every applicable backend and compare the expanded classes bit-exactly.
 
-    eyd runs first, so an eyd expansion past MAX_EXPANSION is refused before
-    any class is computed."""
+    Each backend's expansion is refused as in `pullback`, once the entries
+    its engine has read pass the budget of `check_work`."""
     names = list(BACKENDS)
     classes = [(name, pullback(rstype, d, w, v, backend=name)) for name in names]
     if rstype.kind == "B":

@@ -41,6 +41,15 @@ _MASK = (1 << DIGIT) - 1
 MAX_EXPANSION = 10**7
 
 
+def check_work(work: int, what: str = "entries read",
+               remedy: str = "for a class, --format latex prints the factored form") -> int:
+    """Return work, or raise ValueError once it passes MAX_EXPANSION, the one
+    budget of every count that can blow up time or memory."""
+    if work > MAX_EXPANSION:
+        raise ValueError(f"{work} {what}, more than {MAX_EXPANSION}; {remedy}")
+    return work
+
+
 def check_span(span: int) -> int:
     """Return span, or raise ValueError if coordinates bounded by it do not
     fit the packing range."""
@@ -273,16 +282,18 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> Grade
 
     Each -mu must have xi-degree exactly 1 (every tangent weight pairs to -1
     in the cominuscule setting), so the expansion is graded and finite per
-    degree.  Every numerator term meets every monomial of degree <= N in the
-    denominator weights, so more than MAX_EXPANSION such pairs is a
-    ValueError before any slice is built.
+    degree.  A numerator term of degree i meets every monomial of degree
+    <= N - i in the D denominator weights, so sum_i |num_i| C(N-i+D, D), with
+    num_i the numerator's degree-i part, passes `check_work` before any
+    slice is expanded.
 
     Each weight is divided out by 1/(1 - x) = 1 + x/(1 - x), x = e^{-mu}:
     slice_i += x * slice_{i-1} in place for i = 1..N ascending, so slice_{i-1}
-    already holds its quotient; N kernel calls per weight.  The guard still
-    bounds the work: slice_i holds at most one entry per (numerator term,
-    monomial) pair of total degree i, so weight j reads at most
-    len(num) * C(N-1+j, j) entries, and these sum to len(num) * (C(N+D, D) - 1).
+    already holds its quotient; N kernel calls per weight.  The guard bounds
+    the work: while weight j is divided out, slice_{i-1} holds at most one
+    entry per term of num_k and monomial of degree i-1-k in the first j
+    weights, so weight j reads at most sum_k |num_k| C(N-1-k+j, j) entries,
+    and these sum to sum_k |num_k| (C(N-k+D, D) - 1).
     """
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
@@ -293,12 +304,6 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> Grade
     rank = numerator.rank
     # a degree-i slice is the numerator times i denominator monomials
     span = check_span(numerator.span + N * max(map(span_of, denom_weights), default=0))
-    work = len(numerator.packed) * comb(N + len(denom_weights), len(denom_weights))
-    if work > MAX_EXPANSION:
-        raise ValueError(
-            f"the character to degree {N} needs up to {work} term products, "
-            f"more than {MAX_EXPANSION}; lower the truncation degree"
-        )
     slices = [{} for _ in range(N + 1)]
     for e, (k, c) in zip(unpack_all(numerator.packed, rank), numerator.packed.items()):
         d = _degree(e, ixi, den)
@@ -306,6 +311,10 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> Grade
             raise ValueError(f"negative-degree monomial {e} in numerator")
         if d <= N:
             slices[d][k] = c
+    D = len(denom_weights)
+    work = sum(len(s) * comb(N - i + D, D) for i, s in enumerate(slices))
+    check_work(work, f"term products in the character to degree {N}",
+               "lower the truncation degree")
     for mu in denom_weights:
         step = pack([-x for x in mu])
         for i in range(1, N + 1):

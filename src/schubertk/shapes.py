@@ -29,9 +29,7 @@ def is_partition(parts) -> bool:
 
 def is_strict_partition(parts) -> bool:
     parts = trim(parts)
-    return is_partition(parts) and all(a > b for a, b in zip(parts, parts[1:])) and all(
-        a > 0 for a in parts
-    )
+    return all(a > b for a, b in zip(parts, parts[1:] + (0,)))  # positive and strict
 
 
 def size(parts) -> int:

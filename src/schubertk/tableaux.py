@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .diagrams import BoxSet, ambient_boxes
-from .ring import add_into
+from .ring import add_into, check_work
 from .shapes import contains, part, trim
 
 
@@ -121,8 +121,9 @@ def svt_dp(lam, mu, geometry: str, step) -> dict:
     adds src times the summed weight of the entry sets with that maximum,
     whose other entries are drawn from ``below`` (the feasible entries
     smaller than ``largest``).  The empty filling weighs {0: 1}, the unit of
-    both accumulators.  With ``count_entries`` the result maps the number of
-    entries to the number of tableaux:
+    both accumulators.  Before each state's steps, the entries handed to
+    ``step`` so far pass `check_work`.  With ``count_entries`` the result maps
+    the number of entries to the number of tableaux:
 
     >>> svt_dp((1,), (2, 2), "ordinary", count_entries)
     {1: 2, 2: 1}
@@ -132,6 +133,7 @@ def svt_dp(lam, mu, geometry: str, step) -> dict:
         raise ValueError(f"{lam} is not contained in {mu}")
     shifted = geometry != "ordinary"
     states = {(0,) * (lam[0] if lam else 0): {0: 1}}  # row 0: nothing above
+    work = 0
     for i, row_len in enumerate(lam, start=1):
         if i > 1:
             # the new row sits under the previous row's columns from `cut` on
@@ -154,6 +156,7 @@ def svt_dp(lam, mu, geometry: str, step) -> dict:
                 if p and state[p - 1] > lo:
                     lo = state[p - 1]
                 s = bisect_left(values, lo)
+                work = check_work(work) + len(acc) * (len(values) - s)
                 head, tail = state[:p], state[p + 1:]
                 for t in range(s, len(values)):
                     key = head + (values[t],) + tail

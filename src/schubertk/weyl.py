@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .ring import check_work
+
 KINDS = ("A", "B", "C", "D")
 
 Weight = tuple  # integer vector of length rank, coefficients of eps_1..eps_rank
@@ -35,6 +37,10 @@ class RootSystem:
             raise ValueError(f"rank must be at least 2, got {self.rank}")
         if self.kind == "D" and self.rank < 3:
             raise ValueError("type D requires rank at least 3")
+        n = self.rank  # the positive roots, built as rank-tuples, must fit the budget
+        positive = {"A": n * (n - 1) // 2, "D": n * (n - 1)}.get(self.kind, n * n)
+        check_work(n * positive, f"coordinates in the positive roots of {self.kind}{n}",
+                   "lower the rank")
 
     @property
     def num_simple(self) -> int:
@@ -184,15 +190,13 @@ def is_minimal_rep(w: WeylElement, d=None) -> bool:
     letters count as large.
     """
     n = w.rstype.rank
+    skip = None  # type A: the one position at which w may descend
     if w.rstype.kind == "A":
         if d is None or not 1 <= d <= n - 1:
             raise ValueError(f"type A requires 1 <= d <= {n - 1}, got {d}")
-        win = w.window
-        return all(win[i] < win[i + 1] for i in range(d - 1)) and all(
-            win[i] < win[i + 1] for i in range(d, n - 1)
-        )
+        skip = d - 1
     full = full_window(w)
-    return all(full[i] < full[i + 1] for i in range(n - 1))
+    return all(full[i] < full[i + 1] for i in range(n - 1) if i != skip)
 
 
 def full_window(w: WeylElement) -> tuple:

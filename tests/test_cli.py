@@ -3,11 +3,11 @@ import time
 
 import pytest
 
-from schubertk import cli, hecke, restriction
+from schubertk import cli, hecke, restriction, ring, tableaux
 from schubertk.cli import build_parser, run
 from schubertk.ring import poly_from_json
 from schubertk.restriction import pullback
-from schubertk.tableaux import count_entries
+from schubertk.shapes import perm_of_strict
 from schubertk.weyl import RootSystem, parse_window
 
 
@@ -81,29 +81,50 @@ def test_check_mode_agrees(capsys):
     assert "4 backends agree" in out
 
 
-def test_check_rejects_a_large_eyd_expansion_before_any_enumeration(capsys, monkeypatch):
-    # sum_k c_k 2^k = 42065920 monomials for the eyd sum, counted by the
-    # transfer DP alone
-    calls = []
-
-    def record(name, real):
-        def wrapped(*args, **kw):
-            calls.append((name, args[-1]))
-            return real(*args, **kw)
-        return wrapped
-
-    monkeypatch.setattr(restriction, "enumerate_eyd", record("eyd", restriction.enumerate_eyd))
-    monkeypatch.setattr(hecke, "fold_dp", record("fold", hecke.fold_dp))
-    monkeypatch.setattr(restriction, "svt_dp", record("svt_dp", restriction.svt_dp))
+def test_check_agrees_on_a_large_eyd_class(capsys):
+    # 2,105 diagrams; the eyd sum reads about 1.3 * 10^5 entries
     code = run("--type A --n 12 --d 6 --lambda 4,4,2,2 --mu 6,6,6,5,4,4 --check".split())
-    assert code == 2
+    assert code == 0
+    assert capture(capsys) == "3 backends agree: eyd, svt, hecke"
+
+
+@pytest.mark.parametrize("backend", restriction.BACKENDS)
+def test_every_class_engine_stops_at_the_budget(backend, capsys, monkeypatch):
+    pair = "--type C --rank 5 --lambda 3,1 --mu 5,4,3,1"
+    rs = RootSystem("C", 5)
+    w, v = perm_of_strict((3, 1), rs), perm_of_strict((5, 4, 3, 1), rs)
+    counts = []
+
+    def recorded(work, *args):
+        counts.append(work)
+        return ring.check_work(work, *args)
+
+    for module in (restriction, tableaux, hecke):
+        monkeypatch.setattr(module, "check_work", recorded)
+    expect = pullback(rs, None, w, v, backend="svt" if backend == "hecke" else "hecke")
+    counts.clear()
+    pullback(rs, None, w, v, backend=backend)
+    need = max(counts)  # the work done before the engine's last call
+    monkeypatch.setattr(ring, "MAX_EXPANSION", need)
+    assert pullback(rs, None, w, v, backend=backend) == expect
+    monkeypatch.setattr(ring, "MAX_EXPANSION", need - 1)
+    with pytest.raises(ValueError, match=f"{need} entries read.*--format latex"):
+        pullback(rs, None, w, v, backend=backend)
+    assert run(f"{pair} --check".split()) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "--format latex" in out.err
+
+
+def test_rank_past_the_budget_exits_2_with_one_line(capsys):
+    # A272 has 272 * 36856 root coordinates, more than 10^7
+    assert run("--type A --n 272 --d 1 --lambda 1 --mu 1 --emit mult".split()) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == (
-        "error: the eyd expansion writes 42065920 monomials, more than 10000000; "
-        "use --backend svt|hecke\n"
+        "error: 10024832 coordinates in the positive roots of A272, "
+        "more than 10000000; lower the rank\n"
     )
-    assert calls == [("svt_dp", count_entries)]
 
 
 def test_check_agrees_on_a_26_letter_hecke_word(capsys):

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from oracles import commutation_class, demazure_fold, identity, is_fully_commutative, m_order
-from schubertk import hecke
+from schubertk import hecke, ring
 from schubertk.diagrams import reading_word, reflection_tableau
 from schubertk.hecke import _reaching, hecke_subsequences, subsequence_stats
 from schubertk.shapes import minimal_reps, perm_of, shape_of
@@ -48,7 +48,7 @@ def test_subsequences_examples():
 
 def test_subword_listing_is_bounded_by_its_exact_size(monkeypatch):
     s1 = simple_reflection(A3, 1)
-    monkeypatch.setattr(hecke, "MAX_EXPANSION", 7)  # (1, 1, 1) has 7 subwords
+    monkeypatch.setattr(ring, "MAX_EXPANSION", 7)  # (1, 1, 1) has 7 subwords
     assert len(hecke_subsequences(s1, (1, 1, 1))) == 7
     with pytest.raises(ValueError, match="15 subwords fold to w, more than 7"):
         hecke_subsequences(s1, (1, 1, 1, 1))

@@ -36,3 +36,11 @@ def test_all_names_resolve_and_match_the_readme():
     library = (ROOT / "README.md").read_text().split("## Library")[1].split("\n## ")[0]
     listed = re.search(r"Public names[^:]*:(.*?)\n\n", library, re.S).group(1)
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(schubertk.__all__)
+
+
+def test_only_ring_names_the_work_budget():
+    naming = [
+        path.name for path in sorted((ROOT / "src" / "schubertk").glob("*.py"))
+        if re.search(r"\bMAX_EXPANSION\b", path.read_text())
+    ]
+    assert naming == ["ring.py"]

@@ -213,3 +213,11 @@ def test_window_level_helpers_match_weyl_ops():
                 assert window_right_mult(kind, w.window, i) == mult(w, s).window
                 expect = is_positive_root_vector(apply(w, alphas[i - 1]))
                 assert window_right_ascent(kind, w.window, i) == expect
+
+
+@pytest.mark.parametrize("kind, refused", [("A", 272), ("B", 216), ("C", 216), ("D", 216)])
+def test_rank_is_bounded_by_the_coordinates_of_its_roots(kind, refused):
+    # rank * |positive roots| against the budget, checked before any root is built
+    assert RootSystem(kind, refused - 1).rank == refused - 1
+    with pytest.raises(ValueError, match=f"positive roots of {kind}{refused}, .*lower the rank"):
+        RootSystem(kind, refused)
