@@ -70,52 +70,52 @@ def initial_diagram(lam, mu, geometry: str) -> BoxSet:
     return BoxSet(geometry, trim(mu), ambient_boxes(lam, geometry))
 
 
-def _excited(boxes: frozenset, legal: frozenset, geometry: str, box, move: bool):
-    """The boxes after one excitation at box, or None when it is blocked;
-    legal is the ambient's box set.
-
-    Off-diagonal boxes need the three boxes (i+1,j), (i,j+1), (i+1,j+1)
-    free inside the ambient; the shifted diagonal rules need two (B/C) or
-    four (D) free boxes and move by one or two diagonal steps.  A move
-    (type 1) takes box there, an add (type 2) keeps it.
-    """
+def _needed(box, geometry: str) -> tuple:
+    """The boxes that an excitation at box needs free, its target last.  The
+    target is one diagonal step down, two on the diagonal of type D."""
     i, j = box
     if geometry == "ordinary" or i != j:
-        needed = ((i + 1, j), (i, j + 1), (i + 1, j + 1))
-        target = (i + 1, j + 1)
-    elif geometry == "shiftedBC":
-        needed = ((i, i + 1), (i + 1, i + 1))
-        target = (i + 1, i + 1)
-    else:  # shiftedD diagonal
-        needed = ((i, i + 1), (i + 1, i + 1), (i + 1, i + 2), (i + 2, i + 2))
-        target = (i + 2, i + 2)
-    if not all(b in legal and b not in boxes for b in needed):
-        return None
-    return (boxes - {box} if move else boxes) | {target}
+        return (i + 1, j), (i, j + 1), (i + 1, j + 1)
+    if geometry == "shiftedBC":
+        return (i, i + 1), (i + 1, i + 1)
+    return (i, i + 1), (i + 1, i + 1), (i + 1, i + 2), (i + 2, i + 2)
 
 
 def enumerate_eyd(lam, mu, geometry: str, reduced_only: bool = False) -> list:
     """All excited Young diagrams of D_lam in D_mu, by BFS over excitations.
 
-    With reduced_only, only type 1 moves are applied, which yields the
-    reduced excited diagrams.  Output is deduplicated and sorted by box list.
+    A diagram is an int with one bit per box of D_mu, in sorted box order.
+    An excitation needs the boxes of `_needed` free inside D_mu; a move
+    (type 1) takes the box to the target, an add (type 2) keeps it.  With
+    reduced_only, only moves are applied, which yields the reduced excited
+    diagrams.  Output is deduplicated and sorted by box list.
     """
     start = initial_diagram(lam, mu, geometry)
-    legal = ambient_boxes(start.ambient, geometry)
-    moves = (True,) if reduced_only else (True, False)
-    seen = {start.boxes}
-    frontier = [start.boxes]
+    order = sorted(_boxes_of(start.ambient, geometry))
+    bit = {box: 1 << k for k, box in enumerate(order)}
+    moves = []  # (bit of the box, mask that must be free, bit of the target)
+    for box in order:
+        needed = _needed(box, geometry)
+        if all(b in bit for b in needed):
+            moves.append((bit[box], sum(bit[b] for b in needed), bit[needed[-1]]))
+    kinds = 1 if reduced_only else 2
+    frontier = [sum(bit[b] for b in start.boxes)]
+    seen = set(frontier)
     while frontier:
         nxt = []
-        for boxes in frontier:
-            for box in boxes:
-                for move in moves:
-                    new = _excited(boxes, legal, geometry, box, move)
-                    if new is not None and new not in seen:
-                        seen.add(new)
-                        nxt.append(new)
+        for m in frontier:
+            for b, need, target in moves:
+                if m & b and not m & need:
+                    for new in (m ^ b | target, m | target)[:kinds]:
+                        if new not in seen:
+                            seen.add(new)
+                            nxt.append(new)
         frontier = nxt
-    return [BoxSet(geometry, start.ambient, boxes) for boxes in sorted(seen, key=sorted)]
+    # ascending bit indices sort as the boxes do
+    indices = range(len(order))
+    rows = sorted([k for k in indices if m >> k & 1] for m in seen)
+    return [BoxSet(geometry, start.ambient, frozenset(map(order.__getitem__, row)))
+            for row in rows]
 
 
 @dataclass(frozen=True)

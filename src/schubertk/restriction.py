@@ -92,6 +92,12 @@ def _lift_b(w: WeylElement, v: WeylElement) -> tuple:
     """(D_{n+1}, n + 1, wD, vD) for type B_n elements: B_n is not
     cominuscule, and its class, Hilbert data and character are computed
     through the identification with D_{n+1}, which keeps both shapes."""
+    n = w.rstype.rank
+    try:  # a refused D_{n+1} names the rank the caller gave
+        RootSystem("D", n + 1)
+    except ValueError as exc:
+        raise ValueError(f"B{n}'s Hilbert data, character and lifted class "
+                         f"are computed through D{n + 1}: {exc}") from None
     wD, vD = bd_identify_inverse(w), bd_identify_inverse(v)
     return wD.rstype, wD.rstype.rank, wD, vD
 
@@ -272,32 +278,34 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     n = rstype.rank
     if not contains(lam, mu):
         return KClass(rstype, d, LaurentPoly.zero(n), on_variety=False)
-    if backend == "eyd":
-        terms = pullback_terms(rstype, d, w, v, backend="eyd")
-        span = _span_bound(set().union(*terms))
-        packed = _sum_of_products(terms)
-    else:
-        boxes, word = _tableau_word(rstype, d, mu)
-        if backend == "hecke":
-            return KClass(rstype, d, pullback_hecke_with_word(rstype, w, word))
-        table = _box_exponents(rstype, boxes, word)
-        span = _span_bound(table.values())
-        packed = _svt_class(lam, mu, geometry_of(rstype), table)
+    if backend == "svt":
+        return KClass(rstype, d, _svt_class(rstype, d, w, lam, mu))
+    if backend == "hecke":
+        word = _tableau_word(rstype, d, mu)[1]
+        return KClass(rstype, d, pullback_hecke_with_word(rstype, w, word))
+    terms = pullback_terms(rstype, d, w, v, backend="eyd")
+    span = _span_bound(set().union(*terms))
+    packed = _sum_of_products(terms)
     sign = -1 if length(w) % 2 else 1
     return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span) * sign)
 
 
-def _svt_class(lam, mu, geometry: str, table: dict) -> dict:
-    """sum over the set-valued tableaux T of prod_{x in T(i,j)} (e^{g(x, j-i)} - 1)
-    by the transfer DP, with g(x, j-i) the exponent of the box (x, x+j-i) of
-    f(T) in table.  The entries of a box below its maximum contribute
+def _svt_class(rstype: RootSystem, d: int, w: WeylElement, lam, mu) -> LaurentPoly:
+    """The signed class of the validated shapes lam inside mu, summed over
+    the set-valued tableaux T of prod_{x in T(i,j)} (e^{g(x, j-i)} - 1) by
+    the transfer DP, with g(x, j-i) the exponent of the box (x, x+j-i) of
+    f(T).  The entries of a box below its maximum contribute
     1 + (e^g - 1) = e^g each, so every transition is one fused kernel call."""
+    table = _box_exponents(rstype, *_tableau_word(rstype, d, mu))
+    span = _span_bound(table.values())
     g = {(x, y - x): pack(e) for (x, y), e in table.items()}
 
     def step(dst, src, q, below, largest):
         add_binomial_into(dst, src, g[largest, q], sum(g[x, q] for x in below))
 
-    return svt_dp(lam, mu, geometry, step)
+    packed = svt_dp(lam, mu, geometry_of(rstype), step)
+    sign = -1 if length(w) % 2 else 1
+    return LaurentPoly.from_packed(rstype.rank, packed, span) * sign
 
 
 def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> LaurentPoly:
@@ -411,15 +419,16 @@ def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     Dimension slices agree with the Hilbert polynomial values.  The cominuscule
     types A, C, D are expanded directly; type B is computed upstairs in
     D_{n+1} and its slices are specialized back."""
-    d = _validated_shapes(rstype, d, w, v)[0]
+    d, lam, mu = _validated_shapes(rstype, d, w, v)
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
     n = rstype.rank
-    if rstype.kind == "B":
+    if rstype.kind == "B":  # the lift keeps both shapes
         rstype, d, w, v = _lift_b(w, v)
     weights = tangent_weights(rstype, d, v)
     ixi, den = _scaled_xi(rstype, d, v, weights)
-    numerator = pullback(rstype, d, w, v, backend="svt").value
+    numerator = (_svt_class(rstype, d, w, lam, mu) if contains(lam, mu)
+                 else LaurentPoly.zero(rstype.rank))
     xi = [Fraction(x, den) for x in ixi]
     series = geometric_expand(numerator, weights, xi, N)
     if rstype.rank == n:

@@ -127,6 +127,15 @@ def test_rank_past_the_budget_exits_2_with_one_line(capsys):
     )
 
 
+def test_type_b_lift_past_the_budget_names_the_given_rank(capsys):
+    # B215 passes the bound, but its Hilbert data lift to D216, which does not
+    assert run("--type B --n 215 --lambda 1 --mu 1 --emit mult".split()) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: B215")
+    assert "through D216" in out.err
+
+
 def test_check_agrees_on_a_26_letter_hecke_word(capsys):
     code = run("--type A --n 12 --d 6 --lambda 4,3,2,1 --mu 6,6,5,4,3,2 --check".split())
     assert code == 0

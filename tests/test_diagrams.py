@@ -8,11 +8,13 @@ from schubertk.diagrams import (
     ambient_boxes,
     boxset_to_json,
     enumerate_eyd,
+    geometry_of,
     initial_diagram,
     reading_word,
     reflection_tableau,
 )
-from schubertk.shapes import perm_of, perm_of_strict
+from schubertk.restriction import hilbert_data
+from schubertk.shapes import contains, minimal_reps, perm_of, perm_of_strict, shape_of
 from schubertk.weyl import RootSystem, length
 
 
@@ -95,6 +97,41 @@ def test_enumerate_eyd_closed_under_excitation():
                     C2 = excite(C, box, kind)
                     if C2 is not None:
                         assert C2.boxes in family
+
+
+def _on_variety_pairs():
+    groups = [(RootSystem("A", n), d) for n in range(2, 7) for d in range(1, n)]
+    groups += [(RootSystem(kind, n), None) for kind in "BC" for n in range(2, 5)]
+    groups += [(RootSystem("D", n), None) for n in range(3, 6)]
+    for rs, d in groups:
+        reps = minimal_reps(rs, d)
+        shapes = [(u, shape_of(u, d or rs.rank)) for u in reps]
+        for w, lam in shapes:
+            for v, mu in shapes:
+                if contains(lam, mu):
+                    yield rs, d, w, v, lam, mu
+
+
+def test_enumerate_eyd_is_the_closure_under_the_oracle_excitations():
+    # the BFS closure of D_lam under oracles.excite, in sorted box-list order;
+    # the reduced diagrams count the multiplicity, in type B those of the
+    # same shapes in D_{n+1}, through which its Hilbert data are computed
+    pairs = 0
+    for rs, d, w, v, lam, mu in _on_variety_pairs():
+        geometry = geometry_of(rs)
+        for kinds in (("type1", "type2"), ("type1",)):
+            seen = frontier = {initial_diagram(lam, mu, geometry)}
+            while frontier:
+                frontier = {excite(C, box, kind) for C in frontier for box in C.boxes
+                            for kind in kinds} - {None} - seen
+                seen = seen | frontier
+            expected = sorted(seen, key=lambda C: sorted(C.boxes))
+            assert enumerate_eyd(lam, mu, geometry, reduced_only=len(kinds) == 1) == expected
+        upstairs = "shiftedD" if rs.kind == "B" else geometry
+        reduced = enumerate_eyd(lam, mu, upstairs, reduced_only=True)
+        assert len(reduced) == hilbert_data(rs, d, w, v, method="svt").multiplicity
+        pairs += 1
+    assert pairs == 1125
 
 
 def test_energies():
