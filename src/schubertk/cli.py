@@ -2,15 +2,15 @@
 
 Inputs are either Weyl windows (--w/--v, signed comma lists) or shapes
 (--lambda/--mu), one style per invocation.  Exit codes: 0 success, 1
-cross-check mismatch, 2 invalid input.
+cross-check mismatch, 2 invalid input, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import os
 import sys
+from types import SimpleNamespace
 
 from . import restriction
 from .diagrams import (
@@ -34,47 +34,74 @@ from .weyl import RootSystem, format_weight, length, parse_window
 EMITS = ("class", "hilbert", "hilbert-poly", "mult", "diagrams", "tableaux", "character")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use: parse_args keeps
-    no state between calls."""
-    p = argparse.ArgumentParser(
-        prog="schubertk",
-        description="Restrictions of Schubert classes to fixed points in "
-        "equivariant K-theory of (isotropic) Grassmannians.",
-    )
-    p.add_argument("--type", required=True, choices=["A", "B", "C", "D"], dest="kind")
-    p.add_argument("--n", "--rank", type=int, required=True, dest="rank",
-                   help="rank (n for type A)")
-    p.add_argument("--d", type=int, default=None, help="parabolic index (type A only)")
-    p.add_argument("--w", default=None, help="window for w, e.g. 1,3,5,2,4,6,7")
-    p.add_argument("--v", default=None, help="window for v")
-    p.add_argument("--lambda", dest="lam", default=None, help="shape for w, e.g. 2,1")
-    p.add_argument("--mu", default=None, help="shape for v")
-    p.add_argument("--backend", choices=list(restriction.BACKENDS), default="svt")
-    p.add_argument("--emit", choices=list(EMITS), default="class")
-    p.add_argument("--format", choices=["text", "json", "latex"], default="text",
-                   dest="fmt",
-                   help="latex applies to --emit class (the factored form) and "
-                   "--emit diagrams (TikZ); every other emit prints its text form")
-    p.add_argument("--trunc", type=int, default=3, help="character truncation degree")
-    p.add_argument("--count-only", action="store_true", dest="count_only")
-    p.add_argument("--check", action="store_true",
-                   help="run all applicable backends and compare")
-    p.add_argument("--reduced-only", action="store_true", dest="reduced_only")
-    return p
+# flag -> (dest, converter, choices, default, help); the converter bool marks
+# a flag that takes no value.  --type and --n/--rank have no default.
+OPTIONS = {
+    "--type": ("kind", str, ("A", "B", "C", "D"), None, "root system type (required)"),
+    "--n": ("rank", int, None, None, "rank, n for type A (required)"),
+    "--d": ("d", int, None, None, "parabolic index (type A only)"),
+    "--w": ("w", str, None, None, "window for w, e.g. 1,3,5,2,4,6,7"),
+    "--v": ("v", str, None, None, "window for v"),
+    "--lambda": ("lam", str, None, None, "shape for w, e.g. 2,1"),
+    "--mu": ("mu", str, None, None, "shape for v"),
+    "--backend": ("backend", str, restriction.BACKENDS, "svt", "class engine"),
+    "--emit": ("emit", str, EMITS, "class", "what to compute"),
+    "--format": ("fmt", str, ("text", "json", "latex"), "text", "latex applies to --emit "
+                 "class (factored) and diagrams (TikZ); other emits print their text form"),
+    "--trunc": ("trunc", int, None, 3, "character truncation degree"),
+    "--count-only": ("count_only", bool, None, False, "count diagrams or tableaux"),
+    "--check": ("check", bool, None, False, "run all applicable backends and compare"),
+    "--reduced-only": ("reduced_only", bool, None, False, "reduced diagrams or tableaux only"),
+}
+OPTIONS["--rank"] = OPTIONS["--n"]
 
 
-def _attach_signed_windows(argv) -> list:
-    """argparse reads a value such as "-4,-3,-2,-1" as an option, so a
-    window that starts with a barred entry is attached to its flag."""
-    out = []
-    for tok in argv:
-        if out and out[-1] in ("--w", "--v") and tok.startswith("-") and tok[1:2].isdigit():
-            out[-1] = f"{out[-1]}={tok}"
-        else:
-            out.append(tok)
-    return out
+def _help() -> str:
+    lines = ["usage: schubertk --type T --n N (--w W --v V | --lambda L --mu M) [option ...]",
+             "  -h, --help\n      print this help"]
+    for flag, (dest, convert, choices, _, text) in OPTIONS.items():
+        value = "{%s}" % ",".join(choices) if choices else "" if convert is bool else dest.upper()
+        lines.append(f"  {flag} {value}".rstrip() + f"\n      {text}")
+    return "\n".join(lines)
+
+
+def parse_args(argv):
+    """The options of argv as a namespace of OPTIONS' dests, or None for
+    --help.  A flag's value is always the next token (or follows "="), so a
+    window may start with a barred entry; the last repeated flag wins."""
+    args = {dest: default for dest, _, _, default, _ in OPTIONS.values()}
+    unknown, tokens = [], iter(argv)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            return None
+        flag, eq, value = tok.partition("=")
+        if flag not in OPTIONS:
+            unknown.append(tok)
+            continue
+        dest, convert, choices, _, _ = OPTIONS[flag]
+        if convert is bool:
+            if eq:
+                raise ValueError(f"argument {flag}: takes no value, got {value!r}")
+            args[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"argument {flag}: expected one argument")
+        try:
+            value = convert(value)
+        except ValueError:
+            raise ValueError(f"argument {flag}: invalid int value: {value!r}") from None
+        if choices and value not in choices:
+            raise ValueError(f"argument {flag}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(choices)})")
+        args[dest] = value
+    if unknown:  # first, as a misspelled --type or --rank also reads as missing
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    for flag, dest in (("--type", "kind"), ("--n/--rank", "rank")):
+        if args[dest] is None:
+            raise ValueError(f"the following argument is required: {flag}")
+    return SimpleNamespace(**args)
 
 
 def _resolve_inputs(args):
@@ -137,15 +164,11 @@ def _latex_class(rstype, d, w, v, backend):
 
 def run(argv) -> int:
     try:
-        args = build_parser().parse_args(_attach_signed_windows(argv))
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = parse_args(argv)
+        if args is None:
+            print(_help())
+            return 0
         rstype, d, w, v, lam, mu = _resolve_inputs(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.check:
             return _run_check(args, rstype, d, w, v, lam, mu)
         return _run_emit(args, rstype, d, w, v, lam, mu)
@@ -268,5 +291,11 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
     return 0
 
 
-def main():  # pragma: no cover
-    sys.exit(run(sys.argv[1:]))
+def main():
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet the exit flush
+        code = 141  # 128 + SIGPIPE, as the shell reports a process the signal ended
+    sys.exit(code)

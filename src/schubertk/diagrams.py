@@ -44,6 +44,7 @@ class BoxSet:
     geometry: str
     ambient: tuple
     boxes: frozenset
+    order: tuple = field(default=None, compare=False)  # the boxes sorted, if known
 
     def __post_init__(self):
         object.__setattr__(self, "ambient", trim(self.ambient))
@@ -54,7 +55,7 @@ class BoxSet:
             raise ValueError(f"boxes {sorted(bad)} outside ambient {self.ambient}")
 
     def sorted_boxes(self) -> tuple:
-        return tuple(sorted(self.boxes))
+        return self.order if self.order is not None else tuple(sorted(self.boxes))
 
     def __len__(self):
         return len(self.boxes)
@@ -111,11 +112,11 @@ def enumerate_eyd(lam, mu, geometry: str, reduced_only: bool = False) -> list:
                             seen.add(new)
                             nxt.append(new)
         frontier = nxt
-    # ascending bit indices sort as the boxes do
+    # ascending bit indices sort as the boxes do, so each row is sorted
     indices = range(len(order))
     rows = sorted([k for k in indices if m >> k & 1] for m in seen)
-    return [BoxSet(geometry, start.ambient, frozenset(map(order.__getitem__, row)))
-            for row in rows]
+    return [BoxSet(geometry, start.ambient, row, row)
+            for row in (tuple(map(order.__getitem__, r)) for r in rows)]
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,12 @@ None of them is called by the library: each restates a definition of the
 paper (the Demazure product through the root action, excitation moves,
 the restriction condition on tableaux, the inverse of f, full
 commutativity, a sum of products multiplied out term by term, a packed key
-read digit by digit, a geometric series convolved power by power) or is a
-tool the tests need (energies, JSON readers, the grading of a polynomial
-along xi).
+read digit by digit, a geometric series convolved power by power), is the
+argparse parser the CLI replaced by its option table, or is a tool the tests
+need (energies, JSON readers, the grading of a polynomial along xi).
 """
 
+import argparse
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
@@ -363,3 +364,41 @@ def convolved_slices(slices, steps) -> list:
             for k in range(i + 1):
                 add_into(acc, old[i - k], k * step)
     return [{k: c for k, c in s.items() if c} for s in slices]
+
+
+# -- the command line --------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the CLI before it read its options from one
+    table; choices are spelled out as they stood then."""
+    p = argparse.ArgumentParser(prog="schubertk")
+    p.add_argument("--type", required=True, choices=["A", "B", "C", "D"], dest="kind")
+    p.add_argument("--n", "--rank", type=int, required=True, dest="rank")
+    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--w", default=None)
+    p.add_argument("--v", default=None)
+    p.add_argument("--lambda", dest="lam", default=None)
+    p.add_argument("--mu", default=None)
+    p.add_argument("--backend", choices=["eyd", "svt", "hecke"], default="svt")
+    p.add_argument("--emit", default="class", choices=[
+        "class", "hilbert", "hilbert-poly", "mult", "diagrams", "tableaux", "character"])
+    p.add_argument("--format", choices=["text", "json", "latex"], default="text", dest="fmt")
+    p.add_argument("--trunc", type=int, default=3)
+    p.add_argument("--count-only", action="store_true", dest="count_only")
+    p.add_argument("--check", action="store_true")
+    p.add_argument("--reduced-only", action="store_true", dest="reduced_only")
+    return p
+
+
+def reference_parse(argv) -> argparse.Namespace:
+    """argv through the reference parser.  argparse reads a value such as
+    "-4,-3,-2,-1" as an option, so a window that starts with a barred entry
+    is first attached to its flag, as the CLI did."""
+    attached = []
+    for tok in argv:
+        if attached and attached[-1] in ("--w", "--v") and tok[:1] == "-" and tok[1:2].isdigit():
+            attached[-1] = f"{attached[-1]}={tok}"
+        else:
+            attached.append(tok)
+    return reference_parser().parse_args(attached)

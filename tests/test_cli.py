@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from schubertk import cli, hecke, restriction, ring, tableaux
-from schubertk.cli import build_parser, run
+from schubertk import hecke, restriction, ring, tableaux
+from schubertk.cli import run
 from schubertk.ring import poly_from_json
 from schubertk.restriction import pullback
 from schubertk.shapes import perm_of_strict
@@ -439,8 +439,7 @@ def test_character_truncation_is_bounded_before_the_work(capsys):
     assert out.err.count("\n") == 1 and "truncation degree" in out.err
 
 
-def test_reused_parser_leaks_no_state(capsys, monkeypatch):
-    assert build_parser() is build_parser()
+def test_reused_parser_leaks_no_state(capsys):
     pair = "--type C --rank 4 --lambda 2,1 --mu 4,2,1"
     queries = [
         f"{pair} --emit diagrams --count-only --reduced-only",
@@ -451,12 +450,9 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
         f"{pair} --emit diagrams",
     ]
 
-    def outputs():
-        return [(run(q.split()), capsys.readouterr()) for q in queries]
+    def outputs(order):
+        return {q: (run(q.split()), capsys.readouterr()) for q in order}
 
-    shared = outputs()
-    with monkeypatch.context() as m:
-        m.setattr(cli, "build_parser", build_parser.__wrapped__)
-        fresh = outputs()
-    assert [code for code, _ in shared] == [0, 2, 0, 0, 0]
-    assert shared == fresh
+    forward = outputs(queries)
+    assert [forward[q][0] for q in queries] == [0, 2, 0, 0, 0]
+    assert outputs(queries[::-1]) == forward
