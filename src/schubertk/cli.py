@@ -13,23 +13,11 @@ import sys
 from types import SimpleNamespace
 
 from . import restriction
-from .diagrams import (
-    boxset_to_json,
-    boxset_to_tikz,
-    enumerate_eyd,
-    geometry_of,
-)
+from .diagrams import boxset_to_json, boxset_to_tikz, enumerate_eyd
 from .ring import format_poly, poly_to_json, signed_sum
-from .shapes import (
-    contains,
-    parse_shape,
-    perm_of,
-    perm_of_strict,
-    shape_of,
-    size,
-)
+from .shapes import parse_shape, perm_of, perm_of_strict, size
 from .tableaux import count_entries, enumerate_svt, svt_dp, svt_to_json
-from .weyl import RootSystem, format_weight, length, parse_window
+from .weyl import RootSystem, format_weight, length, parabolic_index, parse_window
 
 EMITS = ("class", "hilbert", "hilbert-poly", "mult", "diagrams", "tableaux", "character")
 
@@ -104,14 +92,16 @@ def parse_args(argv):
     return SimpleNamespace(**args)
 
 
-def _resolve_inputs(args):
+def _resolve_inputs(args) -> restriction.Pair:
+    """The one validated pair of the query; d is checked before any element
+    is built."""
     rstype = RootSystem(args.kind, args.rank)
-    d = args.d
     if rstype.kind == "A":
-        if d is None:
-            raise ValueError("type A requires --d")
-    elif d is not None:
+        if args.d is None:
+            raise ValueError("type A needs --d")
+    elif args.d is not None:
         raise ValueError("--d applies to type A only")
+    d = parabolic_index(rstype, args.d)
     windows = args.w is not None or args.v is not None
     shapes = args.lam is not None or args.mu is not None
     if windows and shapes:
@@ -121,8 +111,7 @@ def _resolve_inputs(args):
     if windows:
         if args.w is None or args.v is None:
             raise ValueError("both --w and --v are required")
-        w = parse_window(rstype, args.w)
-        v = parse_window(rstype, args.v)
+        w, v = parse_window(rstype, args.w), parse_window(rstype, args.v)
     else:
         if args.lam is None or args.mu is None:
             raise ValueError("both --lambda and --mu are required")
@@ -131,28 +120,26 @@ def _resolve_inputs(args):
             w, v = perm_of(lam, d, rstype.rank), perm_of(mu, d, rstype.rank)
         else:
             w, v = perm_of_strict(lam, rstype), perm_of_strict(mu, rstype)
-    dd = d if rstype.kind == "A" else rstype.rank
-    lam, mu = shape_of(w, dd), shape_of(v, dd)
-    return rstype, dd, w, v, lam, mu
+    return restriction.Pair.of(rstype, d, w, v)
 
 
-def _base_doc(rstype, d, w, v, lam, mu):
+def _base_doc(pair):
     return {
-        "type": rstype.kind,
-        "rank": rstype.rank,
-        "d": d if rstype.kind == "A" else None,
-        "w": list(w.window),
-        "v": list(v.window),
-        "lambda": list(lam),
-        "mu": list(mu),
-        "status": "on-variety" if contains(lam, mu) else "off-variety",
+        "type": pair.rstype.kind,
+        "rank": pair.rstype.rank,
+        "d": pair.d if pair.rstype.kind == "A" else None,
+        "w": list(pair.w.window),
+        "v": list(pair.v.window),
+        "lambda": list(pair.lam),
+        "mu": list(pair.mu),
+        "status": "on-variety" if pair.on_variety else "off-variety",
     }
 
 
-def _latex_class(rstype, d, w, v, backend):
+def _latex_class(pair, backend):
     """The factored form of the class; it is never expanded."""
-    terms = restriction.pullback_terms(rstype, d, w, v, backend=backend)
-    negative = length(w) % 2 == 1
+    terms = restriction.pullback_terms(pair, backend=backend)
+    negative = length(pair.w) % 2 == 1
     pieces = {}
 
     def body(exps):
@@ -168,17 +155,15 @@ def run(argv) -> int:
         if args is None:
             print(_help())
             return 0
-        rstype, d, w, v, lam, mu = _resolve_inputs(args)
-        if args.check:
-            return _run_check(args, rstype, d, w, v, lam, mu)
-        return _run_emit(args, rstype, d, w, v, lam, mu)
+        pair = _resolve_inputs(args)
+        return _run_check(pair) if args.check else _run_emit(args, pair)
     except (ValueError, RuntimeError) as exc:  # RuntimeError: a failed internal check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _run_check(args, rstype, d, w, v, lam, mu) -> int:
-    report = restriction.check_backends(rstype, d, w, v)
+def _run_check(pair) -> int:
+    report = restriction.pair_check(pair)
     names = [name for name, _ in report.classes]
     if report.agree:
         print(f"{len(names)} backends agree: {', '.join(names)}")
@@ -187,16 +172,16 @@ def _run_check(args, rstype, d, w, v, lam, mu) -> int:
     return 1
 
 
-def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
-    doc = _base_doc(rstype, d, w, v, lam, mu)
+def _run_emit(args, pair) -> int:
+    doc = _base_doc(pair)
     emit, fmt = args.emit, args.fmt
-    geometry = geometry_of(rstype)
+    rstype, lam, mu, geometry = pair.rstype, pair.lam, pair.mu, pair.geometry
 
     if emit == "class":
         if fmt == "latex":
-            print(_latex_class(rstype, d, w, v, args.backend))
+            print(_latex_class(pair, args.backend))
             return 0
-        cls = restriction.pullback(rstype, d, w, v, backend=args.backend)
+        cls = restriction.pair_class(pair, args.backend)
         if fmt == "json":
             doc["class"] = poly_to_json(cls.value)
             print(json.dumps(doc, sort_keys=True))
@@ -205,7 +190,7 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
         return 0
 
     if emit in ("hilbert", "hilbert-poly", "mult"):
-        data = restriction.hilbert_data(rstype, d, w, v)
+        data = restriction.pair_hilbert(pair)
         if fmt == "json":
             doc["hilbert"] = {"d_w": data.d_w, "m": list(data.m)}
             doc["multiplicity"] = data.multiplicity
@@ -237,17 +222,16 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
         return 0
 
     # off the variety there is nothing to list, and the enumerators raise
-    on_variety = doc["status"] == "on-variety"
     if args.count_only and emit in ("diagrams", "tableaux"):
         # f matches the diagrams with the tableaux, and the reduced ones
         # with the single-valued tableaux: count them by the transfer DP
-        counts = svt_dp(lam, mu, geometry, count_entries) if on_variety else {}
+        counts = svt_dp(lam, mu, geometry, count_entries) if pair.on_variety else {}
         print(counts.get(size(lam), 0) if args.reduced_only else sum(counts.values()))
         return 0
 
     if emit == "diagrams":
         items = (enumerate_eyd(lam, mu, geometry, reduced_only=args.reduced_only)
-                 if on_variety else [])
+                 if pair.on_variety else [])
         if fmt == "json":
             doc["diagrams"] = [boxset_to_json(C) for C in items]
             print(json.dumps(doc, sort_keys=True))
@@ -261,7 +245,7 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
 
     if emit == "tableaux":
         items = (enumerate_svt(lam, mu, geometry, single_valued_only=args.reduced_only)
-                 if on_variety else [])
+                 if pair.on_variety else [])
         if fmt == "json":
             doc["tableaux"] = [svt_to_json(T) for T in items]
             print(json.dumps(doc, sort_keys=True))
@@ -274,7 +258,7 @@ def _run_emit(args, rstype, d, w, v, lam, mu) -> int:
         return 0
 
     # character
-    series = restriction.graded_character(rstype, d, w, v, args.trunc)
+    series = restriction.pair_character(pair, args.trunc)
     note = f" (through D_{rstype.rank + 1})" if rstype.kind == "B" else ""
     dims = series.dims()
     if fmt == "json":

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .shapes import contains, largest_part, trim
-from .weyl import RootSystem
+from .weyl import RootSystem, parabolic_index
 
 GEOMETRIES = ("ordinary", "shiftedBC", "shiftedD")
 
@@ -144,13 +144,11 @@ def reflection_tableau(mu, rstype: RootSystem, d: int = None) -> ReflectionTable
     n = rstype.rank
     kind = rstype.kind
     geometry = geometry_of(rstype)
+    d = parabolic_index(rstype, d)
     if kind == "A":
-        if d is None:
-            raise ValueError("type A needs d")
         if len(mu) > d or (mu and mu[0] > n - d):
             raise ValueError(f"{mu} does not fit in a {d}x{n - d} box")
     else:
-        d = n
         bound = largest_part(rstype)
         if mu and mu[0] > bound:
             raise ValueError(f"{mu} does not fit: largest part exceeds {bound}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from . import hecke
@@ -45,6 +46,7 @@ from .weyl import (
     is_positive_root_vector,
     length,
     negate_weight,
+    parabolic_index,
     simple_roots,
     window_apply,
     window_right_mult,
@@ -71,49 +73,63 @@ class HilbertData:
         return self.m[0] if self.m else 0
 
 
-def _resolve_d(rstype: RootSystem, d) -> int:
-    if rstype.kind == "A":
-        if d is None or not 1 <= d <= rstype.rank - 1:
-            raise ValueError(f"type A needs 1 <= d <= {rstype.rank - 1}, got {d}")
-        return d
-    return rstype.rank
+@dataclass(frozen=True)
+class Pair:
+    """One validated query: minimal representatives w, v of rstype, the index
+    d of the maximal parabolic, the shapes lam of w and mu of v, and whether
+    v lies on X^w.  `Pair.of` validates once, every engine takes a pair, and
+    T_mu, its reading word and its exponents are built here on first use."""
 
+    rstype: RootSystem
+    d: int
+    w: WeylElement
+    v: WeylElement
+    lam: tuple
+    mu: tuple
+    on_variety: bool
 
-def _validated_shapes(rstype: RootSystem, d, w: WeylElement, v: WeylElement) -> tuple:
-    """(d, lam, mu) for minimal representatives w, v of rstype; ValueError on
-    a root-system mismatch, a bad d or a non-minimal element."""
-    if rstype != w.rstype or rstype != v.rstype:
-        raise ValueError("root system mismatch")
-    d = _resolve_d(rstype, d)
-    return d, shape_of(w, d), shape_of(v, d)
+    @classmethod
+    def of(cls, rstype: RootSystem, d, w: WeylElement, v: WeylElement) -> Pair:
+        """ValueError on a root-system mismatch, a bad d or a non-minimal element."""
+        if rstype != w.rstype or rstype != v.rstype:
+            raise ValueError("root system mismatch")
+        d = parabolic_index(rstype, d)
+        lam, mu = shape_of(w, d), shape_of(v, d)
+        return cls(rstype, d, w, v, lam, mu, contains(lam, mu))
 
+    @property
+    def geometry(self) -> str:
+        return geometry_of(self.rstype)
 
-def _lift_b(w: WeylElement, v: WeylElement) -> tuple:
-    """(D_{n+1}, n + 1, wD, vD) for type B_n elements: B_n is not
-    cominuscule, and its class, Hilbert data and character are computed
-    through the identification with D_{n+1}, which keeps both shapes."""
-    n = w.rstype.rank
-    try:  # a refused D_{n+1} names the rank the caller gave
-        RootSystem("D", n + 1)
-    except ValueError as exc:
-        raise ValueError(f"B{n}'s Hilbert data, character and lifted class "
-                         f"are computed through D{n + 1}: {exc}") from None
-    wD, vD = bd_identify_inverse(w), bd_identify_inverse(v)
-    return wD.rstype, wD.rstype.rank, wD, vD
+    @cached_property
+    def tableau(self):
+        return reflection_tableau(self.mu, self.rstype, self.d)
 
+    @cached_property
+    def word(self) -> tuple:
+        """The reading word of T_mu, a reduced word for v."""
+        return reading_word(self.tableau)
 
-def _tableau_word(rstype: RootSystem, d: int, mu) -> tuple:
-    """(boxes, word): the boxes of the reflection tableau T_mu in reading
-    order and its reading word, a reduced word for v."""
-    T = reflection_tableau(mu, rstype, d)
-    return T.reading_boxes, reading_word(T)
+    @cached_property
+    def exponents(self) -> dict:
+        """{box: -r(c)} for the box at reading position c of T_mu: the
+        exponent g of the factor (e^g - 1) that the box brings to a term, in
+        every backend (Graham-Willems restriction through the r-values)."""
+        rs = map(negate_weight, r_values(self.word, self.rstype))
+        return dict(zip(self.tableau.reading_boxes, rs))
 
-
-def _box_exponents(rstype: RootSystem, boxes, word) -> dict:
-    """{box: -r(c)} for the box at reading position c of T_mu: the exponent
-    g of the factor (e^g - 1) that the box brings to a term, in every
-    backend (Graham-Willems restriction through the r-values)."""
-    return dict(zip(boxes, map(negate_weight, r_values(word, rstype))))
+    @cached_property
+    def lifted(self) -> Pair:
+        """The D_{n+1} pair of a type B_n pair, with the same shapes: B_n is not
+        cominuscule, and its Hilbert data, character and lifted class use it."""
+        n = self.rstype.rank
+        try:  # a refused D_{n+1} names the rank the caller gave
+            RootSystem("D", n + 1)
+        except ValueError as exc:
+            raise ValueError(f"B{n}'s Hilbert data, character and lifted class "
+                             f"are computed through D{n + 1}: {exc}") from None
+        wD, vD = bd_identify_inverse(self.w), bd_identify_inverse(self.v)
+        return Pair(wD.rstype, n + 1, wD, vD, self.lam, self.mu, self.on_variety)
 
 
 def levi_complement_roots(rstype: RootSystem, d: int = None) -> list:
@@ -122,7 +138,7 @@ def levi_complement_roots(rstype: RootSystem, d: int = None) -> list:
     i < j, and with i = j also 2 eps_i in type C and eps_i in type B."""
     n, kind = rstype.rank, rstype.kind
     if kind == "A":
-        d = _resolve_d(rstype, d)
+        d = parabolic_index(rstype, d)
         pairs = [(i, j) for i in range(d) for j in range(d, n)]
     else:
         pairs = [(i, j) for i in range(n) for j in range(i + (kind == "D"), n)]
@@ -231,31 +247,28 @@ def _sum_of_products(terms) -> dict:
     return sums[0]
 
 
-def pullback_terms(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
-                   backend: str = "eyd") -> list:
+def pullback_terms(pair: Pair, backend: str = "eyd") -> list:
     """The factored form of the class: a list of terms, each a tuple of
     exponents g, so that i_v*[O_{X^w}] = (-1)^{l(w)} sum_t prod (e^g - 1)."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    d, lam, mu = _validated_shapes(rstype, d, w, v)
-    if not contains(lam, mu):
+    if not pair.on_variety:
         return []
-    geometry = geometry_of(rstype)
-    boxes, word = _tableau_word(rstype, d, mu)
+    boxes = pair.tableau.reading_boxes
     # each backend lists its terms as tuples of boxes of D_mu
     if backend == "eyd":
-        terms = (C.sorted_boxes() for C in enumerate_eyd(lam, mu, geometry))
+        terms = (C.sorted_boxes() for C in enumerate_eyd(pair.lam, pair.mu, pair.geometry))
     elif backend == "svt":  # the boxes of f(T)
         terms = (
             tuple((x, x + j - i) for (i, j), entries in T.cells for x in entries)
-            for T in enumerate_svt(lam, mu, geometry)
+            for T in enumerate_svt(pair.lam, pair.mu, pair.geometry)
         )
     else:
         terms = (
             tuple(boxes[p - 1] for p in sub.indices)
-            for sub in hecke.hecke_subsequences(w, word)
+            for sub in hecke.hecke_subsequences(pair.w, pair.word)
         )
-    exps = _box_exponents(rstype, boxes, word)
+    exps = pair.exponents
     return [tuple(exps[box] for box in term) for term in terms]
 
 
@@ -272,40 +285,36 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     is refused at the first call after its work passes the budget, with a
     message that names the factored --format latex.
     """
+    return pair_class(Pair.of(rstype, d, w, v), backend)
+
+
+def pair_class(pair: Pair, backend: str = "eyd") -> KClass:
+    """The class of `pullback` for a validated pair.  The span of all of
+    T_mu's exponents passes the packing range before any engine runs."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    d, lam, mu = _validated_shapes(rstype, d, w, v)
-    n = rstype.rank
-    if not contains(lam, mu):
+    rstype, d, n = pair.rstype, pair.d, pair.rstype.rank
+    if not pair.on_variety:
         return KClass(rstype, d, LaurentPoly.zero(n), on_variety=False)
-    if backend == "svt":
-        return KClass(rstype, d, _svt_class(rstype, d, w, lam, mu))
     if backend == "hecke":
-        word = _tableau_word(rstype, d, mu)[1]
-        return KClass(rstype, d, pullback_hecke_with_word(rstype, w, word))
-    terms = pullback_terms(rstype, d, w, v, backend="eyd")
-    span = _span_bound(set().union(*terms))
-    packed = _sum_of_products(terms)
-    sign = -1 if length(w) % 2 else 1
-    return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span) * sign)
+        return KClass(rstype, d, pullback_hecke_with_word(rstype, pair.w, pair.word))
+    span = _span_bound(pair.exponents.values())
+    packed = _svt_packed(pair) if backend == "svt" else _sum_of_products(pullback_terms(pair))
+    return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span) * (-1) ** length(pair.w))
 
 
-def _svt_class(rstype: RootSystem, d: int, w: WeylElement, lam, mu) -> LaurentPoly:
-    """The signed class of the validated shapes lam inside mu, summed over
+def _svt_packed(pair: Pair) -> dict:
+    """The unsigned class of an on-variety pair as a packed dict, summed over
     the set-valued tableaux T of prod_{x in T(i,j)} (e^{g(x, j-i)} - 1) by
     the transfer DP, with g(x, j-i) the exponent of the box (x, x+j-i) of
     f(T).  The entries of a box below its maximum contribute
     1 + (e^g - 1) = e^g each, so every transition is one fused kernel call."""
-    table = _box_exponents(rstype, *_tableau_word(rstype, d, mu))
-    span = _span_bound(table.values())
-    g = {(x, y - x): pack(e) for (x, y), e in table.items()}
+    g = {(x, y - x): pack(e) for (x, y), e in pair.exponents.items()}
 
     def step(dst, src, q, below, largest):
         add_binomial_into(dst, src, g[largest, q], sum(g[x, q] for x in below))
 
-    packed = svt_dp(lam, mu, geometry_of(rstype), step)
-    sign = -1 if length(w) % 2 else 1
-    return LaurentPoly.from_packed(rstype.rank, packed, span) * sign
+    return svt_dp(pair.lam, pair.mu, pair.geometry, step)
 
 
 def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> LaurentPoly:
@@ -314,16 +323,19 @@ def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> Lauren
     exps = [negate_weight(r) for r in r_values(word, rstype)]
     span = _span_bound(exps)
     packed = hecke.fold_dp(w, word, list(map(pack, exps)), add_binomial_into, add_into)
-    sign = -1 if length(w) % 2 else 1
-    return LaurentPoly.from_packed(rstype.rank, packed, span) * sign
+    return LaurentPoly.from_packed(rstype.rank, packed, span) * (-1) ** length(w)
 
 
 def pullback_b_via_d(w: WeylElement, v: WeylElement) -> KClass:
     """Type B_n class through the D_{n+1} identification: compute upstairs,
     then send eps_{n+1} to 0."""
-    n = w.rstype.rank
-    cls = pullback(*_lift_b(w, v), backend="svt")  # the lift rejects other types
-    return KClass(w.rstype, n, specialize_zero(cls.value, n + 1), cls.on_variety)
+    return _b_via_d(Pair.of(w.rstype, None, w, v))
+
+
+def _b_via_d(pair: Pair) -> KClass:
+    n = pair.rstype.rank
+    cls = pair_class(pair.lifted, "svt")  # the lift rejects other types
+    return KClass(pair.rstype, n, specialize_zero(cls.value, n + 1), cls.on_variety)
 
 
 def hilbert_data(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
@@ -334,21 +346,25 @@ def hilbert_data(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     counts by the transfer DP, "eyd" lists the diagrams and "hecke" runs
     the fold DP.  Type B returns the data of the D_{n+1} identification:
     dim G/P and l(w) agree across it."""
+    return pair_hilbert(Pair.of(rstype, d, w, v), method)
+
+
+def pair_hilbert(pair: Pair, method: str = "svt") -> HilbertData:
+    """The data of `hilbert_data` for a validated pair."""
     if method not in ("svt", "eyd", "hecke"):
         raise ValueError(f"unknown method {method!r}")
-    d, lam, mu = _validated_shapes(rstype, d, w, v)
-    if rstype.kind == "B":
-        rstype, d, w, v = _lift_b(w, v)
-    d_w = dim_gp(rstype, d) - length(w)
-    if not contains(lam, mu):
+    if pair.rstype.kind == "B":
+        pair = pair.lifted
+    d_w = dim_gp(pair.rstype, pair.d) - length(pair.w)
+    if not pair.on_variety:
         return HilbertData(d_w, ())
-    geometry = geometry_of(rstype)
+    lam, mu = pair.lam, pair.mu
     if method == "hecke":
-        sizes = hecke.subsequence_stats(w, _tableau_word(rstype, d, mu)[1])
+        sizes = hecke.subsequence_stats(pair.w, pair.word)
     elif method == "eyd":
-        sizes = Counter(len(C) for C in enumerate_eyd(lam, mu, geometry))
+        sizes = Counter(len(C) for C in enumerate_eyd(lam, mu, pair.geometry))
     else:
-        sizes = svt_dp(lam, mu, geometry, count_entries)
+        sizes = svt_dp(lam, mu, pair.geometry, count_entries)
     top = max(sizes, default=size(lam))
     m = tuple(sizes.get(size(lam) + k, 0) for k in range(top - size(lam) + 1))
     return HilbertData(d_w, m)
@@ -419,19 +435,23 @@ def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     Dimension slices agree with the Hilbert polynomial values.  The cominuscule
     types A, C, D are expanded directly; type B is computed upstairs in
     D_{n+1} and its slices are specialized back."""
-    d, lam, mu = _validated_shapes(rstype, d, w, v)
+    return pair_character(Pair.of(rstype, d, w, v), N)
+
+
+def pair_character(pair: Pair, N: int) -> GradedSeries:
+    """The character of `graded_character` for a validated pair; a negative
+    N is refused before the numerator is built."""
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
-    n = rstype.rank
-    if rstype.kind == "B":  # the lift keeps both shapes
-        rstype, d, w, v = _lift_b(w, v)
-    weights = tangent_weights(rstype, d, v)
-    ixi, den = _scaled_xi(rstype, d, v, weights)
-    numerator = (_svt_class(rstype, d, w, lam, mu) if contains(lam, mu)
-                 else LaurentPoly.zero(rstype.rank))
+    n = pair.rstype.rank
+    if pair.rstype.kind == "B":
+        pair = pair.lifted
+    weights = tangent_weights(pair.rstype, pair.d, pair.v)
+    ixi, den = _scaled_xi(pair.rstype, pair.d, pair.v, weights)
+    numerator = pair_class(pair, "svt").value
     xi = [Fraction(x, den) for x in ixi]
     series = geometric_expand(numerator, weights, xi, N)
-    if rstype.rank == n:
+    if pair.rstype.rank == n:
         return series
     return GradedSeries(N, [specialize_zero(s, n + 1) for s in series.slices])
 
@@ -448,10 +468,15 @@ def check_backends(rstype: RootSystem, d, w: WeylElement, v: WeylElement) -> Bac
 
     Each backend's expansion is refused as in `pullback`, once the entries
     its engine has read pass the budget of `check_work`."""
+    return pair_check(Pair.of(rstype, d, w, v))
+
+
+def pair_check(pair: Pair) -> BackendReport:
+    """The report of `check_backends` for a validated pair."""
     names = list(BACKENDS)
-    classes = [(name, pullback(rstype, d, w, v, backend=name)) for name in names]
-    if rstype.kind == "B":
-        classes.append(("b-via-d", pullback_b_via_d(w, v)))
+    classes = [(name, pair_class(pair, name)) for name in names]
+    if pair.rstype.kind == "B":
+        classes.append(("b-via-d", _b_via_d(pair)))
     base = classes[0][1].value
     for name, cls in classes[1:]:
         if cls.value != base:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .weyl import RootSystem, WeylElement, is_minimal_rep
+from .weyl import RootSystem, WeylElement, is_minimal_rep, parabolic_index
 
 
 def trim(parts) -> tuple:
@@ -146,8 +146,7 @@ def all_shapes(rstype: RootSystem, d: int = None):
     strict partitions with parts <= n (B/C) or <= n-1 (D)."""
     n = rstype.rank
     if rstype.kind == "A":
-        if d is None:
-            raise ValueError("type A needs d")
+        d = parabolic_index(rstype, d)
         return _box_partitions(d, n - d)
     parts = range(largest_part(rstype), 0, -1)
     shapes = [combo for r in range(len(parts) + 1) for combo in combinations(parts, r)]

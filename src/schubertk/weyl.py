@@ -183,6 +183,15 @@ def length(w: WeylElement) -> int:
     return len(reduced_word(w))
 
 
+def parabolic_index(rstype: RootSystem, d) -> int:
+    """d in type A, ValueError unless 1 <= d <= n - 1; n in types B/C/D."""
+    if rstype.kind != "A":
+        return rstype.rank
+    if d is None or not 1 <= d <= rstype.rank - 1:
+        raise ValueError(f"type A needs 1 <= d <= {rstype.rank - 1}, got {d}")
+    return d
+
+
 def is_minimal_rep(w: WeylElement, d=None) -> bool:
     """Test membership in W^P: the d-th maximal parabolic in type A, P_n otherwise.
 
@@ -190,11 +199,7 @@ def is_minimal_rep(w: WeylElement, d=None) -> bool:
     letters count as large.
     """
     n = w.rstype.rank
-    skip = None  # type A: the one position at which w may descend
-    if w.rstype.kind == "A":
-        if d is None or not 1 <= d <= n - 1:
-            raise ValueError(f"type A requires 1 <= d <= {n - 1}, got {d}")
-        skip = d - 1
+    skip = parabolic_index(w.rstype, d) - 1  # type A's one descent; n - 1 skips none
     full = full_window(w)
     return all(full[i] < full[i + 1] for i in range(n - 1) if i != skip)
 

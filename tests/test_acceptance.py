@@ -30,6 +30,7 @@ from schubertk.shapes import (
 )
 from schubertk.restriction import (
     BACKENDS,
+    Pair,
     graded_character,
     hilbert_data,
     hilbert_polynomial_coeffs,
@@ -405,9 +406,9 @@ def test_criterion_10_nonreduced_subsequences_admit_commuting_pair():
         assert fc_cache[w], (rs, w)  # the Prop's hypothesis holds in these cases
         # the factored classes agree as multisets of root subsets, and no
         # term repeats a root
-        factored = []
+        factored, pair = [], Pair.of(rs, d, w, v)
         for backend in BACKENDS:
-            terms = pullback_terms(rs, d, w, v, backend=backend)
+            terms = pullback_terms(pair, backend=backend)
             assert all(len(set(t)) == len(t) for t in terms), (rs, w, v, backend)
             factored.append(Counter(frozenset(t) for t in terms))
         assert factored[0] == factored[1] == factored[2], (rs, w, v)

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import time
+from collections import Counter
 
 import pytest
 
-from schubertk import hecke, restriction, ring, tableaux
+from schubertk import cli, diagrams, hecke, restriction, ring, shapes, tableaux
 from schubertk.cli import run
 from schubertk.ring import poly_from_json
 from schubertk.restriction import pullback
@@ -148,18 +151,18 @@ def test_cap_option_is_gone(capsys):
 
 
 def test_check_mode_reports_injected_corruption(capsys, monkeypatch):
-    real = restriction.pullback
+    real = restriction.pair_class
 
-    def corrupted(rstype, d, w, v, backend="eyd", **kw):
-        cls = real(rstype, d, w, v, backend=backend, **kw)
+    def corrupted(pair, backend="eyd"):
+        cls = real(pair, backend)
         if backend == "svt":
             from schubertk.ring import LaurentPoly
 
-            bad = cls.value + LaurentPoly.monomial((1,) * rstype.rank)
-            return restriction.KClass(rstype, cls.d, bad, cls.on_variety)
+            bad = cls.value + LaurentPoly.monomial((1,) * pair.rstype.rank)
+            return restriction.KClass(pair.rstype, cls.d, bad, cls.on_variety)
         return cls
 
-    monkeypatch.setattr(restriction, "pullback", corrupted)
+    monkeypatch.setattr(restriction, "pair_class", corrupted)
     code = run(
         "--type A --n 7 --d 3 --w 1,3,5,2,4,6,7 --v 4,6,7,1,2,3,5 --check".split()
     )
@@ -413,8 +416,10 @@ def test_one_term_class_of_a_30_box_shape_prints_at_once(backend, capsys):
     assert sorted(factors[:-1]) == want
 
 
+# the engines the CLI calls; the ids name the public functions they serve
 @pytest.mark.parametrize(
-    "target, emit", [("hilbert_data", "hilbert-poly"), ("graded_character", "character")]
+    "target, emit", [("pair_hilbert", "hilbert-poly"), ("pair_character", "character")],
+    ids=["hilbert_data-hilbert-poly", "graded_character-character"],
 )
 def test_internal_check_failure_exits_2_with_one_line(target, emit, capsys, monkeypatch):
     def fail(*args, **kwargs):
@@ -456,3 +461,59 @@ def test_reused_parser_leaks_no_state(capsys):
     forward = outputs(queries)
     assert [forward[q][0] for q in queries] == [0, 2, 0, 0, 0]
     assert outputs(queries[::-1]) == forward
+
+
+@pytest.mark.parametrize("d", [-1, 0, 4])
+def test_type_a_d_out_of_range_is_refused_before_any_element(d, capsys):
+    expect = f"error: type A needs 1 <= d <= 3, got {d}\n"
+    for inputs in ("--lambda 1 --mu 2", "--w 1,3,2,4 --v 3,1,2,4"):
+        assert run(f"--type A --n 4 --d {d} {inputs}".split()) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == expect
+
+
+def _calls_per_query(monkeypatch, argv):
+    """How often one CLI query calls shape_of, reflection_tableau and
+    r_values, through whichever module binds them."""
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in ("shape_of", "reflection_tableau", "r_values"):
+        for module in (cli, restriction, shapes, diagrams):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv.split()) == 0
+    return calls
+
+
+@pytest.mark.parametrize("query, tableaux, r_values", [
+    ("--type C --rank 6 --lambda 3,2,1 --mu 6,5,4,3,2", 1, 2),
+    # the lifted class builds T_mu again, in D6
+    ("--type B --rank 5 --lambda 3,1 --mu 5,4,3,1", 2, 3),
+], ids=["C6", "B5"])
+def test_a_check_validates_once_and_builds_t_mu_once_per_root_system(
+        query, tableaux, r_values, monkeypatch):
+    calls = _calls_per_query(monkeypatch, f"{query} --check")
+    assert calls["shape_of"] == 2
+    assert calls["reflection_tableau"] == tableaux
+    assert calls["r_values"] <= r_values
+
+
+@pytest.mark.parametrize("query", [
+    "--type A --n 7 --d 3 --lambda 2,1 --mu 3,3,1",
+    "--type B --rank 4 --w 1,3,-4,-2 --v 2,-4,-3,-1",
+], ids=["A", "B"])
+@pytest.mark.parametrize("emit", [
+    *(f"class --backend {backend}" for backend in restriction.BACKENDS),
+    "class --format latex --backend eyd", "hilbert", "hilbert-poly", "mult", "diagrams",
+    "tableaux --count-only", "character",
+])
+def test_every_emit_validates_its_pair_once(query, emit, monkeypatch):
+    assert _calls_per_query(monkeypatch, f"{query} --emit {emit}")["shape_of"] == 2

@@ -20,6 +20,7 @@ from schubertk.shapes import (
     shape_of,
 )
 from schubertk.restriction import (
+    Pair,
     check_backends,
     dim_gp,
     graded_character,
@@ -319,7 +320,7 @@ def test_hilbert_data_rejects_unknown_method(rs, d, w, v):
 # every validating entry point of restriction
 ENTRY_POINTS = pytest.mark.parametrize("compute", [
     lambda rs, d, w, v: pullback(rs, d, w, v),
-    lambda rs, d, w, v: pullback_terms(rs, d, w, v),
+    lambda rs, d, w, v: pullback_terms(Pair.of(rs, d, w, v)),
     lambda rs, d, w, v: hilbert_data(rs, d, w, v),
     lambda rs, d, w, v: hilbert_data(rs, d, w, v, method="hecke"),
     lambda rs, d, w, v: graded_character(rs, d, w, v, 1),
@@ -501,8 +502,9 @@ def test_graded_character_b_via_d():
 
 @pytest.mark.parametrize("rs,d,w,v", [(A7, 3, WA, VA), (B5, None, WB, VB)], ids=["A", "B"])
 def test_negative_truncation_is_refused_before_the_class(monkeypatch, rs, d, w, v):
+    # the numerator is the svt class, of the lifted pair in type B
     calls = []
-    monkeypatch.setattr(restriction, "pullback", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(restriction, "svt_dp", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="truncation degree must be nonnegative"):
         graded_character(rs, d, w, v, -1)
     assert calls == []
@@ -530,7 +532,7 @@ def test_positivity_of_factored_terms():
     for rs, d, w, v in [(A7, 3, WA, VA), (C4, None, WC, VC), (D6, None, WD, VD),
                         (B5, None, WB, VB)]:
         tw = set(tangent_weights(rs, d, v))
-        terms = pullback_terms(rs, d, w, v, backend="eyd")
+        terms = pullback_terms(Pair.of(rs, d, w, v), backend="eyd")
         if rs.kind != "B":
             # type B hilbert data counts the (fewer) D-side diagrams
             assert len(terms) == sum(hilbert_data(rs, d, w, v).m)
@@ -561,22 +563,20 @@ def test_backend_report():
 def test_the_eyd_class_builds_t_mu_once_and_runs_no_transfer_dp(monkeypatch):
     expect = pullback(A7, 3, WA, VA, backend="hecke")
     calls = []
+    real = restriction.reflection_tableau
 
-    def counted(real):
-        def wrapped(*args):
-            calls.append(real.__name__)
-            return real(*args)
-        return wrapped
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     def unexpected(*args):
         raise AssertionError("svt_dp ran")
 
-    for name in ("_tableau_word", "_box_exponents"):
-        monkeypatch.setattr(restriction, name, counted(getattr(restriction, name)))
+    monkeypatch.setattr(restriction, "reflection_tableau", counted)
     monkeypatch.setattr(restriction, "svt_dp", unexpected)
     monkeypatch.setattr(tableaux, "svt_dp", unexpected)
     assert pullback(A7, 3, WA, VA, backend="eyd") == expect
-    assert calls == ["_tableau_word", "_box_exponents"]
+    assert len(calls) == 1
 
 
 def _decoded(packed, rank):
@@ -601,7 +601,7 @@ def test_horner_sum_matches_the_term_by_term_expansion():
 
 def test_horner_sum_does_not_depend_on_the_order_of_the_terms():
     rs = RootSystem("A", 7)
-    terms = pullback_terms(rs, 3, WA, VA)
+    terms = pullback_terms(Pair.of(rs, 3, WA, VA))
     expect = sum_of_products(terms, rs.rank)
     rnd = random.Random(0)
     for _ in range(5):
@@ -612,7 +612,7 @@ def test_horner_sum_does_not_depend_on_the_order_of_the_terms():
 @pytest.mark.parametrize("rs, d", [(RootSystem("A", 5), 2), (C4, None), (RootSystem("D", 5), None)])
 def test_horner_sum_matches_the_term_by_term_expansion_at_every_pair(rs, d):
     for w, v in _on_variety_pairs(rs, d):
-        terms = pullback_terms(rs, d, w, v, backend="eyd")
+        terms = pullback_terms(Pair.of(rs, d, w, v), backend="eyd")
         got = _decoded(restriction._sum_of_products(terms), rs.rank)
         assert got == sum_of_products(terms, rs.rank), (w, v)
 
@@ -643,7 +643,7 @@ def test_the_eyd_sum_shares_the_prefixes_of_the_diagrams(monkeypatch, rs, d, lam
         w, v = perm_of(lam, d, rs.rank), perm_of(mu, d, rs.rank)
     else:
         w, v = perm_of_strict(lam, rs), perm_of_strict(mu, rs)
-    per_term = sum(2 ** len(t) - 1 for t in pullback_terms(rs, d, w, v))
+    per_term = sum(2 ** len(t) - 1 for t in pullback_terms(Pair.of(rs, d, w, v)))
     assert 10 * _reads_of_the_eyd_class(monkeypatch, rs, d, w, v) <= per_term
 
 
@@ -828,16 +828,18 @@ def test_hecke_agrees_with_svt_on_random_larger_pairs(pair):
     assert hilbert_data(rs, d, w, v, method="hecke").m == hilbert_data(rs, d, w, v).m
 
 
-@pytest.mark.parametrize("backend", ["eyd", "svt"])
-def test_class_exponents_are_bounded_before_the_work(backend, monkeypatch):
+# the first step of each engine's work
+@pytest.mark.parametrize("backend, engine", [("eyd", "enumerate_eyd"), ("svt", "svt_dp")],
+                         ids=["eyd", "svt"])
+def test_class_exponents_are_bounded_before_the_work(backend, engine, monkeypatch):
     calls = []
-    real = restriction.svt_dp
+    real = getattr(restriction, engine)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(restriction, "svt_dp", counted)
+    monkeypatch.setattr(restriction, engine, counted)
     monkeypatch.setattr(ring, "LIMIT", 2)
     with pytest.raises(ValueError, match="packing range"):
         pullback(A7, 3, WA, VA, backend=backend)

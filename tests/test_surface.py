@@ -44,3 +44,16 @@ def test_only_ring_names_the_work_budget():
         if re.search(r"\bMAX_EXPANSION\b", path.read_text())
     ]
     assert naming == ["ring.py"]
+
+
+def test_only_the_pair_validates_a_query():
+    # a query's shapes are read once, by restriction.Pair.of
+    source = ROOT / "src" / "schubertk"
+    assert not re.search(r"\b(shape_of|contains)\b", (source / "cli.py").read_text())
+    tree = ast.parse((source / "restriction.py").read_text())
+    callers = [
+        node.name for node in tree.body
+        if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "shape_of"
+               for n in ast.walk(node))
+    ]
+    assert callers == ["Pair"]
