@@ -16,7 +16,7 @@ from . import restriction
 from .diagrams import boxset_to_json, boxset_to_tikz, enumerate_eyd
 from .ring import format_poly, poly_to_json, signed_sum
 from .shapes import parse_shape, perm_of, perm_of_strict, size
-from .tableaux import count_entries, enumerate_svt, svt_dp, svt_to_json
+from .tableaux import enumerate_svt, svt_counts, svt_to_json
 from .weyl import RootSystem, format_weight, length, parabolic_index, parse_window
 
 EMITS = ("class", "hilbert", "hilbert-poly", "mult", "diagrams", "tableaux", "character")
@@ -140,13 +140,8 @@ def _latex_class(pair, backend):
     """The factored form of the class; it is never expanded."""
     terms = restriction.pullback_terms(pair, backend=backend)
     negative = length(pair.w) % 2 == 1
-    pieces = {}
-
-    def body(exps):
-        factors = (rf"\left(e^{{{format_weight(g, True, pieces)}}}-1\right)" for g in exps)
-        return "".join(factors) or "1"
-
-    return signed_sum((negative, body(exps)) for exps in terms)
+    factor = {g: rf"\left(e^{{{format_weight(g, True)}}}-1\right)" for g in set().union(*terms)}
+    return signed_sum((negative, "".join(map(factor.get, exps)) or "1") for exps in terms)
 
 
 def run(argv) -> int:
@@ -225,7 +220,7 @@ def _run_emit(args, pair) -> int:
     if args.count_only and emit in ("diagrams", "tableaux"):
         # f matches the diagrams with the tableaux, and the reduced ones
         # with the single-valued tableaux: count them by the transfer DP
-        counts = svt_dp(lam, mu, geometry, count_entries) if pair.on_variety else {}
+        counts = svt_counts(lam, mu, geometry) if pair.on_variety else {}
         print(counts.get(size(lam), 0) if args.reduced_only else sum(counts.values()))
         return 0
 

@@ -3,20 +3,19 @@
 The 0-Hecke monoid multiplies by ``H_s H_w = H_{sw}`` when the length goes
 up and absorbs the letter otherwise.  `fold_dp` sums over the subwords of a
 word that fold to w in one pass over fold states; with the kernels of
-`ring` it computes the hecke class and, in `subsequence_stats`, the Hilbert
-counts.  `hecke_subsequences` lists those subwords through the same DP,
-with one bit per letter, for the factored LaTeX form and as a test oracle.
-Both keep only the fold states from which the rest of the word can still
-fold to w (`_reaching`).
+`ring` it computes the hecke class, and on packed counts `subsequence_stats`
+the Hilbert counts.  `hecke_subsequences` counts the subwords that way,
+then lists them through the same DP, with one bit per letter, for the
+factored LaTeX form and as a test oracle.  All keep only the fold states
+from which the rest of the word can still fold to w (`_reaching`).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ring import add_into, check_work
+from .ring import add_into, check_work, count_slots, unpack_counts
 from .weyl import (
-    RootSystem,
     WeylElement,
     length,
     window_right_ascent,
@@ -30,12 +29,6 @@ class HeckeSubseq(NamedTuple):
     excess: int     # e(t) = l(t) - l(w)
 
 
-def _check_letters(word, rstype: RootSystem):
-    for i in word:
-        if not 1 <= i <= rstype.num_simple:
-            raise ValueError(f"letter {i} out of range for {rstype}")
-
-
 def _reaching(w: WeylElement, word) -> list:
     """reach[p] maps to l(u) each window u with l(u) <= p from which some
     subword of word[p:] folds to w.
@@ -45,7 +38,11 @@ def _reaching(w: WeylElement, word) -> list:
     fold of a subword of word[:p] has length at most p, so the bound drops
     no state that `fold_dp` meets; it keeps each entry in the band
     l(w) - (len(word) - p) <= l(u) <= p, a single window when w = v.
+    Every entry point builds it first, so it checks the letters.
     """
+    for i in word:
+        if not 1 <= i <= w.rstype.num_simple:
+            raise ValueError(f"letter {i} out of range for {w.rstype}")
     kind = w.rstype.kind
     lw = length(w)
     reach = [{w.window: lw} if lw <= len(word) else {}]
@@ -64,14 +61,13 @@ def hecke_subsequences(w: WeylElement, word) -> list:
     """All index subsequences of word whose fold is w, in lexicographic order.
 
     Distinct index tuples count separately even when they spell the same
-    letters.  The fold DP counts the subsequences first, and the count
-    passes `check_work` before any is listed.  It then lists them on
-    the same reach table with factor 2^c for letter c: a key is the bit set
-    of one subword's taken positions, and no two subwords share a key.
+    letters.  `subsequence_stats` counts them first, and the count passes
+    `check_work` before any is listed.  It then lists them on the same reach
+    table with factor 2^c for letter c: a key is the bit set of one
+    subword's taken positions, and no two subwords share a key.
     """
-    _check_letters(word, w.rstype)
     reach = _reaching(w, word)
-    total = sum(_fold(w, word, [1] * len(word), add_into, _skip_and_take, reach).values())
+    total = sum(_counts(w, word, reach).values())
     check_work(total, "subwords fold to w", "the expanded class lists none of them")
     bits = [1 << c for c in range(len(word))]
     subwords = _fold(w, word, bits, add_into, _skip_and_take, reach)
@@ -92,19 +88,18 @@ def fold_dp(w: WeylElement, word, factors, take, stay) -> dict:
     (`_reaching`), so the DP starts empty when w is out of reach.  Before
     each letter, the state entries read so far pass `check_work`.
     """
-    _check_letters(word, w.rstype)
     return _fold(w, word, factors, take, stay, _reaching(w, word))
 
 
-def _fold(w: WeylElement, word, factors, take, stay, reach) -> dict:
-    """The loop of `fold_dp` over a reach table built for w and word."""
+def _fold(w: WeylElement, word, factors, take, stay, reach, weigh=len) -> dict:
+    """The loop of `fold_dp` on a reach table for w and word; a state weighs weigh(acc)."""
     rs = w.rstype
     kind = rs.kind
     ident = tuple(range(1, rs.rank + 1))
     states = {ident: {0: 1}} if ident in reach[0] else {}
     work = 0
     for i, f, ahead in zip(word, factors, reach[1:]):
-        work = check_work(work) + sum(map(len, states.values()))
+        work = check_work(work) + sum(map(weigh, states.values()))
         nxt = {}
         for win, val in states.items():
             if not window_right_ascent(kind, win, i):
@@ -128,15 +123,27 @@ def _skip_and_take(dst: dict, src: dict, f: int) -> None:
 
 
 def subsequence_stats(w: WeylElement, word) -> dict:
-    """Count subsequences folding to w, bucketed by l(t).
+    """Count subsequences folding to w, bucketed by l(t), ascending.
 
-    The fold DP with factor 1 per letter and the number of taken letters as
-    key; equal to the explicit enumeration, but it carries only the fold
-    states that can still reach w instead of listing the subwords.
+    The fold DP on packed counts (`ring.unpack_counts`) keyed by the fewest
+    letters, W = len(word) + 1: a taken letter adds one to the key (times t),
+    an absorbed one multiplies by 1 + t.
 
     >>> from schubertk.weyl import RootSystem, simple_reflection
     >>> subsequence_stats(simple_reflection(RootSystem("A", 3), 1), (1, 2, 1))
     {1: 2, 2: 1}
     """
-    counts = fold_dp(w, word, [1] * len(word), add_into, _skip_and_take)
-    return dict(sorted(counts.items()))
+    return _counts(w, word, _reaching(w, word))
+
+
+def _counts(w: WeylElement, word, reach) -> dict:
+    """`subsequence_stats` on a reach table built for w and word."""
+    width = len(word) + 1
+
+    def stay(dst, src, f):  # times 1 + t
+        for n, c in src.items():
+            dst[n] = dst.get(n, 0) + c + (c << width)
+
+    packed = _fold(w, word, [1] * len(word), add_into, stay, reach,
+                   lambda acc: count_slots(*acc.values(), width))  # one key per state
+    return unpack_counts(packed, width)

@@ -31,18 +31,12 @@ from .ring import (
     signed_sum,
     specialize_zero,
 )
-from .shapes import (
-    bd_identify_inverse,
-    contains,
-    shape_of,
-    size,
-)
-from .tableaux import count_entries, enumerate_svt, svt_dp
+from .shapes import contains, perm_of_strict, shape_of, size
+from .tableaux import enumerate_svt, svt_counts, svt_dp
 from .weyl import (
     RootSystem,
     WeylElement,
     apply,
-    is_minimal_rep,
     is_positive_root_vector,
     length,
     negate_weight,
@@ -123,13 +117,22 @@ class Pair:
         """The D_{n+1} pair of a type B_n pair, with the same shapes: B_n is not
         cominuscule, and its Hilbert data, character and lifted class use it."""
         n = self.rstype.rank
+        if self.rstype.kind != "B":
+            raise ValueError("bd_identify_inverse expects a type B element")
         try:  # a refused D_{n+1} names the rank the caller gave
-            RootSystem("D", n + 1)
+            rsD = RootSystem("D", n + 1)
         except ValueError as exc:
             raise ValueError(f"B{n}'s Hilbert data, character and lifted class "
                              f"are computed through D{n + 1}: {exc}") from None
-        wD, vD = bd_identify_inverse(self.w), bd_identify_inverse(self.v)
-        return Pair(wD.rstype, n + 1, wD, vD, self.lam, self.mu, self.on_variety)
+        # bd_identify_inverse of a minimal representative, not checked again
+        wD, vD = perm_of_strict(self.lam, rsD), perm_of_strict(self.mu, rsD)
+        return Pair(rsD, n + 1, wD, vD, self.lam, self.mu, self.on_variety)
+
+    @cached_property
+    def tangent_weights(self) -> list:
+        """The weights of the tangent space at v (`tangent_weights`)."""
+        roots = levi_complement_roots(self.rstype, self.d)
+        return [apply(self.v, negate_weight(beta)) for beta in roots]
 
 
 def levi_complement_roots(rstype: RootSystem, d: int = None) -> list:
@@ -159,9 +162,7 @@ def dim_gp(rstype: RootSystem, d: int = None) -> int:
 
 def tangent_weights(rstype: RootSystem, d, v: WeylElement) -> list:
     """Weights of the tangent space at the fixed point v: v applied to -Phi(g/p)."""
-    if not is_minimal_rep(v, d):
-        raise ValueError(f"{v} is not a minimal representative")
-    return [apply(v, negate_weight(beta)) for beta in levi_complement_roots(rstype, d)]
+    return Pair.of(rstype, d, v, v).tangent_weights
 
 
 def r_values(word, rstype: RootSystem) -> list:
@@ -364,7 +365,7 @@ def pair_hilbert(pair: Pair, method: str = "svt") -> HilbertData:
     elif method == "eyd":
         sizes = Counter(len(C) for C in enumerate_eyd(lam, mu, pair.geometry))
     else:
-        sizes = svt_dp(lam, mu, pair.geometry, count_entries)
+        sizes = svt_counts(lam, mu, pair.geometry)
     top = max(sizes, default=size(lam))
     m = tuple(sizes.get(size(lam) + k, 0) for k in range(top - size(lam) + 1))
     return HilbertData(d_w, m)
@@ -446,7 +447,7 @@ def pair_character(pair: Pair, N: int) -> GradedSeries:
     n = pair.rstype.rank
     if pair.rstype.kind == "B":
         pair = pair.lifted
-    weights = tangent_weights(pair.rstype, pair.d, pair.v)
+    weights = pair.tangent_weights
     ixi, den = _scaled_xi(pair.rstype, pair.d, pair.v, weights)
     numerator = pair_class(pair, "svt").value
     xi = [Fraction(x, den) for x in ixi]

@@ -3,7 +3,8 @@
 LaurentPoly is a sparse map from exponent vectors in Z^rank to arbitrary
 precision integer coefficients.  geometric_expand produces the truncated
 graded character num / prod (1 - e^{-mu}), graded along a rational vector
-xi.
+xi.  The count DPs carry polynomials in one variable t as integers, W bits
+per power of t (`unpack_counts`, `count_slots`).
 
 Encoding.  An exponent vector (e_1, ..., e_rank) is stored as the one
 integer e_1 + e_2 B + ... + e_rank B^(rank-1) with B = 2^16: balanced
@@ -117,6 +118,22 @@ def add_binomial_into(dst: dict, src: dict, g: int, shift: int = 0) -> None:
             kg = k + g
             dst[kg] = get(kg, 0) + c
             dst[k] = get(k, 0) - c
+
+
+def unpack_counts(acc: dict, width: int) -> dict:
+    """{n: c_n}, ascending and without zeros, of a count t^k Q(t) packed as
+    {k: Q(2^width)}, or of 0 packed as {}: packed sums and products are those
+    of the polynomials, exact while every c_n is below 2^width."""
+    mask = (1 << width) - 1
+    return {k + n: c for k, q in acc.items()
+            for n in range(q.bit_length() // width + 1) if (c := q >> n * width & mask)}
+
+
+def count_slots(packed: int, width: int) -> int:
+    """The width-bit slots of a DP state's positive packed Q(2^width) up to
+    its highest nonzero one: what the budget weighs the state by, as many
+    entries as a dict keyed by the number of entries would hold."""
+    return (packed.bit_length() - 1) // width + 1
 
 
 class LaurentPoly:

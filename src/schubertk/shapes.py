@@ -67,6 +67,8 @@ def partition_of(v: WeylElement, d: int) -> tuple:
 
 def perm_of(lam, d: int, n: int) -> WeylElement:
     """Inverse of partition_of: the minimal representative with partition lam."""
+    rstype = RootSystem("A", n)
+    d = parabolic_index(rstype, d)
     lam = trim(lam)
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
@@ -74,7 +76,7 @@ def perm_of(lam, d: int, n: int) -> WeylElement:
         raise ValueError(f"{lam} does not fit in a {d}x{n - d} box")
     head = sorted(part(lam, i) + (d + 1 - i) for i in range(1, d + 1))
     tail = sorted(set(range(1, n + 1)) - set(head))
-    return WeylElement(RootSystem("A", n), tuple(head + tail))
+    return WeylElement(rstype, tuple(head + tail))
 
 
 def largest_part(rstype: RootSystem) -> int:

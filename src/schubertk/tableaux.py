@@ -1,6 +1,6 @@
 """Set-valued (shifted) tableaux restricted by an ambient shape: their
-enumeration, the transfer DP `svt_dp` over them, and the map f onto excited
-Young diagrams.
+enumeration, the transfer DP over them (`svt_dp`, and `svt_counts` on one
+packed count per state), and the map f onto excited Young diagrams.
 
 A filling is semistandard when rows are weakly and columns strictly
 increasing entry-by-entry; it is restricted by mu when every entry x of box
@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
 
 from .diagrams import BoxSet, ambient_boxes
-from .ring import add_into, check_work
-from .shapes import contains, part, trim
+from .ring import add_into, check_work, count_slots, unpack_counts
+from .shapes import contains, part, size, trim
 
 
 @dataclass(frozen=True)
@@ -121,13 +120,47 @@ def svt_dp(lam, mu, geometry: str, step) -> dict:
     adds src times the summed weight of the entry sets with that maximum,
     whose other entries are drawn from ``below`` (the feasible entries
     smaller than ``largest``).  The empty filling weighs {0: 1}, the unit of
-    both accumulators.  Before each state's steps, the entries handed to
-    ``step`` so far pass `check_work`.  With ``count_entries`` the result maps
-    the number of entries to the number of tableaux:
+    every accumulator.  Before each state's steps, the entries handed to
+    ``step`` so far pass `check_work`.
+    """
+    def spread(nxt, acc, head, tail, values, s, q):
+        for t in range(s, len(values)):
+            step(nxt.setdefault(head + (values[t],) + tail, {}), acc, q, values[s:t], values[t])
+        return len(acc) * (len(values) - s)
 
-    >>> svt_dp((1,), (2, 2), "ordinary", count_entries)
+    return _transfer(lam, mu, geometry, spread)
+
+
+def svt_counts(lam, mu, geometry: str) -> dict:
+    """{n: the number of set-valued tableaux of shape lam restricted by mu
+    with n entries}: the DP of `svt_dp` on packed counts keyed by the fewest
+    entries (`ring.unpack_counts`), W = |mu| + 1 as f maps the tableaux one
+    to one onto subsets of D_mu.  A step adds one to the key and multiplies
+    by (1 + t)^k, k the feasible entries below the maximum.
+
+    >>> svt_counts((1,), (2, 2), "ordinary")
     {1: 2, 2: 1}
     """
+    width = size(mu) + 1
+    rows = [((1 << width) + 1) ** k for k in range(len(mu))]
+
+    def spread(nxt, acc, head, tail, values, s, q):
+        (n, c), = acc.items()  # every state after n boxes has the one key n
+        for t in range(s, len(values)):
+            key = head + (values[t],) + tail
+            if key in nxt:
+                nxt[key][n + 1] += c * rows[t - s]
+            else:
+                nxt[key] = {n + 1: c * rows[t - s]}
+        return count_slots(c, width) * (len(values) - s)
+
+    return unpack_counts(_transfer(lam, mu, geometry, spread), width)
+
+
+def _transfer(lam, mu, geometry: str, spread) -> dict:
+    """The DP of `svt_dp`: ``spread(nxt, acc, head, tail, values, s, q)`` adds
+    one state's moves into nxt, to head + (values[t],) + tail for t >= s, and
+    returns the entries it read."""
     lam, mu = trim(lam), trim(mu)
     if not contains(lam, mu):
         raise ValueError(f"{lam} is not contained in {mu}")
@@ -156,29 +189,12 @@ def svt_dp(lam, mu, geometry: str, step) -> dict:
                 if p and state[p - 1] > lo:
                     lo = state[p - 1]
                 s = bisect_left(values, lo)
-                work = check_work(work) + len(acc) * (len(values) - s)
-                head, tail = state[:p], state[p + 1:]
-                for t in range(s, len(values)):
-                    key = head + (values[t],) + tail
-                    dst = nxt.get(key)
-                    if dst is None:
-                        dst = nxt[key] = {}
-                    step(dst, acc, q, values[s:t], values[t])
+                work = check_work(work) + spread(nxt, acc, state[:p], state[p + 1:], values, s, q)
             states = nxt
     total = {}
     for acc in states.values():
         add_into(total, acc)
     return total
-
-
-def count_entries(dst: dict, src: dict, q: int, below, largest: int) -> None:
-    """`svt_dp` step keyed by the number of entries: the entry sets made of
-    largest and a of the k values below add 1 + a entries, binom(k, a) ways."""
-    k = len(below)
-    get = dst.get
-    for n, c in src.items():
-        for a in range(k + 1):
-            dst[n + 1 + a] = get(n + 1 + a, 0) + c * comb(k, a)
 
 
 def _nonempty_subsets(values, singles_only):

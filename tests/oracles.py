@@ -5,14 +5,16 @@ paper (the Demazure product through the root action, excitation moves,
 the restriction condition on tableaux, the inverse of f, full
 commutativity, a sum of products multiplied out term by term, a packed key
 read digit by digit, a geometric series convolved power by power), is the
-argparse parser the CLI replaced by its option table, or is a tool the tests
-need (energies, JSON readers, the grading of a polynomial along xi).
+argparse parser the CLI replaced by its option table, is the dict-keyed
+count step the packed counts replaced, or is a tool the tests need
+(energies, JSON readers, the grading of a polynomial along xi).
 """
 
 import argparse
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from schubertk.diagrams import BoxSet, ReflectionTableau, ambient_boxes
 from schubertk.ring import DIGIT, LIMIT, LaurentPoly, add_into, pack
@@ -320,6 +322,25 @@ def sum_of_products(terms, rank: int) -> dict:
         for e, c in prod.items():
             total[e] += c
     return {e: c for e, c in total.items() if c}
+
+
+# -- counts by size, one dict key per size -----------------------------------
+
+def count_entries(dst: dict, src: dict, q: int, below, largest: int) -> None:
+    """`svt_dp` step keyed by the number of entries: the entry sets made of
+    largest and a of the k values below add 1 + a entries, binom(k, a) ways."""
+    k = len(below)
+    get = dst.get
+    for n, c in src.items():
+        for a in range(k + 1):
+            dst[n + 1 + a] = get(n + 1 + a, 0) + c * comb(k, a)
+
+
+def skip_and_take(dst: dict, src: dict, f: int) -> None:
+    """`fold_dp` stay keyed by the number of letters: an absorbed letter is
+    skipped (no letter) and taken (f = 1 more letter)."""
+    add_into(dst, src)
+    add_into(dst, src, f)
 
 
 # -- grading along xi -------------------------------------------------------

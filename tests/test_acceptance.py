@@ -40,7 +40,7 @@ from schubertk.restriction import (
     pullback_hecke_with_word,
     pullback_terms,
 )
-from schubertk.tableaux import count_entries, enumerate_svt, f_map, svt_dp
+from schubertk.tableaux import enumerate_svt, f_map, svt_counts
 from schubertk.weyl import (
     RootSystem,
     apply,
@@ -227,7 +227,7 @@ def test_criterion_05_oracle_equivalence_sweep():
         # own geometry (type B's m comes from D_{n+1})
         dd = d if rs.kind == "A" else rs.rank
         lam, mu, geometry = shape_of(w, dd), shape_of(v, dd), geometry_of(rs)
-        singles = svt_dp(lam, mu, geometry, count_entries)[size(lam)]
+        singles = svt_counts(lam, mu, geometry)[size(lam)]
         assert singles == len(enumerate_eyd(lam, mu, geometry, reduced_only=True)), (rs, w, v)
     assert pairs > 2000
     print(f"ACCEPTANCE 5: PASS (three backends and three m_k paths agree on {pairs} pairs)")

@@ -474,8 +474,8 @@ def test_type_a_d_out_of_range_is_refused_before_any_element(d, capsys):
 
 
 def _calls_per_query(monkeypatch, argv):
-    """How often one CLI query calls shape_of, reflection_tableau and
-    r_values, through whichever module binds them."""
+    """How often one CLI query calls shape_of, reflection_tableau, r_values,
+    is_minimal_rep and format_weight, through whichever module binds them."""
     calls = Counter()
 
     def counted(name, real):
@@ -484,7 +484,7 @@ def _calls_per_query(monkeypatch, argv):
             return real(*args, **kwargs)
         return wrapped
 
-    for name in ("shape_of", "reflection_tableau", "r_values"):
+    for name in ("shape_of", "reflection_tableau", "r_values", "is_minimal_rep", "format_weight"):
         for module in (cli, restriction, shapes, diagrams):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -517,3 +517,20 @@ def test_a_check_validates_once_and_builds_t_mu_once_per_root_system(
 ])
 def test_every_emit_validates_its_pair_once(query, emit, monkeypatch):
     assert _calls_per_query(monkeypatch, f"{query} --emit {emit}")["shape_of"] == 2
+
+
+@pytest.mark.parametrize("query", [
+    "--type C --rank 6 --lambda 3,2,1 --mu 6,5,4,3,2 --emit character",
+    "--type B --rank 5 --lambda 3,1 --mu 5,4,3,1 --emit character",
+    "--type B --rank 5 --lambda 3,1 --mu 5,4,3,1 --emit hilbert",
+], ids=["C6-character", "B5-character", "B5-hilbert"])
+def test_minimality_is_checked_once_per_element(query, monkeypatch):
+    # once for each of w and v, by Pair.of; neither the tangent weights nor
+    # the D_{n+1} lift checks again (at the parent: 3, 5 and 4)
+    assert _calls_per_query(monkeypatch, query)["is_minimal_rep"] == 2
+
+
+def test_latex_formats_each_factor_once(monkeypatch):
+    # 1,160 factors printed, 15 distinct exponents at most (|mu| = 15)
+    query = "--type C --rank 5 --lambda 3,2,1 --mu 5,4,3,2,1 --emit class --format latex"
+    assert _calls_per_query(monkeypatch, f"{query} --backend hecke")["format_weight"] <= 15

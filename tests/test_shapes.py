@@ -48,6 +48,13 @@ def test_perm_of_inverts_partition_of():
             assert perm_of(partition_of(v, d), d, 7) == v
 
 
+@pytest.mark.parametrize("lam, d", [((), 0), ((1,), -1), ((), 7)])
+def test_perm_of_checks_d_first(lam, d):
+    # before: the identity of A4, "does not fit in a -1x5 box", "window length 7 != rank 4"
+    with pytest.raises(ValueError, match=f"^type A needs 1 <= d <= 3, got {d}$"):
+        perm_of(lam, d, 4)
+
+
 def test_transpose_examples():
     assert transpose((4, 4, 3)) == (3, 3, 3, 2)
     assert transpose(()) == ()
