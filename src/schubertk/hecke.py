@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ring import add_into, check_work, count_slots, unpack_counts
+from .ring import CLASS_REMEDY, add_into, check_work, count_slots, unpack_counts
 from .weyl import (
     WeylElement,
     length,
@@ -66,11 +66,11 @@ def hecke_subsequences(w: WeylElement, word) -> list:
     table with factor 2^c for letter c: a key is the bit set of one
     subword's taken positions, and no two subwords share a key.
     """
-    reach = _reaching(w, word)
-    total = sum(_counts(w, word, reach).values())
-    check_work(total, "subwords fold to w", "the expanded class lists none of them")
+    reach, remedy = _reaching(w, word), "the expanded class lists none of them"
+    total = sum(_counts(w, word, reach, remedy).values())
+    check_work(total, "subwords fold to w", remedy)
     bits = [1 << c for c in range(len(word))]
-    subwords = _fold(w, word, bits, add_into, _skip_and_take, reach)
+    subwords = _fold(w, word, bits, add_into, _skip_and_take, reach, remedy=remedy)
     lw = length(w)
     chosen = sorted(tuple(c + 1 for c, b in enumerate(bits) if key & b) for key in subwords)
     return [HeckeSubseq(t, len(t), len(t) - lw) for t in chosen]
@@ -91,15 +91,17 @@ def fold_dp(w: WeylElement, word, factors, take, stay) -> dict:
     return _fold(w, word, factors, take, stay, _reaching(w, word))
 
 
-def _fold(w: WeylElement, word, factors, take, stay, reach, weigh=len) -> dict:
-    """The loop of `fold_dp` on a reach table for w and word; a state weighs weigh(acc)."""
+def _fold(w: WeylElement, word, factors, take, stay, reach, weigh=len,
+          remedy=CLASS_REMEDY) -> dict:
+    """The loop of `fold_dp` on a reach table for w and word; a state weighs
+    weigh(acc), and a refusal names remedy."""
     rs = w.rstype
     kind = rs.kind
     ident = tuple(range(1, rs.rank + 1))
     states = {ident: {0: 1}} if ident in reach[0] else {}
     work = 0
     for i, f, ahead in zip(word, factors, reach[1:]):
-        work = check_work(work) + sum(map(weigh, states.values()))
+        work = check_work(work, "entries read", remedy) + sum(map(weigh, states.values()))
         nxt = {}
         for win, val in states.items():
             if not window_right_ascent(kind, win, i):
@@ -136,8 +138,9 @@ def subsequence_stats(w: WeylElement, word) -> dict:
     return _counts(w, word, _reaching(w, word))
 
 
-def _counts(w: WeylElement, word, reach) -> dict:
-    """`subsequence_stats` on a reach table built for w and word."""
+def _counts(w: WeylElement, word, reach, remedy: str = "") -> dict:
+    """`subsequence_stats` on a reach table built for w and word; a count
+    names no remedy unless a listing it sizes does."""
     width = len(word) + 1
 
     def stay(dst, src, f):  # times 1 + t
@@ -145,5 +148,5 @@ def _counts(w: WeylElement, word, reach) -> dict:
             dst[n] = dst.get(n, 0) + c + (c << width)
 
     packed = _fold(w, word, [1] * len(word), add_into, stay, reach,
-                   lambda acc: count_slots(*acc.values(), width))  # one key per state
+                   lambda acc: count_slots(*acc.values(), width), remedy)  # one key per state
     return unpack_counts(packed, width)

@@ -301,7 +301,7 @@ def pair_class(pair: Pair, backend: str = "eyd") -> KClass:
         return KClass(rstype, d, pullback_hecke_with_word(rstype, pair.w, pair.word))
     span = _span_bound(pair.exponents.values())
     packed = _svt_packed(pair) if backend == "svt" else _sum_of_products(pullback_terms(pair))
-    return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span) * (-1) ** length(pair.w))
+    return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span, length(pair.w) % 2 == 1))
 
 
 def _svt_packed(pair: Pair) -> dict:
@@ -324,7 +324,7 @@ def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> Lauren
     exps = [negate_weight(r) for r in r_values(word, rstype)]
     span = _span_bound(exps)
     packed = hecke.fold_dp(w, word, list(map(pack, exps)), add_binomial_into, add_into)
-    return LaurentPoly.from_packed(rstype.rank, packed, span) * (-1) ** length(w)
+    return LaurentPoly.from_packed(rstype.rank, packed, span, length(w) % 2 == 1)
 
 
 def pullback_b_via_d(w: WeylElement, v: WeylElement) -> KClass:
@@ -487,9 +487,6 @@ def pair_check(pair: Pair) -> BackendReport:
 
 
 def _first_difference(p: LaurentPoly, q: LaurentPoly) -> str:
-    pt, qt = p.terms, q.terms
-    for e in sorted(set(pt) | set(qt)):
-        a, b = pt.get(e, 0), qt.get(e, 0)
-        if a != b:
-            return f"monomial {e}: {a} != {b}"
+    for e, _ in (p - q).sorted_terms():  # the least monomial where they differ
+        return f"monomial {e}: {p.terms.get(e, 0)} != {q.terms.get(e, 0)}"
     return "values equal"

@@ -7,19 +7,22 @@ xi.  The count DPs carry polynomials in one variable t as integers, W bits
 per power of t (`unpack_counts`, `count_slots`).
 
 Encoding.  An exponent vector (e_1, ..., e_rank) is stored as the one
-integer e_1 + e_2 B + ... + e_rank B^(rank-1) with B = 2^16: balanced
-base-B digits.  While every coordinate lies in [-LIMIT, LIMIT] with
-LIMIT = 2^15 - 1 the encoding is unique and additive, so the product of two
-monomials is one integer addition and (e^g - 1) is a shift by the packed g.
-`pack` and `unpack_all` convert; the kernels `add_into` and
-`add_binomial_into` work on packed dicts {key: coef}.  Tuples appear only at
-the edges: `LaurentPoly.terms`, text, LaTeX and JSON.
+integer e_1 B^(rank-1) + ... + e_(rank-1) B + e_rank with B = 2^16: balanced
+base-B digits, e_1 in the top one.  While every coordinate lies in
+[-LIMIT, LIMIT] with LIMIT = 2^15 - 1 the encoding is unique and additive,
+so the product of two monomials is one integer addition and (e^g - 1) is a
+shift by the packed g.  Adding LIMIT to every digit, which is monotone,
+leaves the base-B digits e_i + LIMIT, so key order is lex order of the
+exponent vectors: sorting a polynomial sorts its ints.  `pack` and
+`unpack_all` convert; the kernels `add_into` and `add_binomial_into` work on
+packed dicts {key: coef}.  Tuples appear only at the edges:
+`LaurentPoly.terms`, text, LaTeX and JSON.
 
 Decoding.  Keys are decoded in bulk, each at C speed.  Adding H, 2^15 in
 every digit, makes each digit e_i + 2^15 in [1, 2^16 - 1] with no borrow;
 xor H flips bit 15 of each, leaving e_i's 16-bit two's complement with no
 carry, which `struct` reads back as signed 16-bit integers.  The bytes are
-written and read little-endian by name, so no byte order is assumed.
+written and read big-endian by name, e_1 first, so no byte order is assumed.
 
 Range guard.  Every LaurentPoly carries `span`, an upper bound on |e_i|
 over its terms: spans add under multiplication and take the max under
@@ -40,14 +43,15 @@ DIGIT = 16
 LIMIT = (1 << (DIGIT - 1)) - 1
 _MASK = (1 << DIGIT) - 1
 MAX_EXPANSION = 10**7
+CLASS_REMEDY = "for a class, --format latex prints the factored form"
 
 
-def check_work(work: int, what: str = "entries read",
-               remedy: str = "for a class, --format latex prints the factored form") -> int:
+def check_work(work: int, what: str = "entries read", remedy: str = CLASS_REMEDY) -> int:
     """Return work, or raise ValueError once it passes MAX_EXPANSION, the one
-    budget of every count that can blow up time or memory."""
+    budget of every count that can blow up time or memory.  The message
+    names remedy, if any: what to run instead."""
     if work > MAX_EXPANSION:
-        raise ValueError(f"{work} {what}, more than {MAX_EXPANSION}; {remedy}")
+        raise ValueError(f"{work} {what}, more than {MAX_EXPANSION}" + (remedy and f"; {remedy}"))
     return work
 
 
@@ -69,7 +73,7 @@ def pack(exponent) -> int:
     """The packed key of an exponent vector; ValueError outside +-LIMIT."""
     check_span(span_of(exponent))
     key = 0
-    for x in reversed(exponent):
+    for x in exponent:
         key = (key << DIGIT) + x
     return key
 
@@ -81,8 +85,8 @@ def _bias(rank: int) -> int:
 
 @lru_cache(maxsize=64)
 def _decoder(rank: int) -> tuple:
-    """(H, bytes per key, reader of rank little-endian 16-bit digits)."""
-    return (_bias(rank) // LIMIT) << (DIGIT - 1), 2 * rank, Struct(f"<{rank}h").unpack
+    """(H, bytes per key, reader of rank big-endian 16-bit digits)."""
+    return (_bias(rank) // LIMIT) << (DIGIT - 1), 2 * rank, Struct(f">{rank}h").unpack
 
 
 def unpack_all(keys, rank: int) -> list:
@@ -92,7 +96,7 @@ def unpack_all(keys, rank: int) -> list:
     [(3, -1, 0, -32767), (0, 0, 0, 0)]
     """
     flip, size, read = _decoder(rank)
-    return [read(((k + flip) ^ flip).to_bytes(size, "little")) for k in keys]
+    return [read(((k + flip) ^ flip).to_bytes(size, "big")) for k in keys]
 
 
 def add_into(dst: dict, src: dict, g: int = 0) -> None:
@@ -156,12 +160,13 @@ class LaurentPoly:
         self.span = span
 
     @classmethod
-    def from_packed(cls, rank: int, packed: dict, span: int) -> LaurentPoly:
-        """Wrap a packed dict whose coordinates are bounded by span; zero
-        coefficients are dropped."""
+    def from_packed(cls, rank: int, packed: dict, span: int, negate: bool = False) -> LaurentPoly:
+        """Wrap a packed dict whose coordinates are bounded by span, negated
+        if negate, in one pass; zero coefficients are dropped."""
         p = object.__new__(cls)
         p.rank = rank
-        p.packed = {k: c for k, c in packed.items() if c}
+        items = packed.items()
+        p.packed = {k: -c for k, c in items if c} if negate else {k: c for k, c in items if c}
         p.span = check_span(span) if p.packed else 0
         return p
 
@@ -201,9 +206,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly.from_packed(
-            self.rank, {k: -c for k, c in self.packed.items()}, self.span
-        )
+        return LaurentPoly.from_packed(self.rank, self.packed, self.span, negate=True)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -241,7 +244,10 @@ class LaurentPoly:
         return hash((self.rank, frozenset(self.packed.items())))
 
     def sorted_terms(self):
-        return sorted(zip(unpack_all(self.packed, self.rank), self.packed.values()))
+        """An iterator of (exponent, coefficient) in lex order of the
+        exponents: key order is lex order, so the ints are sorted."""
+        keys = sorted(self.packed)
+        return zip(unpack_all(keys, self.rank), map(self.packed.__getitem__, keys))
 
     def coefficient_sum(self) -> int:
         return sum(self.packed.values())
@@ -255,7 +261,7 @@ def specialize_zero(p: LaurentPoly, coord: int) -> LaurentPoly:
     if not 1 <= coord <= p.rank:
         raise ValueError(f"coordinate {coord} out of range 1..{p.rank}")
     bias, new_bias = _bias(p.rank), _bias(p.rank - 1)
-    cut = DIGIT * (coord - 1)
+    cut = DIGIT * (p.rank - coord)
     low = (1 << cut) - 1
     out = {}
     get = out.get
@@ -355,18 +361,44 @@ def signed_sum(terms) -> str:
 
 
 def format_poly(p: LaurentPoly) -> str:
-    """Render as a sum of c * e^{...} monomials, sorted by exponent vector."""
-    from .weyl import format_weight
+    """Render as a sum of c * e^{...} monomials, sorted by exponent vector.
 
-    pieces = {}  # shared by every weight of p
+    Keys are read in order, so each weight shares a prefix with the one
+    before it: the positive and negative pieces of every prefix of the last
+    weight are kept, and a weight is rendered on from the top digit where
+    its biased key differs from the last one.  Each piece such as "+2ε_1"
+    is built once per rendering.  The signs are those of `signed_sum`."""
+    from .weyl import weight_piece
 
-    def body(e, c):
-        if not any(e):
-            return str(c)
-        mag = "" if c == 1 else f"{c}*"
-        return f"{mag}e^{{{format_weight(e, pieces=pieces)}}}"
-
-    return signed_sum((c < 0, body(e, abs(c))) for e, c in p.sorted_terms())
+    n, bias, packed = p.rank, _bias(p.rank), p.packed
+    keys = sorted(packed)
+    pieces = [{} for _ in range(n)]
+    pos, neg = [""] * (n + 1), [""] * (n + 1)
+    last = 1 << DIGIT * n  # differs from every biased key above its top digit
+    parts = []
+    for e, k in zip(unpack_all(keys, n), keys):
+        c = packed[k]
+        k += bias
+        start = n - 1 - ((k ^ last).bit_length() - 1) // DIGIT
+        last = k
+        for i in range(start if start > 0 else 0, n):
+            x = e[i]
+            piece = x and (pieces[i].get(x) or pieces[i].setdefault(x, weight_piece(i + 1, x)))
+            pos[i + 1] = pos[i] + piece if x > 0 else pos[i]
+            neg[i + 1] = neg[i] + piece if x < 0 else neg[i]
+        weight = (pos[n] + neg[n])[1:] if pos[n] else neg[n]
+        sign = " + " if c > 0 else " - "
+        c = abs(c)
+        if not weight:
+            parts.append(f"{sign}{c}")
+        elif c == 1:
+            parts.append(f"{sign}e^{{{weight}}}")
+        else:
+            parts.append(f"{sign}{c}*e^{{{weight}}}")
+    if not parts:
+        return "0"
+    parts[0] = parts[0][3:] if parts[0][1] == "+" else "-" + parts[0][3:]
+    return "".join(parts)
 
 
 def poly_to_json(p: LaurentPoly) -> dict:

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .diagrams import BoxSet, ambient_boxes
-from .ring import add_into, check_work, count_slots, unpack_counts
+from .ring import CLASS_REMEDY, add_into, check_work, count_slots, unpack_counts
 from .shapes import contains, part, size, trim
 
 
@@ -128,7 +128,7 @@ def svt_dp(lam, mu, geometry: str, step) -> dict:
             step(nxt.setdefault(head + (values[t],) + tail, {}), acc, q, values[s:t], values[t])
         return len(acc) * (len(values) - s)
 
-    return _transfer(lam, mu, geometry, spread)
+    return _transfer(lam, mu, geometry, spread, CLASS_REMEDY)
 
 
 def svt_counts(lam, mu, geometry: str) -> dict:
@@ -154,13 +154,13 @@ def svt_counts(lam, mu, geometry: str) -> dict:
                 nxt[key] = {n + 1: c * rows[t - s]}
         return count_slots(c, width) * (len(values) - s)
 
-    return unpack_counts(_transfer(lam, mu, geometry, spread), width)
+    return unpack_counts(_transfer(lam, mu, geometry, spread, ""), width)  # no remedy for a count
 
 
-def _transfer(lam, mu, geometry: str, spread) -> dict:
+def _transfer(lam, mu, geometry: str, spread, remedy: str) -> dict:
     """The DP of `svt_dp`: ``spread(nxt, acc, head, tail, values, s, q)`` adds
     one state's moves into nxt, to head + (values[t],) + tail for t >= s, and
-    returns the entries it read."""
+    returns the entries it read; a refusal names remedy."""
     lam, mu = trim(lam), trim(mu)
     if not contains(lam, mu):
         raise ValueError(f"{lam} is not contained in {mu}")
@@ -189,7 +189,8 @@ def _transfer(lam, mu, geometry: str, spread) -> dict:
                 if p and state[p - 1] > lo:
                     lo = state[p - 1]
                 s = bisect_left(values, lo)
-                work = check_work(work) + spread(nxt, acc, state[:p], state[p + 1:], values, s, q)
+                work = check_work(work, "entries read", remedy) + spread(
+                    nxt, acc, state[:p], state[p + 1:], values, s, q)
             states = nxt
     total = {}
     for acc in states.values():

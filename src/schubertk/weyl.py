@@ -230,21 +230,18 @@ def format_window(w: WeylElement) -> str:
     return ",".join(str(t) for t in w.window)
 
 
-def format_weight(mu: Weight, latex: bool = False, pieces: dict = None) -> str:
-    """Render a weight like "ε_1-ε_3" (or its LaTeX form), positive part first.
-    Each signed term such as "+2ε_1" is built once per `pieces` dict, which a
-    caller rendering many weights in one form passes to every call."""
-    pieces = {} if pieces is None else pieces
-    pos, neg = [], []
-    for i, c in enumerate(mu, start=1):
-        if c:
-            piece = pieces.get((i, c))
-            if piece is None:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                sym = r"\epsilon_" if latex else "ε_"
-                piece = pieces[i, c] = f"{'-' if c < 0 else '+'}{mag}{sym}{i}"
-            (pos if c > 0 else neg).append(piece)
+def format_weight(mu: Weight, latex: bool = False) -> str:
+    """Render a weight like "ε_1-ε_3" (or its LaTeX form), positive part first."""
+    pos = [weight_piece(i, c, latex) for i, c in enumerate(mu, start=1) if c > 0]
+    neg = [weight_piece(i, c, latex) for i, c in enumerate(mu, start=1) if c < 0]
     return "".join(pos + neg)[1:] if pos else ("".join(neg) or "0")
+
+
+def weight_piece(i: int, c: int, latex: bool = False) -> str:
+    """The signed term c eps_i, c != 0, of a rendered weight, like "+2ε_1"."""
+    mag = "" if abs(c) == 1 else str(abs(c))
+    sym = r"\epsilon_" if latex else "ε_"
+    return f"{'-' if c < 0 else '+'}{mag}{sym}{i}"
 
 
 # Window-level helpers used by the 0-Hecke fold inner loops and by

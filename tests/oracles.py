@@ -4,9 +4,11 @@ None of them is called by the library: each restates a definition of the
 paper (the Demazure product through the root action, excitation moves,
 the restriction condition on tableaux, the inverse of f, full
 commutativity, a sum of products multiplied out term by term, a packed key
-read digit by digit, a geometric series convolved power by power), is the
-argparse parser the CLI replaced by its option table, is the dict-keyed
-count step the packed counts replaced, or is a tool the tests need
+read digit by digit, a coordinate cut out of a key digit by digit, a
+geometric series convolved power by power), is the argparse parser the CLI
+replaced by its option table, is the dict-keyed count step the packed
+counts replaced, is the renderer that formatted a polynomial monomial by
+monomial before the renderer kept prefixes, or is a tool the tests need
 (energies, JSON readers, the grading of a polynomial along xi).
 """
 
@@ -17,7 +19,7 @@ from functools import lru_cache
 from math import comb
 
 from schubertk.diagrams import BoxSet, ReflectionTableau, ambient_boxes
-from schubertk.ring import DIGIT, LIMIT, LaurentPoly, add_into, pack
+from schubertk.ring import DIGIT, LIMIT, LaurentPoly, add_into, pack, signed_sum
 from schubertk.shapes import part, size, trim
 from schubertk.tableaux import SetValuedTableau, f_map
 from schubertk.weyl import (
@@ -25,6 +27,7 @@ from schubertk.weyl import (
     RootSystem,
     WeylElement,
     apply,
+    format_weight,
     is_minimal_rep,
     is_positive_root_vector,
     length,
@@ -364,15 +367,37 @@ def ev_xi(p: LaurentPoly, xi) -> dict:
 # -- packed keys and the geometric series -----------------------------------
 
 def unpack(key: int, rank: int) -> tuple:
-    """The exponent vector of a packed key, read digit by digit: with LIMIT
-    added to every digit, each one is a nonnegative 16-bit number.
+    """The exponent vector of a packed key, read digit by digit from the top
+    (e_1 first): with LIMIT added to every digit, each one is a nonnegative
+    16-bit number.
 
     >>> unpack(pack((3, -1, 0, -LIMIT)), 4)
     (3, -1, 0, -32767)
     """
     mask = (1 << DIGIT) - 1
     k = key + LIMIT * sum(1 << s for s in range(0, DIGIT * rank, DIGIT))
-    return tuple(((k >> s) & mask) - LIMIT for s in range(0, DIGIT * rank, DIGIT))
+    return tuple(((k >> s) & mask) - LIMIT for s in reversed(range(0, DIGIT * rank, DIGIT)))
+
+
+def drop_digit(key: int, rank: int, coord: int) -> int:
+    """The packed key with coordinate coord (1-based) cut out: its digits
+    read by `unpack`, the one of coord deleted, the rest packed again."""
+    exp = list(unpack(key, rank))
+    del exp[coord - 1]
+    return pack(exp)
+
+
+def reference_format_poly(p: LaurentPoly) -> str:
+    """The text of a polynomial rendered monomial by monomial: the terms
+    sorted as exponent tuples, and each weight rendered whole by
+    `format_weight`, with no state shared between monomials."""
+    def body(e, c):
+        if not any(e):
+            return str(c)
+        mag = "" if c == 1 else f"{c}*"
+        return f"{mag}e^{{{format_weight(e)}}}"
+
+    return signed_sum((c < 0, body(e, abs(c))) for e, c in sorted(p.terms.items()))
 
 
 def convolved_slices(slices, steps) -> list:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import time
 from collections import Counter
 
@@ -117,6 +118,19 @@ def test_every_class_engine_stops_at_the_budget(backend, capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and "--format latex" in out.err
+
+
+@pytest.mark.parametrize("emit, remedy", [
+    ("mult", ""), ("hilbert", ""), ("tableaux --count-only", ""),
+    ("class --format latex --backend hecke", "; the expanded class lists none of them"),
+])
+def test_a_refusal_names_only_a_remedy_that_applies(emit, remedy, capsys, monkeypatch):
+    # a count names none, and the factored class does not name itself
+    monkeypatch.setattr(ring, "MAX_EXPANSION", 250)
+    assert run(f"--type C --rank 6 --lambda 3,2,1 --mu 6,5,4,3,2,1 --emit {emit}".split()) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert re.fullmatch(rf"error: \d+ entries read, more than 250{remedy}\n", out.err)
 
 
 def test_rank_past_the_budget_exits_2_with_one_line(capsys):

@@ -16,8 +16,11 @@ The listing digest covers ``--emit diagrams`` in text, json and latex and
 listing).  It was recorded on the tree before the excited-diagram
 enumeration moved onto bit masks.
 
-Both pin the output to the old code's, byte for byte.  Re-record a digest
-only for a change that means to alter output.
+Both pin the output to the old code's, byte for byte.  Both held, not
+re-recorded, when the packed keys moved ε_1 into the top digit, so that
+output sorts the keys as integers and text renders each weight from the one
+before it.  Re-record a digest only for a change that means to alter
+output.
 """
 
 import contextlib

@@ -560,6 +560,14 @@ def test_backend_report():
     assert report_b.agree and len(report_b.classes) == 4
 
 
+def test_a_mismatch_names_the_least_monomial_where_the_classes_differ():
+    p = LaurentPoly(2, {(1, 0): 2, (0, 1): 1, (-1, 5): 3})
+    q = LaurentPoly(2, {(1, 0): 2, (0, 1): 4, (-1, 5): 3, (-2, 0): 0, (3, -3): 1})
+    assert restriction._first_difference(p, q) == "monomial (0, 1): 1 != 4"
+    assert restriction._first_difference(q, LaurentPoly(2, {(-1, -9): 1})) == "monomial (-1, -9): 0 != 1"
+    assert restriction._first_difference(p, p) == "values equal"
+
+
 def test_the_eyd_class_builds_t_mu_once_and_runs_no_transfer_dp(monkeypatch):
     expect = pullback(A7, 3, WA, VA, backend="hecke")
     calls = []

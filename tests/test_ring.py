@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import convolved_slices, ev_xi, unpack, xi_degree
+from oracles import (
+    convolved_slices,
+    drop_digit,
+    ev_xi,
+    reference_format_poly,
+    unpack,
+    xi_degree,
+)
 from schubertk.restriction import HilbertData, hilbert_polynomial_value
 from schubertk.ring import (
     LIMIT,
@@ -279,6 +286,48 @@ def test_bulk_decoder_matches_the_digit_reader(exp):
     keys = [pack(exp), -pack(exp), 0]
     assert unpack_all(keys, len(exp)) == [unpack(k, len(exp)) for k in keys]
     assert unpack_all(keys, len(exp))[0] == tuple(exp)
+
+
+# coordinates drawn from a few small values share prefixes; the range ends test the packing
+digits = st.sampled_from([0, 1, -1, 2, -2, LIMIT, -LIMIT]) | st.integers(-LIMIT, LIMIT)
+
+
+def polys_of_rank(n, coefs=st.integers(-3, 3)):
+    return st.dictionaries(st.tuples(*[digits] * n), coefs, max_size=8).map(
+        lambda terms: LaurentPoly(n, terms))
+
+
+@given(st.integers(1, 14).flatmap(
+    lambda n: st.lists(st.lists(digits, min_size=n, max_size=n), min_size=1, max_size=12)))
+@example([[LIMIT] * 14, [-LIMIT] * 14, [0] * 14])
+@example([[1, -LIMIT], [0, LIMIT], [-1, 0], [0, -1]])
+@settings(max_examples=200, deadline=None)
+def test_key_order_is_lex_order(exps):
+    keys = [pack(e) for e in exps]
+    assert unpack_all(sorted(keys), len(exps[0])) == sorted(map(tuple, exps))
+
+
+@given(st.integers(1, 6).flatmap(polys_of_rank))
+@settings(max_examples=150, deadline=None)
+def test_specialize_zero_is_the_digit_surgery(p):
+    for coord in range(1, p.rank + 1):
+        expect = {}
+        for k, c in p.packed.items():
+            key = drop_digit(k, p.rank, coord)
+            expect[key] = expect.get(key, 0) + c
+        assert specialize_zero(p, coord).packed == {k: c for k, c in expect.items() if c}
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: polys_of_rank(n, st.integers(-3, 3) | st.integers(-10**30, 10**30))))
+@example(LaurentPoly.zero(3))
+@example(LaurentPoly(2, {(0, 0): -7}))
+@example(LaurentPoly(2, {(-1, 0): -1, (0, 0): 5, (1, -1): 2, (1, 0): -12}))
+@example(LaurentPoly(3, {(LIMIT, -LIMIT, 0): -3, (-LIMIT, 0, LIMIT): 1, (0, 0, 0): 1}))
+@example(LaurentPoly(0, {(): -4}))
+@settings(max_examples=200, deadline=None)
+def test_format_poly_matches_the_monomial_by_monomial_renderer(p):
+    assert format_poly(p) == reference_format_poly(p)
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
