@@ -66,11 +66,11 @@ def hecke_subsequences(w: WeylElement, word) -> list:
     table with factor 2^c for letter c: a key is the bit set of one
     subword's taken positions, and no two subwords share a key.
     """
-    reach, remedy = _reaching(w, word), "the expanded class lists none of them"
+    reach, remedy = _reaching(w, word), "drop --format latex for the expanded class"
     total = sum(_counts(w, word, reach, remedy).values())
     check_work(total, "subwords fold to w", remedy)
     bits = [1 << c for c in range(len(word))]
-    subwords = _fold(w, word, bits, add_into, _skip_and_take, reach, remedy=remedy)
+    subwords = _fold(w, word, bits, add_into, _skip_and_take, reach, remedy)
     lw = length(w)
     chosen = sorted(tuple(c + 1 for c, b in enumerate(bits) if key & b) for key in subwords)
     return [HeckeSubseq(t, len(t), len(t) - lw) for t in chosen]
@@ -88,13 +88,12 @@ def fold_dp(w: WeylElement, word, factors, take, stay) -> dict:
     (`_reaching`), so the DP starts empty when w is out of reach.  Before
     each letter, the state entries read so far pass `check_work`.
     """
-    return _fold(w, word, factors, take, stay, _reaching(w, word))
+    return _fold(w, word, factors, take, stay, _reaching(w, word), CLASS_REMEDY)
 
 
-def _fold(w: WeylElement, word, factors, take, stay, reach, weigh=len,
-          remedy=CLASS_REMEDY) -> dict:
-    """The loop of `fold_dp` on a reach table for w and word; a state weighs
-    weigh(acc), and a refusal names remedy."""
+def _fold(w: WeylElement, word, factors, take, stay, reach, remedy: str, weigh=len) -> dict:
+    """The loop of `fold_dp` on a reach table for w and word; a refusal
+    names remedy, and a state weighs weigh(acc)."""
     rs = w.rstype
     kind = rs.kind
     ident = tuple(range(1, rs.rank + 1))
@@ -135,18 +134,18 @@ def subsequence_stats(w: WeylElement, word) -> dict:
     >>> subsequence_stats(simple_reflection(RootSystem("A", 3), 1), (1, 2, 1))
     {1: 2, 2: 1}
     """
-    return _counts(w, word, _reaching(w, word))
+    return _counts(w, word, _reaching(w, word), "")  # no remedy for a count
 
 
-def _counts(w: WeylElement, word, reach, remedy: str = "") -> dict:
-    """`subsequence_stats` on a reach table built for w and word; a count
-    names no remedy unless a listing it sizes does."""
+def _counts(w: WeylElement, word, reach, remedy: str) -> dict:
+    """`subsequence_stats` on a reach table built for w and word; a refusal
+    names remedy."""
     width = len(word) + 1
 
     def stay(dst, src, f):  # times 1 + t
         for n, c in src.items():
             dst[n] = dst.get(n, 0) + c + (c << width)
 
-    packed = _fold(w, word, [1] * len(word), add_into, stay, reach,
-                   lambda acc: count_slots(*acc.values(), width), remedy)  # one key per state
+    packed = _fold(w, word, [1] * len(word), add_into, stay, reach, remedy,
+                   lambda acc: count_slots(*acc.values(), width))  # one key per state
     return unpack_counts(packed, width)

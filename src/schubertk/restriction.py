@@ -301,7 +301,7 @@ def pair_class(pair: Pair, backend: str = "eyd") -> KClass:
         return KClass(rstype, d, pullback_hecke_with_word(rstype, pair.w, pair.word))
     span = _span_bound(pair.exponents.values())
     packed = _svt_packed(pair) if backend == "svt" else _sum_of_products(pullback_terms(pair))
-    return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span, length(pair.w) % 2 == 1))
+    return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span) * (-1) ** length(pair.w))
 
 
 def _svt_packed(pair: Pair) -> dict:
@@ -324,7 +324,7 @@ def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> Lauren
     exps = [negate_weight(r) for r in r_values(word, rstype)]
     span = _span_bound(exps)
     packed = hecke.fold_dp(w, word, list(map(pack, exps)), add_binomial_into, add_into)
-    return LaurentPoly.from_packed(rstype.rank, packed, span, length(w) % 2 == 1)
+    return LaurentPoly.from_packed(rstype.rank, packed, span) * (-1) ** length(w)
 
 
 def pullback_b_via_d(w: WeylElement, v: WeylElement) -> KClass:

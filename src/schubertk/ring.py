@@ -160,13 +160,12 @@ class LaurentPoly:
         self.span = span
 
     @classmethod
-    def from_packed(cls, rank: int, packed: dict, span: int, negate: bool = False) -> LaurentPoly:
-        """Wrap a packed dict whose coordinates are bounded by span, negated
-        if negate, in one pass; zero coefficients are dropped."""
+    def from_packed(cls, rank: int, packed: dict, span: int) -> LaurentPoly:
+        """Wrap a packed dict whose coordinates are bounded by span; zero
+        coefficients are dropped."""
         p = object.__new__(cls)
         p.rank = rank
-        items = packed.items()
-        p.packed = {k: -c for k, c in items if c} if negate else {k: c for k, c in items if c}
+        p.packed = {k: c for k, c in packed.items() if c}
         p.span = check_span(span) if p.packed else 0
         return p
 
@@ -206,7 +205,9 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly.from_packed(self.rank, self.packed, self.span, negate=True)
+        return LaurentPoly.from_packed(
+            self.rank, {k: -c for k, c in self.packed.items()}, self.span
+        )
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -346,18 +347,21 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> Grade
 
 
 def signed_sum(terms) -> str:
-    """Join (negative, body) pairs into a signed sum; "0" when there are none.
+    """Join (negative, body) pairs, each body non-empty, into a signed sum;
+    "0" when there are none.
 
     >>> signed_sum([(False, "2"), (True, "t"), (False, "t^2")])
     '2 - t + t^2'
     >>> signed_sum([(True, "1")]), signed_sum([])
     ('-1', '0')
     """
-    parts = []
-    for negative, body in terms:
-        sign = "-" if negative else ("+" if parts else "")
-        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-    return " ".join(parts) or "0"
+    return _signed_text("".join(f" - {b}" if negative else f" + {b}" for negative, b in terms))
+
+
+def _signed_text(text: str) -> str:
+    """The signed sum of its terms " + body" or " - body" joined: the first
+    sign trimmed, "0" when there are none."""
+    return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
 
 
 def format_poly(p: LaurentPoly) -> str:
@@ -366,8 +370,9 @@ def format_poly(p: LaurentPoly) -> str:
     Keys are read in order, so each weight shares a prefix with the one
     before it: the positive and negative pieces of every prefix of the last
     weight are kept, and a weight is rendered on from the top digit where
-    its biased key differs from the last one.  Each piece such as "+2ε_1"
-    is built once per rendering.  The signs are those of `signed_sum`."""
+    its biased key differs from the last one (so the keys are read, not
+    `sorted_terms`).  Each piece such as "+2ε_1" is built once per
+    rendering, and each term once, with its sign, as `signed_sum` would."""
     from .weyl import weight_piece
 
     n, bias, packed = p.rank, _bias(p.rank), p.packed
@@ -387,18 +392,10 @@ def format_poly(p: LaurentPoly) -> str:
             pos[i + 1] = pos[i] + piece if x > 0 else pos[i]
             neg[i + 1] = neg[i] + piece if x < 0 else neg[i]
         weight = (pos[n] + neg[n])[1:] if pos[n] else neg[n]
-        sign = " + " if c > 0 else " - "
-        c = abs(c)
-        if not weight:
-            parts.append(f"{sign}{c}")
-        elif c == 1:
-            parts.append(f"{sign}e^{{{weight}}}")
-        else:
-            parts.append(f"{sign}{c}*e^{{{weight}}}")
-    if not parts:
-        return "0"
-    parts[0] = parts[0][3:] if parts[0][1] == "+" else "-" + parts[0][3:]
-    return "".join(parts)
+        sign, c = (" - ", -c) if c < 0 else (" + ", c)
+        mag = "" if c == 1 else f"{c}*"
+        parts.append(f"{sign}{mag}e^{{{weight}}}" if weight else f"{sign}{c}")
+    return _signed_text("".join(parts))
 
 
 def poly_to_json(p: LaurentPoly) -> dict:

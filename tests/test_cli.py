@@ -122,7 +122,7 @@ def test_every_class_engine_stops_at_the_budget(backend, capsys, monkeypatch):
 
 @pytest.mark.parametrize("emit, remedy", [
     ("mult", ""), ("hilbert", ""), ("tableaux --count-only", ""),
-    ("class --format latex --backend hecke", "; the expanded class lists none of them"),
+    ("class --format latex --backend hecke", "; drop --format latex for the expanded class"),
 ])
 def test_a_refusal_names_only_a_remedy_that_applies(emit, remedy, capsys, monkeypatch):
     # a count names none, and the factored class does not name itself
