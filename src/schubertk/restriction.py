@@ -16,18 +16,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from operator import mul
 
 from . import hecke
 from .diagrams import enumerate_eyd, geometry_of, reading_word, reflection_tableau
 from .ring import (
+    CLASS_REMEDY,
+    LIMIT,
+    TRUNC_REMEDY,
     GradedSeries,
     LaurentPoly,
     add_binomial_into,
     add_into,
     check_span,
     check_work,
-    geometric_expand,
+    expand_graded,
     pack,
+    series_span,
     signed_sum,
     specialize_zero,
 )
@@ -72,7 +77,8 @@ class Pair:
     """One validated query: minimal representatives w, v of rstype, the index
     d of the maximal parabolic, the shapes lam of w and mu of v, and whether
     v lies on X^w.  `Pair.of` validates once, every engine takes a pair, and
-    T_mu, its reading word and its exponents are built here on first use."""
+    T_mu, its reading word, its exponents, the tangent weights and xi are
+    built here on first use."""
 
     rstype: RootSystem
     d: int
@@ -134,6 +140,28 @@ class Pair:
         roots = levi_complement_roots(self.rstype, self.d)
         return [apply(self.v, negate_weight(beta)) for beta in roots]
 
+    @cached_property
+    def xi(self) -> tuple:
+        """(den * xi, den) as integers, den = 1 in type A and 2 in types C, D:
+        xi = v(sum of the first d eps_i), resp. v(sum eps_i / 2), the grading
+        of the character.  RuntimeError unless every tangent weight pairs to
+        -1 with it."""
+        n = self.rstype.rank
+        if self.rstype.kind == "A":
+            base, den = [1] * self.d + [0] * (n - self.d), 1
+        else:
+            base, den = [1] * n, 2
+        ixi = [0] * n
+        for b, t in zip(base, self.v.window):
+            if t > 0:
+                ixi[t - 1] += b
+            else:
+                ixi[-t - 1] -= b
+        for alpha in self.tangent_weights:
+            if (pairing := sum(map(mul, alpha, ixi))) != -den:
+                raise RuntimeError(f"xi pairing failed: {alpha}(xi) = {Fraction(pairing, den)}")
+        return ixi, den
+
 
 def levi_complement_roots(rstype: RootSystem, d: int = None) -> list:
     """Positive roots of g outside the Levi of the maximal parabolic: the
@@ -182,30 +210,6 @@ def r_values(word, rstype: RootSystem) -> list:
         out.append(r)
         win = window_right_mult(rstype.kind, win, i)
     return out
-
-
-def _scaled_xi(rstype: RootSystem, d, v: WeylElement, weights) -> tuple:
-    """(den * xi, den) as integers, den = 1 in type A and 2 in types C, D:
-    xi = v(sum of the first d eps_i), resp. v(sum eps_i / 2).  Checks
-    alpha(xi) = -1 for every alpha in weights, the tangent weights at v."""
-    n = rstype.rank
-    if rstype.kind == "A":
-        base, den = [1] * d + [0] * (n - d), 1
-    else:
-        base, den = [1] * n, 2
-    ixi = [0] * n
-    for b, t in zip(base, v.window):
-        if t > 0:
-            ixi[t - 1] += b
-        else:
-            ixi[-t - 1] -= b
-    for alpha in weights:
-        pairing = sum(c * x for c, x in zip(alpha, ixi))
-        if pairing != -den:
-            raise RuntimeError(
-                f"xi pairing failed: {alpha}(xi) = {Fraction(pairing, den)}"
-            )
-    return ixi, den
 
 
 def _span_bound(exps) -> int:
@@ -304,18 +308,22 @@ def pair_class(pair: Pair, backend: str = "eyd") -> KClass:
     return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span) * (-1) ** length(pair.w))
 
 
-def _svt_packed(pair: Pair) -> dict:
+def _svt_packed(pair: Pair, N: int = None) -> dict:
     """The unsigned class of an on-variety pair as a packed dict, summed over
     the set-valued tableaux T of prod_{x in T(i,j)} (e^{g(x, j-i)} - 1) by
     the transfer DP, with g(x, j-i) the exponent of the box (x, x+j-i) of
     f(T).  The entries of a box below its maximum contribute
-    1 + (e^g - 1) = e^g each, so every transition is one fused kernel call."""
-    g = {(x, y - x): pack(e) for (x, y), e in pair.exponents.items()}
+    1 + (e^g - 1) = e^g each, so every transition is one fused kernel call.
+    With N, each g of xi-degree 1 carries its degree digit and the keys of
+    degree > N are dropped (`ring`): the class truncated at degree N."""
+    top, cap, remedy = (0, None, CLASS_REMEDY) if N is None else (  # cap: degree N + 1's least key
+        1, pack((-LIMIT,) * pair.rstype.rank, N + 1), TRUNC_REMEDY)
+    g = {(x, y - x): pack(e, top) for (x, y), e in pair.exponents.items()}
 
     def step(dst, src, q, below, largest):
-        add_binomial_into(dst, src, g[largest, q], sum(g[x, q] for x in below))
+        add_binomial_into(dst, src, g[largest, q], sum(g[x, q] for x in below), cap)
 
-    return svt_dp(pair.lam, pair.mu, pair.geometry, step)
+    return svt_dp(pair.lam, pair.mu, pair.geometry, step, remedy)
 
 
 def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> LaurentPoly:
@@ -440,18 +448,25 @@ def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
 
 
 def pair_character(pair: Pair, N: int) -> GradedSeries:
-    """The character of `graded_character` for a validated pair; a negative
-    N is refused before the numerator is built."""
+    """The character of `graded_character` for a validated pair, from the
+    svt class truncated at degree N in the DP.  A negative N, or one past the
+    packing range, is refused before the DP; a box exponent whose xi-degree
+    is not 1, which the degree digit would mis-bucket, is a failed check."""
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
     n = pair.rstype.rank
     if pair.rstype.kind == "B":
         pair = pair.lifted
-    weights = pair.tangent_weights
-    ixi, den = _scaled_xi(pair.rstype, pair.d, pair.v, weights)
-    numerator = pair_class(pair, "svt").value
-    xi = [Fraction(x, den) for x in ixi]
-    series = geometric_expand(numerator, weights, xi, N)
+    weights, (ixi, den) = pair.tangent_weights, pair.xi
+    exps = pair.exponents.values() if pair.on_variety else ()
+    for g in exps:
+        if (pairing := sum(map(mul, g, ixi))) != den:
+            raise RuntimeError(f"xi-degree check failed: {g}(xi) = {Fraction(pairing, den)}")
+    span = series_span(_span_bound(exps), weights, N)
+    graded = _svt_packed(pair, N) if pair.on_variety else {}
+    if length(pair.w) % 2:
+        graded = {k: -c for k, c in graded.items()}
+    series = expand_graded(graded, pair.rstype.rank, weights, N, span)
     if pair.rstype.rank == n:
         return series
     return GradedSeries(N, [specialize_zero(s, n + 1) for s in series.slices])

@@ -3,8 +3,9 @@
 LaurentPoly is a sparse map from exponent vectors in Z^rank to arbitrary
 precision integer coefficients.  geometric_expand produces the truncated
 graded character num / prod (1 - e^{-mu}), graded along a rational vector
-xi.  The count DPs carry polynomials in one variable t as integers, W bits
-per power of t (`unpack_counts`, `count_slots`).
+xi, and `expand_graded` from a numerator graded by its degree digit (below).
+The count DPs carry polynomials in one variable t as integers, W bits per
+power of t (`unpack_counts`, `count_slots`).
 
 Encoding.  An exponent vector (e_1, ..., e_rank) is stored as the one
 integer e_1 B^(rank-1) + ... + e_(rank-1) B + e_rank with B = 2^16: balanced
@@ -17,6 +18,14 @@ exponent vectors: sorting a polynomial sorts its ints.  `pack` and
 `unpack_all` convert; the kernels `add_into` and `add_binomial_into` work on
 packed dicts {key: coef}.  Tuples appear only at the edges:
 `LaurentPoly.terms`, text, LaTeX and JSON.
+
+Degree digit.  When every factor e^g of a DP has degree 1 along xi, its
+factor key B^rank + pack(g), `pack(g, 1)`, carries the degree of each
+monomial as one more digit on top: k B^rank + pack(e) at degree k.  Degrees
+never fall along the DP, so it stops at degree N by dropping every key at
+or above cap = (N + 1) B^rank - bias, the least key of degree N + 1: one
+comparison per key in `add_binomial_into`.  One shift of the biased key
+reads the digit back (`expand_graded`).
 
 Decoding.  Keys are decoded in bulk, each at C speed.  Adding H, 2^15 in
 every digit, makes each digit e_i + 2^15 in [1, 2^16 - 1] with no borrow;
@@ -37,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from operator import mul
 from struct import Struct
 
 DIGIT = 16
@@ -55,13 +65,15 @@ def check_work(work: int, what: str = "entries read", remedy: str = CLASS_REMEDY
     return work
 
 
-def check_span(span: int) -> int:
+TRUNC_REMEDY = "lower the truncation degree"
+
+
+def check_span(span: int, remedy: str = "") -> int:
     """Return span, or raise ValueError if coordinates bounded by it do not
-    fit the packing range."""
+    fit the packing range; the message names remedy, if any."""
     if span > LIMIT:
-        raise ValueError(
-            f"exponent coordinates up to {span} exceed the packing range +-{LIMIT}"
-        )
+        raise ValueError(f"exponent coordinates up to {span} exceed the packing range "
+                         f"+-{LIMIT}" + (remedy and f"; {remedy}"))
     return span
 
 
@@ -69,10 +81,11 @@ def span_of(exponent) -> int:
     return max(map(abs, exponent), default=0)
 
 
-def pack(exponent) -> int:
-    """The packed key of an exponent vector; ValueError outside +-LIMIT."""
+def pack(exponent, top: int = 0) -> int:
+    """The packed key of an exponent vector, with top as one more digit above
+    it (the degree digit); ValueError outside +-LIMIT."""
     check_span(span_of(exponent))
-    key = 0
+    key = top
     for x in exponent:
         key = (key << DIGIT) + x
     return key
@@ -112,15 +125,23 @@ def add_into(dst: dict, src: dict, g: int = 0) -> None:
             dst[k] = get(k, 0) + c
 
 
-def add_binomial_into(dst: dict, src: dict, g: int, shift: int = 0) -> None:
+def add_binomial_into(dst: dict, src: dict, g: int, shift: int = 0, cap: int = None) -> None:
     """dst += src * e^shift * (e^g - 1) on packed dicts, the fused factor
-    every class is built from.  dst must not be src; zeros as in `add_into`."""
+    every class is built from.  dst must not be src; zeros as in `add_into`.
+    With cap, keys at or above it are dropped (the degree digit)."""
     get = dst.get
+    if cap is None:
+        for k, c in src.items():
+            if c:
+                k += shift
+                kg = k + g
+                dst[kg] = get(kg, 0) + c
+                dst[k] = get(k, 0) - c
+        return
     for k, c in src.items():
-        if c:
-            k += shift
-            kg = k + g
-            dst[kg] = get(kg, 0) + c
+        if c and (k := k + shift) < cap:
+            if (kg := k + g) < cap:
+                dst[kg] = get(kg, 0) + c
             dst[k] = get(k, 0) - c
 
 
@@ -273,20 +294,12 @@ def specialize_zero(p: LaurentPoly, coord: int) -> LaurentPoly:
     return LaurentPoly.from_packed(p.rank - 1, out, p.span)
 
 
-def _integer_grading(xi) -> tuple:
-    """(xi scaled to integers, the scale): degrees become integer dot products."""
-    xi = [Fraction(x) for x in xi]
-    den = lcm(*(x.denominator for x in xi))
-    return [x.numerator * (den // x.denominator) for x in xi], den
-
-
 def _degree(exponent, ixi, den) -> int:
-    val = sum(x * c for x, c in zip(ixi, exponent))
-    deg, rem = divmod(val, den)
+    """The degree along xi = ixi / den; ValueError unless it is an integer."""
+    deg, rem = divmod(sum(map(mul, ixi, exponent)), den)
     if rem:
-        raise ValueError(
-            f"non-integral degree {Fraction(val, den)} for exponent {tuple(exponent)}"
-        )
+        raise ValueError(f"non-integral degree {deg + Fraction(rem, den)} "
+                         f"for exponent {tuple(exponent)}")
     return deg
 
 
@@ -306,10 +319,40 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> Grade
 
     Each -mu must have xi-degree exactly 1 (every tangent weight pairs to -1
     in the cominuscule setting), so the expansion is graded and finite per
-    degree.  A numerator term of degree i meets every monomial of degree
-    <= N - i in the D denominator weights, so sum_i |num_i| C(N-i+D, D), with
-    num_i the numerator's degree-i part, passes `check_work` before any
-    slice is expanded.
+    degree.  The numerator's terms of degree <= N take their degree digit
+    and go to `expand_graded`."""
+    if N < 0:
+        raise ValueError("truncation degree must be nonnegative")
+    xi = [Fraction(x) for x in xi]
+    den = lcm(*(x.denominator for x in xi))  # degrees become integer dot products
+    ixi = [x.numerator * (den // x.denominator) for x in xi]
+    for mu in denom_weights:
+        if _degree([-x for x in mu], ixi, den) != 1:
+            raise ValueError(f"denominator weight {mu} does not have xi-degree -1")
+    rank = numerator.rank
+    span = series_span(numerator.span, denom_weights, N)
+    graded = {}
+    for e, (k, c) in zip(unpack_all(numerator.packed, rank), numerator.packed.items()):
+        d = _degree(e, ixi, den)
+        if d < 0:
+            raise ValueError(f"negative-degree monomial {e} in numerator")
+        if d <= N:
+            graded[k + (d << DIGIT * rank)] = c
+    return expand_graded(graded, rank, denom_weights, N, span)
+
+
+def series_span(span: int, denom_weights, N: int) -> int:
+    """The span of a character to degree N of a numerator of the given span:
+    a degree-i slice is a numerator term times i denominator monomials."""
+    return check_span(span + N * max(map(span_of, denom_weights), default=0), TRUNC_REMEDY)
+
+
+def expand_graded(graded: dict, rank: int, denom_weights, N: int, span: int) -> GradedSeries:
+    """num / prod_{mu} (1 - e^{-mu}) to degree N, from the terms of num of
+    degree <= N keyed with their degree digits, each -mu of degree 1; span is
+    the `series_span`.  The digits bucket num into slices num_i.  A term of
+    num_i meets every monomial of degree <= N - i in the D denominator
+    weights, so sum_i |num_i| C(N-i+D, D) passes `check_work` first.
 
     Each weight is divided out by 1/(1 - x) = 1 + x/(1 - x), x = e^{-mu}:
     slice_i += x * slice_{i-1} in place for i = 1..N ascending, so slice_{i-1}
@@ -319,26 +362,15 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> Grade
     weights, so weight j reads at most sum_k |num_k| C(N-1-k+j, j) entries,
     and these sum to sum_k |num_k| (C(N-k+D, D) - 1).
     """
-    if N < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    ixi, den = _integer_grading(xi)
-    for mu in denom_weights:
-        if _degree([-x for x in mu], ixi, den) != 1:
-            raise ValueError(f"denominator weight {mu} does not have xi-degree -1")
-    rank = numerator.rank
-    # a degree-i slice is the numerator times i denominator monomials
-    span = check_span(numerator.span + N * max(map(span_of, denom_weights), default=0))
+    shift, bias = DIGIT * rank, _bias(rank)
     slices = [{} for _ in range(N + 1)]
-    for e, (k, c) in zip(unpack_all(numerator.packed, rank), numerator.packed.items()):
-        d = _degree(e, ixi, den)
-        if d < 0:
-            raise ValueError(f"negative-degree monomial {e} in numerator")
-        if d <= N:
-            slices[d][k] = c
+    for k, c in graded.items():
+        if c:
+            d = (k + bias) >> shift
+            slices[d][k - (d << shift)] = c
     D = len(denom_weights)
     work = sum(len(s) * comb(N - i + D, D) for i, s in enumerate(slices))
-    check_work(work, f"term products in the character to degree {N}",
-               "lower the truncation degree")
+    check_work(work, f"term products in the character to degree {N}", TRUNC_REMEDY)
     for mu in denom_weights:
         step = pack([-x for x in mu])
         for i in range(1, N + 1):

@@ -108,7 +108,7 @@ def enumerate_svt(lam, mu, geometry: str, d: int = None,
     return out
 
 
-def svt_dp(lam, mu, geometry: str, step) -> dict:
+def svt_dp(lam, mu, geometry: str, step, remedy: str = CLASS_REMEDY) -> dict:
     """Sum over the set-valued tableaux of shape lam restricted by mu of a
     weight that multiplies one factor per (box, entry) pair; a dict of ints.
 
@@ -121,14 +121,14 @@ def svt_dp(lam, mu, geometry: str, step) -> dict:
     whose other entries are drawn from ``below`` (the feasible entries
     smaller than ``largest``).  The empty filling weighs {0: 1}, the unit of
     every accumulator.  Before each state's steps, the entries handed to
-    ``step`` so far pass `check_work`.
+    ``step`` so far pass `check_work`, whose refusal names remedy.
     """
     def spread(nxt, acc, head, tail, values, s, q):
         for t in range(s, len(values)):
             step(nxt.setdefault(head + (values[t],) + tail, {}), acc, q, values[s:t], values[t])
         return len(acc) * (len(values) - s)
 
-    return _transfer(lam, mu, geometry, spread, CLASS_REMEDY)
+    return _transfer(lam, mu, geometry, spread, remedy)
 
 
 def svt_counts(lam, mu, geometry: str) -> dict:

@@ -5,7 +5,9 @@ paper (the Demazure product through the root action, excitation moves,
 the restriction condition on tableaux, the inverse of f, full
 commutativity, a sum of products multiplied out term by term, a packed key
 read digit by digit, a coordinate cut out of a key digit by digit, a
-geometric series convolved power by power), is the argparse parser the CLI
+geometric series convolved power by power, xi built in Fractions), is the
+character as it was built from the whole svt class before its numerator was
+truncated in the DP, is the argparse parser the CLI
 replaced by its option table, is the dict-keyed count step the packed
 counts replaced, is the renderer that formatted a polynomial monomial by
 monomial before the renderer kept prefixes, or is a tool the tests need
@@ -19,7 +21,18 @@ from functools import lru_cache
 from math import comb
 
 from schubertk.diagrams import BoxSet, ReflectionTableau, ambient_boxes
-from schubertk.ring import DIGIT, LIMIT, LaurentPoly, add_into, pack, signed_sum
+from schubertk.restriction import Pair, pair_class
+from schubertk.ring import (
+    DIGIT,
+    LIMIT,
+    GradedSeries,
+    LaurentPoly,
+    add_into,
+    geometric_expand,
+    pack,
+    signed_sum,
+    specialize_zero,
+)
 from schubertk.shapes import part, size, trim
 from schubertk.tableaux import SetValuedTableau, f_map
 from schubertk.weyl import (
@@ -398,6 +411,36 @@ def reference_format_poly(p: LaurentPoly) -> str:
         return f"{mag}e^{{{format_weight(e)}}}"
 
     return signed_sum((c < 0, body(e, abs(c))) for e, c in sorted(p.terms.items()))
+
+
+def reference_xi(rstype: RootSystem, d, v: WeylElement) -> tuple:
+    """xi built in Fractions: v applied to the sum of the first d eps_i
+    (type A), resp. to the sum of eps_i / 2 (types C, D)."""
+    n = rstype.rank
+    if rstype.kind == "A":
+        base = [Fraction(1)] * d + [Fraction(0)] * (n - d)
+    else:
+        base = [Fraction(1, 2)] * n
+    out = [Fraction(0)] * n
+    for i, t in enumerate(v.window):
+        if t > 0:
+            out[t - 1] += base[i]
+        else:
+            out[-t - 1] -= base[i]
+    return tuple(out)
+
+
+def reference_character(pair: Pair, N: int) -> GradedSeries:
+    """The character to degree N from the whole svt class: the expanded
+    numerator, graded along xi in Fractions by `geometric_expand`, and in
+    type B computed in D_{n+1} and specialized back."""
+    upstairs = pair.lifted if pair.rstype.kind == "B" else pair
+    numerator = pair_class(upstairs, "svt").value
+    xi = reference_xi(upstairs.rstype, upstairs.d, upstairs.v)
+    series = geometric_expand(numerator, upstairs.tangent_weights, xi, N)
+    if upstairs is pair:
+        return series
+    return GradedSeries(N, [specialize_zero(s, upstairs.rstype.rank) for s in series.slices])
 
 
 def convolved_slices(slices, steps) -> list:

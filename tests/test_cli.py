@@ -123,6 +123,7 @@ def test_every_class_engine_stops_at_the_budget(backend, capsys, monkeypatch):
 @pytest.mark.parametrize("emit, remedy", [
     ("mult", ""), ("hilbert", ""), ("tableaux --count-only", ""),
     ("class --format latex --backend hecke", "; drop --format latex for the expanded class"),
+    ("character --trunc 4", "; lower the truncation degree"),
 ])
 def test_a_refusal_names_only_a_remedy_that_applies(emit, remedy, capsys, monkeypatch):
     # a count names none, and the factored class does not name itself
@@ -131,6 +132,30 @@ def test_a_refusal_names_only_a_remedy_that_applies(emit, remedy, capsys, monkey
     out = capsys.readouterr()
     assert out.out == ""
     assert re.fullmatch(rf"error: \d+ entries read, more than 250{remedy}\n", out.err)
+
+
+def test_a_character_is_not_refused_for_the_size_of_its_whole_class(capsys, monkeypatch):
+    # the numerator is truncated at N in the DP, so only its slices count
+    monkeypatch.setattr(ring, "MAX_EXPANSION", 250)
+    pair = "--type C --rank 6 --lambda 3,2,1 --mu 6,5,4,3,2,1"
+    assert run(f"{pair} --emit class --backend svt".split()) == 2
+    assert "--format latex" in capsys.readouterr().err
+    assert run(f"{pair} --emit character --trunc 1".split()) == 0
+    lines = capture(capsys).splitlines()
+    assert lines[1] == "degree 0: dim = 1; 1" and lines[2].startswith("degree 1: dim = 21; ")
+
+
+def test_a_character_past_the_packing_range_is_refused_before_the_dp(capsys, monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("svt_dp ran")
+
+    monkeypatch.setattr(restriction, "svt_dp", unexpected)
+    argv = "--type C --rank 4 --lambda 2,1 --mu 4,3,2,1 --emit character --trunc 40000"
+    assert run(argv.split()) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: exponent coordinates up to 80005 exceed the packing range "
+                       "+-32767; lower the truncation degree\n")
 
 
 def test_rank_past_the_budget_exits_2_with_one_line(capsys):

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import commutation_class, eps_of_entry, ev_xi, identity, sum_of_products, unpack
+from oracles import (
+    commutation_class,
+    eps_of_entry,
+    ev_xi,
+    identity,
+    reference_character,
+    reference_xi,
+    sum_of_products,
+    unpack,
+)
 from schubertk import hecke, restriction, ring, tableaux
 from schubertk.diagrams import reading_word, reflection_tableau
 from schubertk.ring import LaurentPoly
@@ -195,8 +204,8 @@ def test_type_b_closed_form_uses_unshifted_indices():
 
 
 def xi_vector(rs, d, v):
-    """xi in Fractions, from the integers (den * xi, den) of `_scaled_xi`."""
-    ixi, den = restriction._scaled_xi(rs, d, v, tangent_weights(rs, d, v))
+    """xi in Fractions, from the integers (den * xi, den) of `Pair.xi`."""
+    ixi, den = Pair.of(rs, d, v, v).xi
     return tuple(Fraction(x, den) for x in ixi)
 
 
@@ -448,23 +457,6 @@ def test_hilbert_polynomial_coeffs_interpolate_the_hilbert_function(rs, d):
     assert points > 0
 
 
-def _xi_reference(rstype, d, v):
-    """xi built in Fractions: v applied to the sum of the first d eps_i
-    (type A), resp. to the sum of eps_i / 2 (types C, D)."""
-    n = rstype.rank
-    if rstype.kind == "A":
-        base = [Fraction(1)] * d + [Fraction(0)] * (n - d)
-    else:
-        base = [Fraction(1, 2)] * n
-    out = [Fraction(0)] * n
-    for i, t in enumerate(v.window):
-        if t > 0:
-            out[t - 1] += base[i]
-        else:
-            out[-t - 1] -= base[i]
-    return tuple(out)
-
-
 @pytest.mark.parametrize(
     "rs,d",
     [(RootSystem("A", 6), 3), (RootSystem("C", 5), None), (RootSystem("D", 5), None)],
@@ -472,7 +464,7 @@ def _xi_reference(rstype, d, v):
 def test_xi_vector_matches_the_fraction_construction(rs, d):
     for v in minimal_reps(rs, d):
         xi = xi_vector(rs, d, v)
-        assert xi == _xi_reference(rs, d, v)
+        assert xi == reference_xi(rs, d, v)
 
 
 def test_graded_character_smooth_and_point_cases():
@@ -508,6 +500,35 @@ def test_negative_truncation_is_refused_before_the_class(monkeypatch, rs, d, w, 
     with pytest.raises(ValueError, match="truncation degree must be nonnegative"):
         graded_character(rs, d, w, v, -1)
     assert calls == []
+
+
+SMALL_SPACES = ([(RootSystem("A", n), d) for n in range(2, 7) for d in range(1, n)]
+                + [(RootSystem(kind, n), None) for kind in "BCD" for n in range(2, 6)
+                   if (kind, n) != ("D", 2)])
+
+
+@pytest.mark.parametrize("rs, d", SMALL_SPACES,
+                         ids=[f"{rs.kind}{rs.rank}" + (f"-{d}" if d else "") for rs, d in SMALL_SPACES])
+def test_truncated_numerator_matches_the_whole_class_at_every_small_pair(rs, d):
+    # the DP drops the numerator's terms past N; the whole class, graded in
+    # Fractions, gives the same slices, and the dims are the Hilbert function
+    for w, v in _on_variety_pairs(rs, d):
+        pair = Pair.of(rs, d, w, v)
+        want = reference_character(pair, 4).slices
+        for N in range(5):
+            series = restriction.pair_character(pair, N)
+            assert series.slices == want[:N + 1], (w, v, N)
+        data = restriction.pair_hilbert(pair)
+        assert series.dims() == [hilbert_polynomial_value(data, n) for n in range(5)], (w, v)
+
+
+def test_an_exponent_of_xi_degree_2_is_refused():
+    # one factor e^g with g(xi) = 2 would land in the wrong degree slice
+    pair = Pair.of(C4, None, WC, VC)
+    box, g = next(iter(pair.exponents.items()))
+    pair.__dict__["exponents"] = {**pair.exponents, box: tuple(2 * x for x in g)}
+    with pytest.raises(RuntimeError, match=r"xi-degree check failed: .*\(xi\) = 2$"):
+        restriction.pair_character(pair, 2)
 
 
 def test_dim_gp_counts_the_roots_outside_the_levi():
