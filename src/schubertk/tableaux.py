@@ -1,6 +1,7 @@
-"""Set-valued (shifted) tableaux restricted by an ambient shape: their
-enumeration, the transfer DP over them (`svt_dp`, and `svt_counts` on one
-packed count per state), and the map f onto excited Young diagrams.
+"""Set-valued (shifted) tableaux restricted by an ambient shape: the
+transfer DP over them (`svt_dp`; `svt_counts` on one packed count per
+state; `enumerate_svt`, which lists them with one bit per (box, entry) as
+the key), and the map f onto excited Young diagrams.
 
 A filling is semistandard when rows are weakly and columns strictly
 increasing entry-by-entry; it is restricted by mu when every entry x of box
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .diagrams import BoxSet, ambient_boxes
 from .ring import CLASS_REMEDY, add_into, check_work, count_slots, unpack_counts
@@ -44,18 +46,14 @@ class SetValuedTableau:
         return f"SVT({self.geometry}, {self.shape} in {self.ambient}; {body})"
 
 
-def _box_values(geometry: str, mu, top: int, i: int, j: int) -> list:
-    """The entries x <= top that the restriction by mu allows in box (i,j),
-    ascending from the least one a semistandard filling can hold there.  The
+def _box_values(geometry: str, mu, i: int, j: int) -> list:
+    """The entries that the restriction by mu allows in box (i,j), ascending
+    from the least one a semistandard filling can hold there.  The
     neighbours of the box only raise the lower end, so every feasible entry
     set is drawn from a suffix."""
     values = []
-    for x in range(i if geometry == "ordinary" else 1, top + 1):
-        if geometry == "ordinary":
-            exceeded = x + j - i > part(mu, x)
-        else:
-            exceeded = j - i > part(mu, x) - 1
-        if exceeded:
+    for x in range(i if geometry == "ordinary" else 1, len(mu) + 1):
+        if (x if geometry == "ordinary" else 1) + j - i > part(mu, x):
             break  # the bound only tightens as x grows
         # type D diagonal excitations move two steps, so a diagonal entry
         # keeps the parity of its starting row
@@ -64,48 +62,49 @@ def _box_values(geometry: str, mu, top: int, i: int, j: int) -> list:
     return values
 
 
+@lru_cache(maxsize=1024)
+def _entries(chunk: int) -> tuple:
+    """The entries x whose bit x - 1 is set in chunk: one box of a key."""
+    return tuple(x + 1 for x in range(chunk.bit_length()) if chunk >> x & 1)
+
+
 def enumerate_svt(lam, mu, geometry: str, d: int = None,
                   single_valued_only: bool = False) -> list:
-    """All set-valued tableaux of shape lam restricted by mu, canonically ordered.
+    """All set-valued tableaux of shape lam restricted by mu, ordered by cells.
 
-    Backtracks over boxes in row-major order; the feasible entries of a box
-    are the values `_box_values` allows there, bounded below by the row and
-    column neighbours.
+    They are listed through the DP of `svt_dp`, as `hecke_subsequences`
+    lists subwords: a key is the bit set of one tableau's (box, entry)
+    pairs, bit k*l(mu) + x - 1 for entry x of the k-th box in row-major
+    order, so no two tableaux share a key.  The keys pass `check_work`
+    before they are written, with no remedy.  d is not read: mu fits in d
+    rows, and an entry x > l(mu) already breaks x + j - i <= mu_x.
+
+    >>> [T.cells for T in enumerate_svt((1,), (2, 2), "ordinary")]
+    [(((1, 1), (1,)),), (((1, 1), (1, 2)),), (((1, 1), (2,)),)]
     """
-    lam, mu = trim(lam), trim(mu)
-    if not contains(lam, mu):
-        raise ValueError(f"{lam} is not contained in {mu}")
+    rows = len(trim(mu))
     boxes = sorted(ambient_boxes(lam, geometry))
-    top = d if d is not None else len(mu)  # entries run over {1..d} or mu's rows
-    values = {(i, j): _box_values(geometry, mu, top, i, j) for i, j in boxes}
-    out = []
-    filled = {}
+    shift = {box: k * rows for k, box in enumerate(boxes)}
 
-    def allowed_values(i, j):
-        lo = 0
-        left = filled.get((i, j - 1))
-        if left:
-            lo = left[-1]
-        above = filled.get((i - 1, j))
-        if above:
-            lo = max(lo, above[-1] + 1)
-        return [x for x in values[i, j] if x >= lo]
+    def spread(nxt, acc, head, tail, values, s, box):
+        n, low = len(values) - s, shift[box] - 1
+        written = check_work(len(acc) * (n if single_valued_only else (1 << n) - 1),
+                             "entries read", "")  # refused before it is written
+        subsets = [0]  # the bit sets of values[s:t]
+        for t in range(s, len(values)):
+            dst = nxt.setdefault(head + (values[t],) + tail, {})
+            top = 1 << low + values[t]
+            for sub in subsets:
+                add_into(dst, acc, top | sub)  # the bits are new to acc's keys, so + is |
+            if not single_valued_only:
+                subsets += [sub | top for sub in subsets]
+        return written
 
-    def rec(k):
-        if k == len(boxes):
-            out.append(
-                SetValuedTableau(geometry, lam, mu, tuple(filled.items()))
-            )
-            return
-        i, j = boxes[k]
-        for subset in _nonempty_subsets(allowed_values(i, j), single_valued_only):
-            filled[(i, j)] = subset
-            rec(k + 1)
-        filled.pop((i, j), None)
-
-    rec(0)
-    out.sort(key=lambda T: T.cells)
-    return out
+    mask = (1 << rows) - 1
+    tableaux = (SetValuedTableau(geometry, lam, mu, tuple(
+        (box, _entries(key >> shift[box] & mask)) for box in boxes))
+        for key in _transfer(lam, mu, geometry, spread, ""))  # no remedy for a listing
+    return sorted(tableaux, key=lambda T: T.cells)
 
 
 def svt_dp(lam, mu, geometry: str, step, remedy: str = CLASS_REMEDY) -> dict:
@@ -123,7 +122,8 @@ def svt_dp(lam, mu, geometry: str, step, remedy: str = CLASS_REMEDY) -> dict:
     every accumulator.  Before each state's steps, the entries handed to
     ``step`` so far pass `check_work`, whose refusal names remedy.
     """
-    def spread(nxt, acc, head, tail, values, s, q):
+    def spread(nxt, acc, head, tail, values, s, box):
+        q = box[1] - box[0]
         for t in range(s, len(values)):
             step(nxt.setdefault(head + (values[t],) + tail, {}), acc, q, values[s:t], values[t])
         return len(acc) * (len(values) - s)
@@ -144,7 +144,7 @@ def svt_counts(lam, mu, geometry: str) -> dict:
     width = size(mu) + 1
     rows = [((1 << width) + 1) ** k for k in range(len(mu))]
 
-    def spread(nxt, acc, head, tail, values, s, q):
+    def spread(nxt, acc, head, tail, values, s, box):
         (n, c), = acc.items()  # every state after n boxes has the one key n
         for t in range(s, len(values)):
             key = head + (values[t],) + tail
@@ -158,9 +158,10 @@ def svt_counts(lam, mu, geometry: str) -> dict:
 
 
 def _transfer(lam, mu, geometry: str, spread, remedy: str) -> dict:
-    """The DP of `svt_dp`: ``spread(nxt, acc, head, tail, values, s, q)`` adds
-    one state's moves into nxt, to head + (values[t],) + tail for t >= s, and
-    returns the entries it read; a refusal names remedy."""
+    """The DP of `svt_dp`: ``spread(nxt, acc, head, tail, values, s, box)``
+    adds one state's moves at box (i, j) into nxt, to head + (values[t],) +
+    tail for t >= s, and returns the entries it read; a refusal names
+    remedy."""
     lam, mu = trim(lam), trim(mu)
     if not contains(lam, mu):
         raise ValueError(f"{lam} is not contained in {mu}")
@@ -181,8 +182,7 @@ def _transfer(lam, mu, geometry: str, spread, remedy: str) -> dict:
             states = sliced
         for p in range(row_len):
             j = p + (i if shifted else 1)
-            values = _box_values(geometry, mu, len(mu), i, j)
-            q = j - i
+            box, values = (i, j), _box_values(geometry, mu, i, j)
             nxt = {}
             for state, acc in states.items():
                 lo = state[p] + 1
@@ -190,22 +190,12 @@ def _transfer(lam, mu, geometry: str, spread, remedy: str) -> dict:
                     lo = state[p - 1]
                 s = bisect_left(values, lo)
                 work = check_work(work, "entries read", remedy) + spread(
-                    nxt, acc, state[:p], state[p + 1:], values, s, q)
+                    nxt, acc, state[:p], state[p + 1:], values, s, box)
             states = nxt
     total = {}
     for acc in states.values():
         add_into(total, acc)
     return total
-
-
-def _nonempty_subsets(values, singles_only):
-    if singles_only:
-        for x in values:
-            yield (x,)
-        return
-    n = len(values)
-    for mask in range(1, 1 << n):
-        yield tuple(values[b] for b in range(n) if mask >> b & 1)
 
 
 def f_map(T: SetValuedTableau) -> BoxSet:

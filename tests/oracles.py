@@ -9,9 +9,10 @@ geometric series convolved power by power, xi built in Fractions), is the
 character as it was built from the whole svt class before its numerator was
 truncated in the DP, is the argparse parser the CLI
 replaced by its option table, is the dict-keyed count step the packed
-counts replaced, is the renderer that formatted a polynomial monomial by
-monomial before the renderer kept prefixes, or is a tool the tests need
-(energies, JSON readers, the grading of a polynomial along xi).
+counts replaced, is the backtracking tableau enumerator the listing through
+the transfer DP replaced, is the renderer that formatted a polynomial
+monomial by monomial before the renderer kept prefixes, or is a tool the
+tests need (energies, JSON readers, the grading of a polynomial along xi).
 """
 
 import argparse
@@ -33,7 +34,7 @@ from schubertk.ring import (
     signed_sum,
     specialize_zero,
 )
-from schubertk.shapes import part, size, trim
+from schubertk.shapes import contains, part, size, trim
 from schubertk.tableaux import SetValuedTableau, f_map
 from schubertk.weyl import (
     CACHE_SIZE,
@@ -226,6 +227,52 @@ def restricted(geometry: str, mu, x: int, i: int, j: int) -> bool:
     if geometry == "shiftedD" and i == j and (x - i) % 2:
         return False
     return j - i <= part(mu, x) - 1
+
+
+def reference_enumerate_svt(lam, mu, geometry: str, d: int = None,
+                            single_valued_only: bool = False) -> list:
+    """`enumerate_svt` as a backtracker over the boxes in row-major order:
+    the entries of a box run over {1..d} (or mu's rows), restricted by mu
+    and bounded below by the row and column neighbours."""
+    lam, mu = trim(lam), trim(mu)
+    if not contains(lam, mu):
+        raise ValueError(f"{lam} is not contained in {mu}")
+    boxes = sorted(ambient_boxes(lam, geometry))
+    top = d if d is not None else len(mu)
+    values = {(i, j): [x for x in range(1, top + 1) if restricted(geometry, mu, x, i, j)]
+              for i, j in boxes}
+    out = []
+    filled = {}
+
+    def allowed_values(i, j):
+        lo = 0
+        left = filled.get((i, j - 1))
+        if left:
+            lo = left[-1]
+        above = filled.get((i - 1, j))
+        if above:
+            lo = max(lo, above[-1] + 1)
+        return [x for x in values[i, j] if x >= lo]
+
+    def subsets(xs):
+        if single_valued_only:
+            return [(x,) for x in xs]
+        return [tuple(x for b, x in enumerate(xs) if mask >> b & 1)
+                for mask in range(1, 1 << len(xs))]
+
+    def rec(k):
+        if k == len(boxes):
+            out.append(SetValuedTableau(geometry, lam, mu, tuple(filled.items())))
+            return
+        i, j = boxes[k]
+        for subset in subsets(allowed_values(i, j)):
+            filled[(i, j)] = subset
+            rec(k + 1)
+        filled.pop((i, j), None)
+
+    rec(0)
+    out.sort(key=lambda T: T.cells)
+    return out
 
 
 def is_restricted(T: SetValuedTableau) -> bool:

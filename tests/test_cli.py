@@ -122,16 +122,26 @@ def test_every_class_engine_stops_at_the_budget(backend, capsys, monkeypatch):
 
 @pytest.mark.parametrize("emit, remedy", [
     ("mult", ""), ("hilbert", ""), ("tableaux --count-only", ""),
+    ("tableaux", ""), ("tableaux --format json", ""), ("class --format latex --backend svt", ""),
     ("class --format latex --backend hecke", "; drop --format latex for the expanded class"),
     ("character --trunc 4", "; lower the truncation degree"),
 ])
 def test_a_refusal_names_only_a_remedy_that_applies(emit, remedy, capsys, monkeypatch):
-    # a count names none, and the factored class does not name itself
+    # a count or a listing names none, and the factored class does not name itself
     monkeypatch.setattr(ring, "MAX_EXPANSION", 250)
     assert run(f"--type C --rank 6 --lambda 3,2,1 --mu 6,5,4,3,2,1 --emit {emit}".split()) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert re.fullmatch(rf"error: \d+ entries read, more than 250{remedy}\n", out.err)
+
+
+def test_a_listing_is_refused_before_one_box_writes_past_the_budget(capsys):
+    # the one box of lam = (1) takes any nonempty subset of {1..24}
+    mu = ",".join(["24"] * 24)
+    assert run(f"--type A --n 48 --d 24 --lambda 1 --mu {mu} --emit tableaux".split()) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: 16777215 entries read, more than 10000000\n"
 
 
 def test_a_character_is_not_refused_for_the_size_of_its_whole_class(capsys, monkeypatch):

@@ -9,10 +9,11 @@ from oracles import (
     f_inverse,
     is_restricted,
     is_semistandard,
+    reference_enumerate_svt,
     svt_from_json,
     top_tableau,
 )
-from schubertk.diagrams import BoxSet, enumerate_eyd, initial_diagram
+from schubertk.diagrams import BoxSet, enumerate_eyd, geometry_of, initial_diagram
 from schubertk.shapes import all_shapes, contains
 from schubertk.tableaux import SetValuedTableau, enumerate_svt, f_map, svt_to_json
 from schubertk.weyl import RootSystem
@@ -84,6 +85,28 @@ def test_f_inverse_rejects_non_image():
     C = BoxSet("shiftedD", (3, 2, 1), frozenset({(2, 2)}))
     with pytest.raises(ValueError):
         f_inverse(C, (1,))
+
+
+def test_enumerate_svt_matches_the_backtracker():
+    # the same list in the same order; d= never binds, as mu fits in d rows
+    groups = [(RootSystem("A", n), d) for n in range(2, 8) for d in range(1, n)]
+    groups += [(RootSystem(kind, n), None) for kind in "BC" for n in range(2, 6)]
+    groups += [(RootSystem("D", n), None) for n in range(3, 7)]
+    pairs = 0
+    for rs, d in groups:
+        geometry, shapes = geometry_of(rs), all_shapes(rs, d)
+        for mu in shapes:
+            for lam in shapes:
+                if sum(mu) > 10 or not contains(lam, mu):
+                    continue
+                for single in (False, True):
+                    expected = reference_enumerate_svt(lam, mu, geometry, d, single)
+                    assert enumerate_svt(lam, mu, geometry, single_valued_only=single) == expected
+                    if d is not None:
+                        assert reference_enumerate_svt(lam, mu, geometry, None, single) == expected
+                        assert enumerate_svt(lam, mu, geometry, d, single) == expected
+                pairs += 1
+    assert pairs == 3213
 
 
 def test_counts_agree_across_small_shapes():
