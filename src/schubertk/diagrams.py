@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .ring import check_work
 from .shapes import contains, largest_part, trim
 from .weyl import RootSystem, parabolic_index
 
@@ -89,7 +90,8 @@ def enumerate_eyd(lam, mu, geometry: str, reduced_only: bool = False) -> list:
     An excitation needs the boxes of `_needed` free inside D_mu; a move
     (type 1) takes the box to the target, an add (type 2) keeps it.  With
     reduced_only, only moves are applied, which yields the reduced excited
-    diagrams.  Output is deduplicated and sorted by box list.
+    diagrams.  Output is deduplicated and sorted by box list.  The number of
+    diagrams kept passes `check_work` before each is expanded, with no remedy.
     """
     start = initial_diagram(lam, mu, geometry)
     order = sorted(_boxes_of(start.ambient, geometry))
@@ -105,6 +107,7 @@ def enumerate_eyd(lam, mu, geometry: str, reduced_only: bool = False) -> list:
     while frontier:
         nxt = []
         for m in frontier:
+            check_work(len(seen))  # no remedy for a listing
             for b, need, target in moves:
                 if m & b and not m & need:
                     for new in (m ^ b | target, m | target)[:kinds]:

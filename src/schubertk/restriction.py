@@ -130,7 +130,7 @@ class Pair:
         except ValueError as exc:
             raise ValueError(f"B{n}'s Hilbert data, character and lifted class "
                              f"are computed through D{n + 1}: {exc}") from None
-        # bd_identify_inverse of a minimal representative, not checked again
+        # bd_identify_inverse of w and v, without reading their shapes again
         wD, vD = perm_of_strict(self.lam, rsD), perm_of_strict(self.mu, rsD)
         return Pair(rsD, n + 1, wD, vD, self.lam, self.mu, self.on_variety)
 
@@ -236,7 +236,7 @@ def _sum_of_products(terms) -> dict:
     def fold_to(depth):
         nonlocal reads
         while len(path) > depth:  # arguments run left to right: parent, then child
-            reads = check_work(reads) + len(sums[-1])
+            reads = check_work(reads, "entries read", CLASS_REMEDY) + len(sums[-1])
             add_binomial_into(sums[-2], sums.pop(), path.pop())
 
     for term in terms:

@@ -56,7 +56,7 @@ MAX_EXPANSION = 10**7
 CLASS_REMEDY = "for a class, --format latex prints the factored form"
 
 
-def check_work(work: int, what: str = "entries read", remedy: str = CLASS_REMEDY) -> int:
+def check_work(work: int, what: str = "entries read", remedy: str = "") -> int:
     """Return work, or raise ValueError once it passes MAX_EXPANSION, the one
     budget of every count that can blow up time or memory.  The message
     names remedy, if any: what to run instead."""

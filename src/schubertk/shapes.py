@@ -129,18 +129,11 @@ def perm_of_strict(lam, rstype: RootSystem) -> WeylElement:
 
 
 def bd_identify_inverse(u: WeylElement) -> WeylElement:
-    """B_n -> D_{n+1}: insert +-(n+1), signed to make the bar count even."""
+    """B_n -> D_{n+1}: the representative of D_{n+1} with the strict
+    partition of u, the lift that `restriction.Pair.lifted` takes."""
     if u.rstype.kind != "B":
         raise ValueError("bd_identify_inverse expects a type B element")
-    if not is_minimal_rep(u):
-        raise ValueError(f"{u} is not minimal in W^P_n")
-    n = u.rstype.rank
-    negatives = sum(1 for t in u.window if t < 0)
-    new = (n + 1) if negatives % 2 == 0 else -(n + 1)
-    # 2n-window order puts every barred letter after every plain one
-    key = lambda t: t if t > 0 else 2 * (n + 1) + 1 + t
-    win = tuple(sorted(u.window + (new,), key=key))
-    return WeylElement(RootSystem("D", n + 1), win)
+    return perm_of_strict(strict_partition_of(u), RootSystem("D", u.rstype.rank + 1))
 
 
 def all_shapes(rstype: RootSystem, d: int = None):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagrams import BoxSet, ambient_boxes
-from .ring import CLASS_REMEDY, add_into, check_work, count_slots, unpack_counts
+from .ring import add_into, check_work, count_slots, unpack_counts
 from .shapes import contains, part, size, trim
 
 
@@ -107,7 +107,7 @@ def enumerate_svt(lam, mu, geometry: str, d: int = None,
     return sorted(tableaux, key=lambda T: T.cells)
 
 
-def svt_dp(lam, mu, geometry: str, step, remedy: str = CLASS_REMEDY) -> dict:
+def svt_dp(lam, mu, geometry: str, step, remedy: str = "") -> dict:
     """Sum over the set-valued tableaux of shape lam restricted by mu of a
     weight that multiplies one factor per (box, entry) pair; a dict of ints.
 

@@ -3,8 +3,7 @@
 Elements are stored as signed one-line windows: type A uses a plain
 permutation ``(w_1, ..., w_n)`` of ``{1, ..., n}``, while types B, C and D
 use the first half of the symmetric 2n-window, with a negative entry ``-k``
-standing for the barred letter.  The second half of the 2n-window is implied
-by the symmetry and reconstructed on demand by :func:`full_window`.
+standing for the barred letter.
 
 Group elements act on weights on the left, and a product ``u * w`` applies
 ``w`` first.  A word ``(i_1, ..., i_l)`` therefore denotes the element
@@ -103,17 +102,9 @@ class WeylElement:
 
 def simple_reflection(rstype: RootSystem, i: int) -> WeylElement:
     """The i-th simple reflection as a window, 1-based index."""
-    n = rstype.rank
     if not 1 <= i <= rstype.num_simple:
         raise ValueError(f"simple reflection index {i} out of range for {rstype}")
-    win = list(range(1, n + 1))
-    if i < n:
-        win[i - 1], win[i] = win[i], win[i - 1]
-    elif rstype.kind in ("B", "C"):
-        win[n - 1] = -n
-    else:  # type D, i == n
-        win[n - 2], win[n - 1] = -n, -(n - 1)
-    return WeylElement(rstype, tuple(win))
+    return WeylElement(rstype, window_right_mult(rstype.kind, tuple(range(1, rstype.rank + 1)), i))
 
 
 def apply(w: WeylElement, mu: Weight) -> Weight:
@@ -158,24 +149,15 @@ def reduced_word(w: WeylElement) -> tuple:
     The returned word ``(i_1, ..., i_l)`` satisfies
     ``w = s_{i_1} s_{i_2} ... s_{i_l}`` under the apply-rightmost-first
     convention; its length is the Coxeter length of w.
+
+    >>> reduced_word(parse_window(RootSystem("C", 3), "2,-3,1"))
+    (1, 3, 2)
     """
-    rs = w.rstype
-    alphas = simple_roots(rs)
-    letters = []
-    u = w
-    uinv = inverse(w)
-    ident = tuple(range(1, rs.rank + 1))
-    while u.window != ident:
-        for i in range(1, rs.num_simple + 1):
-            # l(s_i u) < l(u)  iff  u^{-1}(alpha_i) is a negative root
-            if not is_positive_root_vector(apply(uinv, alphas[i - 1])):
-                s = simple_reflection(rs, i)
-                u = mult(s, u)
-                uinv = mult(uinv, s)
-                letters.append(i)
-                break
-        else:  # pragma: no cover
-            raise RuntimeError(f"no descent found for {u}; corrupt window?")
+    kind, simple = w.rstype.kind, range(1, w.rstype.num_simple + 1)
+    x, letters = inverse(w).window, []  # u's left descents are x = u^-1's right descents
+    while i := next((i for i in simple if not window_right_ascent(kind, x, i)), None):
+        letters.append(i)
+        x = window_right_mult(kind, x, i)
     return tuple(letters)
 
 
@@ -193,24 +175,12 @@ def parabolic_index(rstype: RootSystem, d) -> int:
 
 
 def is_minimal_rep(w: WeylElement, d=None) -> bool:
-    """Test membership in W^P: the d-th maximal parabolic in type A, P_n otherwise.
-
-    Types B/C/D ignore d and compare entries of the 2n-window, so barred
-    letters count as large.
-    """
-    n = w.rstype.rank
-    skip = parabolic_index(w.rstype, d) - 1  # type A's one descent; n - 1 skips none
-    full = full_window(w)
-    return all(full[i] < full[i + 1] for i in range(n - 1) if i != skip)
-
-
-def full_window(w: WeylElement) -> tuple:
-    """The numeric window: the 2n-window for B/C/D (bar(k) = 2n+1-k), w itself for A."""
-    if w.rstype.kind == "A":
-        return w.window
-    n = w.rstype.rank
-    first = tuple(t if t > 0 else 2 * n + 1 + t for t in w.window)
-    return first + tuple(2 * n + 1 - t for t in reversed(first))
+    """Test membership in W^P: the d-th maximal parabolic in type A, P_n
+    otherwise (types B/C/D ignore d).  w is minimal iff every s_i of the
+    Levi, i != the parabolic index, is a right ascent of w."""
+    kind, skip = w.rstype.kind, parabolic_index(w.rstype, d)
+    return all(window_right_ascent(kind, w.window, i)
+               for i in range(1, w.rstype.num_simple + 1) if i != skip)
 
 
 def negate_weight(a: Weight) -> Weight:
@@ -244,9 +214,9 @@ def weight_piece(i: int, c: int, latex: bool = False) -> str:
     return f"{'-' if c < 0 else '+'}{mag}{sym}{i}"
 
 
-# Window-level helpers used by the 0-Hecke fold inner loops and by
-# `restriction.r_values`.  They avoid building WeylElement instances in hot
-# paths; the tuple is always a valid window for the ambient root system.
+# Window-level helpers, the group's one ascent test and right product, used by
+# `reduced_word`, `is_minimal_rep`, `simple_reflection`, the 0-Hecke fold and
+# `restriction.r_values`; the tuple is always a valid window of the rank.
 
 def window_apply(win: tuple, mu: Weight) -> Weight:
     """The action of :func:`apply` on a bare window."""

@@ -1,8 +1,9 @@
 """Reference implementations that the tests check the library against.
 
 None of them is called by the library: each restates a definition of the
-paper (the Demazure product through the root action, excitation moves,
-the restriction condition on tableaux, the inverse of f, full
+paper (the Demazure product, a reflection and a greedy reduced word
+through the root action, minimality read off the 2n-window, excitation
+moves, the restriction condition on tableaux, the inverse of f, full
 commutativity, a sum of products multiplied out term by term, a packed key
 read digit by digit, a coordinate cut out of a key digit by digit, a
 geometric series convolved power by power, xi built in Fractions), is the
@@ -42,6 +43,7 @@ from schubertk.weyl import (
     WeylElement,
     apply,
     format_weight,
+    inverse,
     is_minimal_rep,
     is_positive_root_vector,
     length,
@@ -68,6 +70,52 @@ def eps_of_entry(x: int, n: int) -> tuple:
     else:
         v[2 * n - x] = -1
     return tuple(v)
+
+
+def reflection(rstype: RootSystem, alpha) -> WeylElement:
+    """The reflection in the root alpha, read off its action on each eps_k:
+    eps_k - 2 (eps_k, alpha) / (alpha, alpha) alpha, which is +-eps_j."""
+    norm = sum(a * a for a in alpha)
+    win = []
+    for k in range(rstype.rank):
+        image = [(j == k) - 2 * alpha[k] * a // norm for j, a in enumerate(alpha)]
+        j = next(j for j, c in enumerate(image) if c)
+        win.append((j + 1) * image[j])
+    return WeylElement(rstype, tuple(win))
+
+
+def reference_reduced_word(w: WeylElement) -> tuple:
+    """The greedy reduced word by root vectors, as `reduced_word` found it
+    before the window ascent test: the least i with l(s_i u) < l(u), i.e.
+    u^{-1}(alpha_i) negative, taken until u is the identity."""
+    rs = w.rstype
+    alphas = simple_roots(rs)
+    letters = []
+    u, uinv = w, inverse(w)
+    while u != identity(rs):
+        i = next(i for i in range(1, rs.num_simple + 1)
+                 if not is_positive_root_vector(apply(uinv, alphas[i - 1])))
+        s = reflection(rs, alphas[i - 1])
+        u, uinv = mult(s, u), mult(uinv, s)
+        letters.append(i)
+    return tuple(letters)
+
+
+def full_window(w: WeylElement) -> tuple:
+    """The numeric window: the 2n-window for B/C/D (bar(k) = 2n+1-k), w itself for A."""
+    if w.rstype.kind == "A":
+        return w.window
+    n = w.rstype.rank
+    first = tuple(t if t > 0 else 2 * n + 1 + t for t in w.window)
+    return first + tuple(2 * n + 1 - t for t in reversed(first))
+
+
+def reference_is_minimal_rep(w: WeylElement, d=None) -> bool:
+    """Membership in W^P by the 2n-window: increasing on the first n entries
+    (B/C/D), or on both sides of position d (A); barred letters count as large."""
+    skip = d - 1 if w.rstype.kind == "A" else None
+    full = full_window(w)
+    return all(full[i] < full[i + 1] for i in range(w.rstype.rank - 1) if i != skip)
 
 
 def demazure_fold(word, rstype: RootSystem) -> WeylElement:

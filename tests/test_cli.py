@@ -123,6 +123,7 @@ def test_every_class_engine_stops_at_the_budget(backend, capsys, monkeypatch):
 @pytest.mark.parametrize("emit, remedy", [
     ("mult", ""), ("hilbert", ""), ("tableaux --count-only", ""),
     ("tableaux", ""), ("tableaux --format json", ""), ("class --format latex --backend svt", ""),
+    ("diagrams", ""), ("diagrams --format json", ""), ("class --format latex --backend eyd", ""),
     ("class --format latex --backend hecke", "; drop --format latex for the expanded class"),
     ("character --trunc 4", "; lower the truncation degree"),
 ])

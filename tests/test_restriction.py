@@ -11,6 +11,7 @@ from oracles import (
     commutation_class,
     eps_of_entry,
     ev_xi,
+    full_window,
     identity,
     reference_character,
     reference_xi,
@@ -46,7 +47,6 @@ from schubertk.restriction import (
 )
 from schubertk.weyl import (
     RootSystem,
-    full_window,
     length,
     negate_weight,
     parse_window,

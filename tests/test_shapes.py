@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bd_identify, identity, transpose
+from oracles import bd_identify, full_window, identity, transpose
 from schubertk.diagrams import ambient_boxes
 from schubertk.hecke import hecke_subsequences
 from schubertk.shapes import (
@@ -21,7 +21,6 @@ from schubertk.shapes import (
 from schubertk.weyl import (
     RootSystem,
     WeylElement,
-    full_window,
     length,
     parse_window,
     reduced_word,

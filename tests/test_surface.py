@@ -57,3 +57,16 @@ def test_only_the_pair_validates_a_query():
                for n in ast.walk(node))
     ]
     assert callers == ["Pair"]
+
+
+def test_only_the_window_primitives_decide_an_ascent():
+    # a later encoding of the group replaces the window helpers, not these
+    tree = ast.parse((ROOT / "src" / "schubertk" / "weyl.py").read_text())
+    banned = {"apply", "mult", "simple_roots", "is_positive_root_vector", "full_window"}
+    called = {
+        node.name: {getattr(n.func, "id", None) for n in ast.walk(node) if isinstance(n, ast.Call)}
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("reduced_word", "is_minimal_rep", "simple_reflection"):
+        assert "window_right_ascent" in called[name] or "window_right_mult" in called[name]
+        assert not called[name] & banned, name

@@ -4,13 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import demazure_fold, identity
+from oracles import (
+    demazure_fold,
+    full_window,
+    identity,
+    reference_is_minimal_rep,
+    reference_reduced_word,
+    reflection,
+)
 from schubertk.weyl import (
     RootSystem,
     WeylElement,
     apply,
     format_window,
-    full_window,
     inverse,
     is_minimal_rep,
     is_positive_root_vector,
@@ -175,6 +181,20 @@ def test_descent_word_refolds(kind, rank):
         word = reduced_word(w)
         assert len(word) == length(w)
         assert demazure_fold(word, rs) == w
+
+
+def test_the_window_ascent_test_matches_the_root_vectors():
+    # every element of A2-A5, B2-B4, C2-C4 and D3-D5, and every d in type A
+    ranks = {"A": range(2, 6), "B": range(2, 5), "C": range(2, 5), "D": range(3, 6)}
+    for kind, rs in ((k, RootSystem(k, n)) for k, rng in ranks.items() for n in rng):
+        alphas = simple_roots(rs)
+        for i in range(1, rs.num_simple + 1):
+            assert simple_reflection(rs, i) == reflection(rs, alphas[i - 1])
+        ds = range(1, rs.rank) if kind == "A" else [None]
+        for w in whole_group(rs):
+            assert reduced_word(w) == reference_reduced_word(w), w
+            for d in ds:
+                assert is_minimal_rep(w, d) == reference_is_minimal_rep(w, d), (w, d)
 
 
 def test_type_d_parity_preserved_under_mult():
