@@ -115,11 +115,19 @@ def enumerate_eyd(lam, mu, geometry: str, reduced_only: bool = False) -> list:
                             seen.add(new)
                             nxt.append(new)
         frontier = nxt
-    # ascending bit indices sort as the boxes do, so each row is sorted
-    indices = range(len(order))
-    rows = sorted([k for k in indices if m >> k & 1] for m in seen)
-    return [BoxSet(geometry, start.ambient, row, row)
-            for row in (tuple(map(order.__getitem__, r)) for r in rows)]
+    # each row walks the set bits of its mask, lowest first: ascending bits
+    # sort as the boxes do, so each row is sorted
+    box_of = {b: box for box, b in bit.items()}
+    rows = []
+    for m in seen:
+        row = []
+        while m:
+            low = m & -m
+            row.append(box_of[low])
+            m ^= low
+        rows.append(tuple(row))
+    rows.sort()
+    return [BoxSet(geometry, start.ambient, row, row) for row in rows]
 
 
 @dataclass(frozen=True)

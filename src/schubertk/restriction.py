@@ -220,17 +220,18 @@ def _span_bound(exps) -> int:
 
 
 def _sum_of_products(terms) -> dict:
-    """sum over the list terms of prod_g (e^g - 1) as a packed dict, by
-    Horner's rule over the prefix trie of the terms: sums[j] is the sum over
-    the completions below path[:j], folded into its parent once, when the
-    next term leaves it, and a term adds the unit where it ends.  Any order
-    gives the same sum; sorted terms share the most work.  Before each fold,
-    the entries folded so far pass `check_work`.
+    """sum over the list terms, each a list of packed keys g, of
+    prod_g (e^g - 1) as a packed dict, by Horner's rule over the prefix trie
+    of the terms: sums[j] is the sum over the completions below path[:j],
+    folded into its parent once, when the next term leaves it, and a term
+    adds the unit where it ends.  Any order gives the same sum; sorted terms
+    share the most work.  Before each fold, the entries folded so far pass
+    `check_work`.
 
-    >>> _sum_of_products([((1,),), ((1,), (2,))])  # (e - 1) + (e - 1)(e^2 - 1)
+    >>> e1, e2 = pack((1,)), pack((2,))
+    >>> _sum_of_products([[e1], [e1, e2]])  # (e - 1) + (e - 1)(e^2 - 1)
     {3: 1, 2: -1}
     """
-    keys = {g: pack(g) for g in set().union(*terms)}
     path, sums, reads = [], [{}], 0
 
     def fold_to(depth):
@@ -240,13 +241,12 @@ def _sum_of_products(terms) -> dict:
             add_binomial_into(sums[-2], sums.pop(), path.pop())
 
     for term in terms:
-        factors = [keys[g] for g in term]
         common = 0
-        while common < min(len(path), len(factors)) and path[common] == factors[common]:
+        while common < min(len(path), len(term)) and path[common] == term[common]:
             common += 1
         fold_to(common)
-        path += factors[common:]
-        sums += [{} for _ in factors[common:]]
+        path += term[common:]
+        sums += [{} for _ in term[common:]]
         sums[-1][0] = sums[-1].get(0, 0) + 1
     fold_to(0)
     return sums[0]
@@ -304,7 +304,12 @@ def pair_class(pair: Pair, backend: str = "eyd") -> KClass:
     if backend == "hecke":
         return KClass(rstype, d, pullback_hecke_with_word(rstype, pair.w, pair.word))
     span = _span_bound(pair.exponents.values())
-    packed = _svt_packed(pair) if backend == "svt" else _sum_of_products(pullback_terms(pair))
+    if backend == "svt":
+        packed = _svt_packed(pair)
+    else:  # each box of D_mu packed once, each diagram read off as its keys
+        key = {box: pack(g) for box, g in pair.exponents.items()}
+        packed = _sum_of_products([list(map(key.__getitem__, C.sorted_boxes()))
+                                   for C in enumerate_eyd(pair.lam, pair.mu, pair.geometry)])
     return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span) * (-1) ** length(pair.w))
 
 

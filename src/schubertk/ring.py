@@ -237,10 +237,12 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly.from_packed(
-                self.rank, {k: c * other for k, c in self.packed.items()}, self.span
-            )
+        if isinstance(other, int):  # one pass: a nonzero int makes no zeros
+            p = LaurentPoly.zero(self.rank)
+            if other:
+                p.packed = {k: c * other for k, c in self.packed.items()}
+                p.span = self.span
+            return p
         other = self._coerce(other)
         span = check_span(self.span + other.span)
         out = {}

@@ -113,9 +113,11 @@ def _on_variety_pairs():
 
 
 def test_enumerate_eyd_is_the_closure_under_the_oracle_excitations():
-    # the BFS closure of D_lam under oracles.excite, in sorted box-list order;
-    # the reduced diagrams count the multiplicity, in type B those of the
-    # same shapes in D_{n+1}, through which its Hilbert data are computed
+    # the BFS closure of D_lam under oracles.excite, in sorted box-list order,
+    # each diagram's sorted boxes in its `order` (which equality ignores and
+    # the eyd class reads); the reduced diagrams count the multiplicity, in
+    # type B those of the same shapes in D_{n+1}, through which its Hilbert
+    # data are computed
     pairs = 0
     for rs, d, w, v, lam, mu in _on_variety_pairs():
         geometry = geometry_of(rs)
@@ -126,7 +128,9 @@ def test_enumerate_eyd_is_the_closure_under_the_oracle_excitations():
                             for kind in kinds} - {None} - seen
                 seen = seen | frontier
             expected = sorted(seen, key=lambda C: sorted(C.boxes))
-            assert enumerate_eyd(lam, mu, geometry, reduced_only=len(kinds) == 1) == expected
+            listed = enumerate_eyd(lam, mu, geometry, reduced_only=len(kinds) == 1)
+            assert listed == expected
+            assert all(C.order == tuple(sorted(C.boxes)) for C in listed)
         upstairs = "shiftedD" if rs.kind == "B" else geometry
         reduced = enumerate_eyd(lam, mu, upstairs, reduced_only=True)
         assert len(reduced) == hilbert_data(rs, d, w, v, method="svt").multiplicity

@@ -619,13 +619,20 @@ def _on_variety_pairs(rs, d=None):
             if contains(lam, mu)]
 
 
+def _keys(terms):
+    """The terms of `pullback_terms` as the lists of packed keys that the
+    eyd sum takes."""
+    return [list(map(ring.pack, term)) for term in terms]
+
+
 def test_horner_sum_matches_the_term_by_term_expansion():
     a, b, c = (1, 0, -1), (0, 2, 0), (-1, 1, 1)
     for terms in ([], [()], [(a, b), (a, b)], [(a,), (a, b)], [(a, b), (a,)],
                   [(a, b, c), (a,), (b,), (), (a, c), (a, b)]):
-        assert _decoded(restriction._sum_of_products(terms), 3) == sum_of_products(terms, 3)
+        got = restriction._sum_of_products(_keys(terms))
+        assert _decoded(got, 3) == sum_of_products(terms, 3)
     assert restriction._sum_of_products([]) == {}
-    assert restriction._sum_of_products([()]) == {0: 1}
+    assert restriction._sum_of_products([[]]) == {0: 1}
 
 
 def test_horner_sum_does_not_depend_on_the_order_of_the_terms():
@@ -635,19 +642,19 @@ def test_horner_sum_does_not_depend_on_the_order_of_the_terms():
     rnd = random.Random(0)
     for _ in range(5):
         shuffled = rnd.sample(terms, len(terms))
-        assert _decoded(restriction._sum_of_products(shuffled), rs.rank) == expect
+        assert _decoded(restriction._sum_of_products(_keys(shuffled)), rs.rank) == expect
 
 
 @pytest.mark.parametrize("rs, d", [(RootSystem("A", 5), 2), (C4, None), (RootSystem("D", 5), None)])
 def test_horner_sum_matches_the_term_by_term_expansion_at_every_pair(rs, d):
     for w, v in _on_variety_pairs(rs, d):
         terms = pullback_terms(Pair.of(rs, d, w, v), backend="eyd")
-        got = _decoded(restriction._sum_of_products(terms), rs.rank)
+        got = _decoded(restriction._sum_of_products(_keys(terms)), rs.rank)
         assert got == sum_of_products(terms, rs.rank), (w, v)
 
 
 def _reads_of_the_eyd_class(monkeypatch, rs, d, w, v):
-    """The entries the eyd sum reads for one pair."""
+    """The entries the eyd sum reads for one pair, and its kernel calls."""
     reads = []
     real = restriction.add_binomial_into
 
@@ -658,22 +665,45 @@ def _reads_of_the_eyd_class(monkeypatch, rs, d, w, v):
     monkeypatch.setattr(restriction, "add_binomial_into", counted)
     pullback(rs, d, w, v, backend="eyd")
     monkeypatch.undo()
-    return sum(reads)
+    return sum(reads), len(reads)
 
 
-@pytest.mark.parametrize("rs, d, lam, mu", [
-    (RootSystem("A", 11), 5, (3, 2, 2, 1), (6, 5, 4, 3, 2)),
-    (RootSystem("C", 6), None, (3, 2, 1), (6, 5, 4, 3, 2)),
-    (RootSystem("D", 7), None, (4, 2, 1), (6, 5, 4, 3, 2, 1)),
-], ids=["A11", "C6", "D7"])
-def test_the_eyd_sum_shares_the_prefixes_of_the_diagrams(monkeypatch, rs, d, lam, mu):
-    # the term-by-term sum reads sum_t (2^k_t - 1) entries, k_t the size of term t
+@pytest.mark.parametrize("rs, d, lam, mu, reads, calls", [
+    (RootSystem("A", 11), 5, (3, 2, 2, 1), (6, 5, 4, 3, 2), 4006, 257),
+    (RootSystem("C", 6), None, (3, 2, 1), (6, 5, 4, 3, 2), 2709, 447),
+    (RootSystem("D", 7), None, (4, 2, 1), (6, 5, 4, 3, 2, 1), 3125, 401),
+    (B5, None, (3, 2, 1), (5, 4, 3, 2, 1), 2135, 447),
+], ids=["A11", "C6", "D7", "B5"])
+def test_the_eyd_sum_shares_the_prefixes_of_the_diagrams(monkeypatch, rs, d, lam, mu, reads, calls):
+    # the term-by-term sum reads sum_t (2^k_t - 1) entries, k_t the size of
+    # term t; the trie's reads and kernel calls are pinned exactly
     if rs.kind == "A":
         w, v = perm_of(lam, d, rs.rank), perm_of(mu, d, rs.rank)
     else:
         w, v = perm_of_strict(lam, rs), perm_of_strict(mu, rs)
     per_term = sum(2 ** len(t) - 1 for t in pullback_terms(Pair.of(rs, d, w, v)))
-    assert 10 * _reads_of_the_eyd_class(monkeypatch, rs, d, w, v) <= per_term
+    got = _reads_of_the_eyd_class(monkeypatch, rs, d, w, v)
+    assert 10 * got[0] <= per_term
+    assert got == (reads, calls)
+
+
+def test_the_eyd_class_lists_the_diagrams_once_and_builds_no_factored_terms(monkeypatch):
+    calls = []
+    real = restriction.enumerate_eyd
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("pullback_terms ran")
+
+    pair = Pair.of(A7, 3, WA, VA)
+    expect = restriction.pair_class(pair, "hecke").value
+    monkeypatch.setattr(restriction, "enumerate_eyd", counted)
+    monkeypatch.setattr(restriction, "pullback_terms", unexpected)
+    assert restriction.pair_class(pair, "eyd").value == expect
+    assert len(calls) == 1
 
 
 # both validate the B_n pair once and build the svt numerator from the

@@ -65,6 +65,17 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+@given(polys, st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_an_int_factor_scales_in_one_pass_as_the_constant_polynomial(p, k):
+    # the int path builds its dict once; the product with the constant k
+    # runs the general kernel and drops zeros in from_packed
+    scaled = p * k
+    assert scaled == p * LaurentPoly(3, {(0, 0, 0): k}) == k * p
+    assert 0 not in scaled.packed.values()
+    assert scaled.span == (p.span if k else 0)
+
+
 def test_specialize_zero_examples():
     assert specialize_zero(mono(0, 0, 1), 3) == LaurentPoly.one(2)
     p = mono(2, 0, -1)
