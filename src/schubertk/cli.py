@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 from . import restriction
 from .diagrams import boxset_to_json, boxset_to_tikz, enumerate_eyd
-from .ring import format_poly, poly_to_json, signed_sum
+from .ring import format_poly, format_poly_json, signed_sum
 from .shapes import parse_shape, perm_of, perm_of_strict, size
 from .tableaux import enumerate_svt, svt_counts, svt_to_json
 from .weyl import RootSystem, format_weight, length, parabolic_index, parse_window
@@ -136,6 +136,13 @@ def _base_doc(pair):
     }
 
 
+def _print_with(doc, key, member: str) -> None:
+    """Print json.dumps(doc, sort_keys=True) with doc[key] the JSON text
+    member.  "class" and "character" sort before every key of `_base_doc`,
+    so the member goes first."""
+    print(f'{{"{key}": {member}, {json.dumps(doc, sort_keys=True)[1:]}')
+
+
 def _latex_class(pair, backend):
     """The factored form of the class; it is never expanded."""
     terms = restriction.pullback_terms(pair, backend=backend)
@@ -178,8 +185,7 @@ def _run_emit(args, pair) -> int:
             return 0
         cls = restriction.pair_class(pair, args.backend)
         if fmt == "json":
-            doc["class"] = poly_to_json(cls.value)
-            print(json.dumps(doc, sort_keys=True))
+            _print_with(doc, "class", format_poly_json(cls.value))
         else:
             print(format_poly(cls.value))
         return 0
@@ -257,12 +263,9 @@ def _run_emit(args, pair) -> int:
     note = f" (through D_{rstype.rank + 1})" if rstype.kind == "B" else ""
     dims = series.dims()
     if fmt == "json":
-        doc["character"] = {
-            "trunc": series.trunc,
-            "dims": dims,
-            "slices": [poly_to_json(s) for s in series.slices],
-        }
-        print(json.dumps(doc, sort_keys=True))
+        slices = ", ".join(map(format_poly_json, series.slices))
+        _print_with(doc, "character",
+                    f'{{"dims": {json.dumps(dims)}, "slices": [{slices}], "trunc": {series.trunc}}}')
     else:
         print(f"graded character up to degree {series.trunc}{note}")
         for i, s in enumerate(series.slices):

@@ -92,6 +92,12 @@ def enumerate_eyd(lam, mu, geometry: str, reduced_only: bool = False) -> list:
     reduced_only, only moves are applied, which yields the reduced excited
     diagrams.  Output is deduplicated and sorted by box list.  The number of
     diagrams kept passes `check_work` before each is expanded, with no remedy.
+
+    >>> reduced = enumerate_eyd((2, 1), (4, 2, 1), "shiftedBC", reduced_only=True)
+    >>> len(reduced), len(enumerate_eyd((2, 1), (4, 2, 1), "shiftedBC"))
+    (4, 7)
+    >>> reduced[-1].sorted_boxes()
+    ((2, 2), (2, 3), (3, 3))
     """
     start = initial_diagram(lam, mu, geometry)
     order = sorted(_boxes_of(start.ambient, geometry))

@@ -17,7 +17,9 @@ leaves the base-B digits e_i + LIMIT, so key order is lex order of the
 exponent vectors: sorting a polynomial sorts its ints.  `pack` and
 `unpack_all` convert; the kernels `add_into` and `add_binomial_into` work on
 packed dicts {key: coef}.  Tuples appear only at the edges:
-`LaurentPoly.terms`, text, LaTeX and JSON.
+`LaurentPoly.terms`, text, LaTeX and JSON; the CLI's JSON text fills each
+decoded tuple into one template per rank (`format_poly_json`), and
+`poly_to_json` builds the same document as dicts and lists.
 
 Degree digit.  When every factor e^g of a DP has degree 1 along xi, its
 factor key B^rank + pack(g), `pack(g, 1)`, carries the degree of each
@@ -438,6 +440,20 @@ def poly_to_json(p: LaurentPoly) -> dict:
             {"exp": list(e), "coef": str(c)} for e, c in p.sorted_terms()
         ]
     }
+
+
+def format_poly_json(p: LaurentPoly) -> str:
+    """`json.dumps(poly_to_json(p), sort_keys=True)`, written straight from
+    the sorted keys: each term is one `%` call of a template made once per
+    rank, with no dict or list per term.
+
+    >>> format_poly_json(LaurentPoly(2, {(1, -1): 3, (0, 0): -7}))
+    '{"monomials": [{"coef": "-7", "exp": [0, 0]}, {"coef": "3", "exp": [1, -1]}]}'
+    """
+    keys, packed = sorted(p.packed), p.packed
+    term = '{"coef": "%%d", "exp": [%s]}' % ", ".join(["%d"] * p.rank)
+    return '{"monomials": [%s]}' % ", ".join(
+        [term % (packed[k], *e) for k, e in zip(keys, unpack_all(keys, p.rank))])
 
 
 def poly_from_json(data: dict, rank: int) -> LaurentPoly:

@@ -178,9 +178,7 @@ def is_minimal_rep(w: WeylElement, d=None) -> bool:
     """Test membership in W^P: the d-th maximal parabolic in type A, P_n
     otherwise (types B/C/D ignore d).  w is minimal iff every s_i of the
     Levi, i != the parabolic index, is a right ascent of w."""
-    kind, skip = w.rstype.kind, parabolic_index(w.rstype, d)
-    return all(window_right_ascent(kind, w.window, i)
-               for i in range(1, w.rstype.num_simple + 1) if i != skip)
+    return window_levi_ascent(w.rstype.kind, w.window, parabolic_index(w.rstype, d))
 
 
 def negate_weight(a: Weight) -> Weight:
@@ -214,7 +212,7 @@ def weight_piece(i: int, c: int, latex: bool = False) -> str:
     return f"{'-' if c < 0 else '+'}{mag}{sym}{i}"
 
 
-# Window-level helpers, the group's one ascent test and right product, used by
+# Window-level helpers, the group's ascent tests and right product, used by
 # `reduced_word`, `is_minimal_rep`, `simple_reflection`, the 0-Hecke fold and
 # `restriction.r_values`; the tuple is always a valid window of the rank.
 
@@ -256,3 +254,13 @@ def window_right_ascent(kind: str, win: tuple, i: int) -> bool:
     # type D: w(alpha_n) = sgn(a) eps_|a| + sgn(b) eps_|b|
     a, b = win[n - 2], win[n - 1]
     return a > 0 if abs(a) < abs(b) else b > 0
+
+
+def window_levi_ascent(kind: str, win: tuple, skip: int) -> bool:
+    """True iff s_i is a right ascent for every i < len(win) other than skip,
+    in one pass over the window: w(alpha_i) is positive iff win[i - 1]
+    precedes win[i] in the order 1 < ... < n < -n < ... < -1, x mod 2n + 1,
+    so the entries must increase in it on either side of position skip."""
+    keys = list(win) if kind == "A" else [x % (2 * len(win) + 1) for x in win]
+    left, right = keys[:skip], keys[skip:]
+    return left == sorted(left) and right == sorted(right)

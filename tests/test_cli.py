@@ -354,6 +354,26 @@ def test_off_variety_status(capsys):
     assert doc["class"]["monomials"] == []
 
 
+def test_json_class_and_character_are_the_dumped_documents(capsys):
+    # the CLI writes the polynomials' JSON text itself; it must be the
+    # document json.dumps(..., sort_keys=True) builds from poly_to_json
+    off = "--type A --n 4 --d 2 --w 2,3,1,4 --v 1,3,2,4 --emit class --format json"
+    assert run(off.split()) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "class": {"monomials": []}, "d": 2, "lambda": [1, 1], "mu": [1], "rank": 4,
+        "status": "off-variety", "type": "A", "v": [1, 3, 2, 4], "w": [2, 3, 1, 4],
+    }
+    argv = "--type B --rank 5 --w 1,2,4,-5,-3 --v 2,-5,-4,-3,-1 --emit character --trunc 2".split()
+    pair = cli._resolve_inputs(cli.parse_args(argv))
+    series = restriction.pair_character(pair, 2)
+    doc = dict(cli._base_doc(pair), character={
+        "trunc": 2, "dims": series.dims(), "slices": [ring.poly_to_json(s) for s in series.slices]})
+    assert run(argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == doc
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("pair", [
     "--type A --n 4 --d 2 --lambda 2 --mu 1",
     "--type B --n 3 --lambda 2 --mu 1",

@@ -6,7 +6,7 @@ import schubertk
 
 # the modules whose docstrings carry examples today; every other module is
 # run as well, so an example added anywhere is never skipped
-WITH_EXAMPLES = {"hecke", "restriction", "ring", "shapes", "tableaux", "weyl"}
+WITH_EXAMPLES = {"diagrams", "hecke", "restriction", "ring", "shapes", "tableaux", "weyl"}
 
 
 def test_module_doctests():

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import comb
 
@@ -21,6 +22,7 @@ from schubertk.ring import (
     add_binomial_into,
     add_into,
     format_poly,
+    format_poly_json,
     geometric_expand,
     pack,
     poly_from_json,
@@ -185,6 +187,32 @@ def test_poly_json_roundtrip():
     assert poly_from_json(blob, 2) == p
     coefs = [m["coef"] for m in blob["monomials"]]
     assert all(isinstance(c, str) for c in coefs)
+
+
+def _dumped(p):
+    return json.dumps(poly_to_json(p), sort_keys=True)
+
+
+def test_the_json_writer_writes_the_dumped_document():
+    huge = 1 << 64
+    cases = [
+        LaurentPoly.zero(3),
+        LaurentPoly.one(4) * -7,
+        LaurentPoly(1, {(2,): -3, (-1,): 4, (0,): 1}),
+        LaurentPoly(2, {(1, 0): huge + 1, (0, 1): -huge - 5, (0, 0): -(huge * huge)}),
+        LaurentPoly(3, {(LIMIT, -LIMIT, 0): 2, (-LIMIT, LIMIT, LIMIT): -1, (-LIMIT,) * 3: 1}),
+    ]
+    for p in cases:
+        assert format_poly_json(p) == _dumped(p)
+    assert format_poly_json(LaurentPoly.zero(3)) == '{"monomials": []}'
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.dictionaries(
+    st.tuples(*[st.integers(-LIMIT, LIMIT)] * n),
+    st.integers(-(1 << 70), 1 << 70), max_size=12).map(lambda d: LaurentPoly(n, d))))
+@settings(max_examples=150, deadline=None)
+def test_the_json_writer_matches_json_dumps_on_random_polynomials(p):
+    assert format_poly_json(p) == _dumped(p)
 
 
 def test_big_coefficients_stay_exact():

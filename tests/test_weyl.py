@@ -26,6 +26,7 @@ from schubertk.weyl import (
     reduced_word,
     simple_reflection,
     simple_roots,
+    window_levi_ascent,
     window_right_ascent,
     window_right_mult,
 )
@@ -228,11 +229,17 @@ def test_window_level_helpers_match_weyl_ops():
         rs = RootSystem(kind, rank)
         alphas = simple_roots(rs)
         for w in whole_group(rs):
+            ascents = []
             for i in range(1, rs.num_simple + 1):
                 s = simple_reflection(rs, i)
                 assert window_right_mult(kind, w.window, i) == mult(w, s).window
                 expect = is_positive_root_vector(apply(w, alphas[i - 1]))
                 assert window_right_ascent(kind, w.window, i) == expect
+                ascents.append(expect)
+            n = len(w.window)  # the bulk test reads every s_i with i < n but skip
+            for skip in range(1, n + 1):
+                levi = all(ascents[i - 1] for i in range(1, n) if i != skip)
+                assert window_levi_ascent(kind, w.window, skip) == levi, (w, skip)
 
 
 @pytest.mark.parametrize("kind, refused", [("A", 272), ("B", 216), ("C", 216), ("D", 216)])
