@@ -55,6 +55,15 @@ class BoxSet:
         if bad:
             raise ValueError(f"boxes {sorted(bad)} outside ambient {self.ambient}")
 
+    @classmethod
+    def _from_row(cls, geometry: str, ambient: tuple, row: tuple) -> BoxSet:
+        """The BoxSet of a sorted row of boxes of the trimmed ambient, set
+        without the checks of __post_init__: for the rows `enumerate_eyd`
+        builds, which are boxes of D_mu by construction."""
+        C = object.__new__(cls)
+        C.__dict__.update(geometry=geometry, ambient=ambient, boxes=frozenset(row), order=row)
+        return C
+
     def sorted_boxes(self) -> tuple:
         return self.order if self.order is not None else tuple(sorted(self.boxes))
 
@@ -133,7 +142,7 @@ def enumerate_eyd(lam, mu, geometry: str, reduced_only: bool = False) -> list:
             m ^= low
         rows.append(tuple(row))
     rows.sort()
-    return [BoxSet(geometry, start.ambient, row, row) for row in rows]
+    return [BoxSet._from_row(geometry, start.ambient, row) for row in rows]
 
 
 @dataclass(frozen=True)

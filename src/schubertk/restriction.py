@@ -221,35 +221,52 @@ def _span_bound(exps) -> int:
 
 def _sum_of_products(terms) -> dict:
     """sum over the list terms, each a list of packed keys g, of
-    prod_g (e^g - 1) as a packed dict, by Horner's rule over the prefix trie
-    of the terms: sums[j] is the sum over the completions below path[:j],
-    folded into its parent once, when the next term leaves it, and a term
-    adds the unit where it ends.  Any order gives the same sum; sorted terms
-    share the most work.  Before each fold, the entries folded so far pass
-    `check_work`.
+    prod_g (e^g - 1) as a packed dict, by Horner's rule over the minimal
+    automaton of the terms.  nodes[j] holds the open trie node at path[:j]:
+    the number of terms ending there and its edges (g, sum of the child).
+    A node is closed when the next term leaves it, and its sum is the count
+    plus each child's sum times (e^g - 1).  Closed nodes with equal counts
+    and edges (the child's sum by identity) have equal sums, so each such
+    sum is computed once and shared (Daciuk et al. 2000): a suffix under
+    several prefixes is summed once.  The shared sums live for the call,
+    each within 2 * its reads + 1 entries.  Any order gives the same sum;
+    sorted terms share the most work.  Before each kernel call, the entries
+    read so far pass `check_work`.
 
-    >>> e1, e2 = pack((1,)), pack((2,))
+    >>> e1, e2, e3 = pack((1,)), pack((2,)), pack((3,))
     >>> _sum_of_products([[e1], [e1, e2]])  # (e - 1) + (e - 1)(e^2 - 1)
     {3: 1, 2: -1}
+    >>> sorted(_sum_of_products([[e1, e3], [e2, e3]]).items())  # (e + e^2 - 2)(e^3 - 1)
+    [(0, 2), (1, -1), (2, -1), (3, -2), (4, 1), (5, 1)]
     """
-    path, sums, reads = [], [{}], 0
+    path, nodes, closed, reads = [], [[0, []]], {}, 0
 
-    def fold_to(depth):
+    def close():  # the sum of the deepest open node, which it pops
         nonlocal reads
-        while len(path) > depth:  # arguments run left to right: parent, then child
-            reads = check_work(reads, "entries read", CLASS_REMEDY) + len(sums[-1])
-            add_binomial_into(sums[-2], sums.pop(), path.pop())
+        count, edges = nodes.pop()
+        signature = (count, tuple((g, id(child)) for g, child in edges))
+        if (total := closed.get(signature)) is None:
+            total = closed[signature] = {0: count} if count else {}
+            for g, child in edges:
+                reads = check_work(reads, "entries read", CLASS_REMEDY) + len(child)
+                add_binomial_into(total, child, g)
+        return total
+
+    def close_to(depth):
+        while len(path) > depth:
+            total = close()  # before nodes[-1] is read: close pops the child
+            nodes[-1][1].append((path.pop(), total))
 
     for term in terms:
-        common = 0
-        while common < min(len(path), len(term)) and path[common] == term[common]:
+        common, most = 0, min(len(path), len(term))
+        while common < most and path[common] == term[common]:
             common += 1
-        fold_to(common)
+        close_to(common)
         path += term[common:]
-        sums += [{} for _ in term[common:]]
-        sums[-1][0] = sums[-1].get(0, 0) + 1
-    fold_to(0)
-    return sums[0]
+        nodes += [[0, []] for _ in term[common:]]
+        nodes[-1][0] += 1
+    close_to(0)
+    return close()
 
 
 def pullback_terms(pair: Pair, backend: str = "eyd") -> list:
@@ -283,7 +300,8 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
 
     All three backends return identical polynomials: svt runs the transfer
     DP over set-valued tableaux, eyd lists the excited diagrams and sums
-    them by Horner's rule over their shared prefixes, and hecke sums over
+    them by Horner's rule over the minimal automaton of their rows, which
+    shares their prefixes and their suffixes, and hecke sums over
     the 0-Hecke subwords of a reduced word for v by the fold DP and is the
     ground truth.  Each engine keeps a running count of the entries it hands
     to a kernel and passes it to `check_work` before each call, so a class

@@ -14,7 +14,7 @@ from schubertk.diagrams import (
     reflection_tableau,
 )
 from schubertk.restriction import hilbert_data
-from schubertk.shapes import contains, minimal_reps, perm_of, perm_of_strict, shape_of
+from schubertk.shapes import contains, minimal_reps, perm_of, perm_of_strict, shape_of, trim
 from schubertk.weyl import RootSystem, length
 
 
@@ -136,6 +136,20 @@ def test_enumerate_eyd_is_the_closure_under_the_oracle_excitations():
         assert len(reduced) == hilbert_data(rs, d, w, v, method="svt").multiplicity
         pairs += 1
     assert pairs == 1125
+
+
+def test_listed_diagrams_are_the_checked_box_sets():
+    # enumerate_eyd builds its diagrams without BoxSet's checks; each equals,
+    # and hashes like, the set the public constructor checks and trims
+    for rs, d, w, v, lam, mu in _on_variety_pairs():
+        geometry = geometry_of(rs)
+        for reduced_only in (False, True):
+            for C in enumerate_eyd(lam, mu, geometry, reduced_only):
+                checked = BoxSet(geometry, mu, C.boxes)
+                assert C == checked and hash(C) == hash(checked)
+                assert C.sorted_boxes() == checked.sorted_boxes()
+                assert C.ambient == checked.ambient == trim(mu)
+                assert type(C.boxes) is frozenset
 
 
 def test_energies():

@@ -71,3 +71,15 @@ def test_only_the_window_primitives_decide_an_ascent():
     for name in ("reduced_word", "is_minimal_rep", "simple_reflection"):
         assert called[name] & primitives, name
         assert not called[name] & banned, name
+
+
+def test_only_the_eyd_listing_builds_unchecked_box_sets():
+    # BoxSet._from_row skips the ambient check, which only the BFS of
+    # enumerate_eyd makes true by construction
+    callers = [
+        (path.stem, node.name)
+        for path in sorted((ROOT / "src" / "schubertk").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if any(isinstance(n, ast.Attribute) and n.attr == "_from_row" for n in ast.walk(node))
+    ]
+    assert callers == [("diagrams", "enumerate_eyd")]
