@@ -183,9 +183,14 @@ def levi_complement_roots(rstype: RootSystem, d: int = None) -> list:
 
 
 def dim_gp(rstype: RootSystem, d: int = None) -> int:
-    """dim G/P, the number of positive roots outside the Levi; ValueError
-    on a bad d in type A."""
-    return len(levi_complement_roots(rstype, d))
+    """dim G/P, the number of positive roots outside the Levi
+    (`levi_complement_roots`): d(n - d) in type A, n(n + 1)/2 in types B and
+    C, n(n - 1)/2 in type D; ValueError on a bad d in type A."""
+    n, kind = rstype.rank, rstype.kind
+    if kind == "A":
+        d = parabolic_index(rstype, d)
+        return d * (n - d)
+    return n * (n + (1 if kind in "BC" else -1)) // 2
 
 
 def tangent_weights(rstype: RootSystem, d, v: WeylElement) -> list:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .diagrams import BoxSet, ambient_boxes
 from .ring import add_into, check_work, count_slots, unpack_counts
-from .shapes import contains, part, size, trim
+from .shapes import contains, size, trim
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,14 @@ class SetValuedTableau:
         return f"SVT({self.geometry}, {self.shape} in {self.ambient}; {body})"
 
 
-def _box_values(geometry: str, mu, i: int, j: int) -> list:
-    """The entries that the restriction by mu allows in box (i,j), ascending
-    from the least one a semistandard filling can hold there.  The
+def _box_values(geometry: str, mu: tuple, i: int, j: int) -> list:
+    """The entries that the restriction by mu, trimmed, allows in box (i,j),
+    ascending from the least one a semistandard filling can hold there.  The
     neighbours of the box only raise the lower end, so every feasible entry
     set is drawn from a suffix."""
     values = []
     for x in range(i if geometry == "ordinary" else 1, len(mu) + 1):
-        if (x if geometry == "ordinary" else 1) + j - i > part(mu, x):
+        if (x if geometry == "ordinary" else 1) + j - i > mu[x - 1]:
             break  # the bound only tightens as x grows
         # type D diagonal excitations move two steps, so a diagonal entry
         # keeps the parity of its starting row
@@ -103,7 +103,7 @@ def enumerate_svt(lam, mu, geometry: str, d: int = None,
     mask = (1 << rows) - 1
     tableaux = (SetValuedTableau(geometry, lam, mu, tuple(
         (box, _entries(key >> shift[box] & mask)) for box in boxes))
-        for key in _transfer(lam, mu, geometry, spread, ""))  # no remedy for a listing
+        for key in _transfer(lam, mu, geometry, spread, "", {0: 1}, _joined))  # no remedy
     return sorted(tableaux, key=lambda T: T.cells)
 
 
@@ -112,15 +112,17 @@ def svt_dp(lam, mu, geometry: str, step, remedy: str = "") -> dict:
     weight that multiplies one factor per (box, entry) pair; a dict of ints.
 
     A transfer-matrix DP over the boxes in row-major order.  Its state is the
-    tuple of column maxima on the frontier: the current row's maxima left of
-    the box, the previous row's from the box on.  A box needs max(left) <= min
-    and max(above) < min, so later boxes see nothing else.  For a box on
-    diagonal q and each feasible maximum, ``step(dst, src, q, below, largest)``
-    adds src times the summed weight of the entry sets with that maximum,
-    whose other entries are drawn from ``below`` (the feasible entries
-    smaller than ``largest``).  The empty filling weighs {0: 1}, the unit of
-    every accumulator.  Before each state's steps, the entries handed to
-    ``step`` so far pass `check_work`, whose refusal names remedy.
+    tuple of column maxima on the frontier that later boxes read: the current
+    row's maxima left of the box, the previous row's from the box on.  A box
+    needs max(left) <= min and max(above) < min, so later boxes see nothing
+    else, and a maximum that no later box reads is written as 0
+    (`_transfer`).  For a box on diagonal q and each feasible maximum,
+    ``step(dst, src, q, below, largest)`` adds src times the summed weight
+    of the entry sets with that maximum, whose other entries are drawn from
+    ``below`` (the feasible entries smaller than ``largest``).  The empty
+    filling weighs {0: 1}, the unit of every accumulator.  Before each
+    state's steps, the entries handed to ``step`` so far pass `check_work`,
+    whose refusal names remedy.
     """
     def spread(nxt, acc, head, tail, values, s, box):
         q = box[1] - box[0]
@@ -128,61 +130,71 @@ def svt_dp(lam, mu, geometry: str, step, remedy: str = "") -> dict:
             step(nxt.setdefault(head + (values[t],) + tail, {}), acc, q, values[s:t], values[t])
         return len(acc) * (len(values) - s)
 
-    return _transfer(lam, mu, geometry, spread, remedy)
+    return _transfer(lam, mu, geometry, spread, remedy, {0: 1}, _joined)
 
 
 def svt_counts(lam, mu, geometry: str) -> dict:
     """{n: the number of set-valued tableaux of shape lam restricted by mu
-    with n entries}: the DP of `svt_dp` on packed counts keyed by the fewest
-    entries (`ring.unpack_counts`), W = |mu| + 1 as f maps the tableaux one
-    to one onto subsets of D_mu.  A step adds one to the key and multiplies
-    by (1 + t)^k, k the feasible entries below the maximum.
+    with n entries}: the DP of `svt_dp` with one packed count Q(2^W) per
+    state, Q(t) counting the fillings of the boxes placed so far by their
+    entries beyond one per box (`ring.unpack_counts`), so no state stores
+    its number of boxes; W = |mu| + 1 as f maps the tableaux one to one onto
+    subsets of D_mu.  A step multiplies by (1 + t)^k, k the feasible
+    entries below the maximum, and a state weighs its slots against the
+    budget, as many as a dict keyed by the number of entries would hold.
 
     >>> svt_counts((1,), (2, 2), "ordinary")
     {1: 2, 2: 1}
+    >>> svt_counts((3, 1), (4, 3, 2, 1), "shiftedD")
+    {4: 5, 5: 5, 6: 1}
     """
     width = size(mu) + 1
     rows = [((1 << width) + 1) ** k for k in range(len(mu))]
 
-    def spread(nxt, acc, head, tail, values, s, box):
-        (n, c), = acc.items()  # every state after n boxes has the one key n
+    def spread(nxt, c, head, tail, values, s, box):
+        get = nxt.get
         for t in range(s, len(values)):
             key = head + (values[t],) + tail
-            if key in nxt:
-                nxt[key][n + 1] += c * rows[t - s]
-            else:
-                nxt[key] = {n + 1: c * rows[t - s]}
+            nxt[key] = get(key, 0) + c * rows[t - s]
         return count_slots(c, width) * (len(values) - s)
 
-    return unpack_counts(_transfer(lam, mu, geometry, spread, ""), width)  # no remedy for a count
+    total = _transfer(lam, mu, geometry, spread, "", 1, int.__add__)  # no remedy for a count
+    return unpack_counts({size(lam): total}, width)
 
 
-def _transfer(lam, mu, geometry: str, spread, remedy: str) -> dict:
+def _joined(dst: dict, src: dict) -> dict:
+    """dst += src (`ring.add_into`), returning dst: the join of dict states."""
+    add_into(dst, src)
+    return dst
+
+
+def _transfer(lam, mu, geometry: str, spread, remedy: str, unit, join):
     """The DP of `svt_dp`: ``spread(nxt, acc, head, tail, values, s, box)``
     adds one state's moves at box (i, j) into nxt, to head + (values[t],) +
     tail for t >= s, and returns the entries it read; a refusal names
-    remedy."""
+    remedy.  The empty filling weighs unit, and ``join(a, b)`` returns the
+    sum of two accumulators, free to reuse a.
+
+    The state keeps only the column maxima that later boxes read.  Once box
+    p of row i is placed, the maximum at position p - 1 is read only by row
+    i + 1, which sits under positions cut .. cut + lam_{i+1} - 1 (cut = 1
+    when shifted); outside them it is written as 0 in the head handed to
+    spread, so the states that differed only there merge as they are
+    written.  After each row the states are cut to what the next row reads,
+    and after the last one to the empty tuple, which holds the sum."""
     lam, mu = trim(lam), trim(mu)
     if not contains(lam, mu):
         raise ValueError(f"{lam} is not contained in {mu}")
     shifted = geometry != "ordinary"
-    states = {(0,) * (lam[0] if lam else 0): {0: 1}}  # row 0: nothing above
+    cut = 1 if shifted else 0
+    states = {(0,) * (lam[0] if lam else 0): unit}  # row 0: nothing above
     work = 0
     for i, row_len in enumerate(lam, start=1):
-        if i > 1:
-            # the new row sits under the previous row's columns from `cut` on
-            cut = 1 if shifted else 0
-            sliced = {}
-            for state, acc in states.items():
-                key = state[cut:cut + row_len]
-                if key in sliced:
-                    add_into(sliced[key], acc)
-                else:
-                    sliced[key] = acc
-            states = sliced
+        live = range(cut, cut + (lam[i] if i < len(lam) else 0))
         for p in range(row_len):
             j = p + (i if shifted else 1)
             box, values = (i, j), _box_values(geometry, mu, i, j)
+            keep = not p or p - 1 in live
             nxt = {}
             for state, acc in states.items():
                 lo = state[p] + 1
@@ -190,12 +202,15 @@ def _transfer(lam, mu, geometry: str, spread, remedy: str) -> dict:
                     lo = state[p - 1]
                 s = bisect_left(values, lo)
                 work = check_work(work, "entries read", remedy) + spread(
-                    nxt, acc, state[:p], state[p + 1:], values, s, box)
+                    nxt, acc, state[:p] if keep else state[:p - 1] + (0,), state[p + 1:],
+                    values, s, box)
             states = nxt
-    total = {}
-    for acc in states.values():
-        add_into(total, acc)
-    return total
+        sliced = {}
+        for state, acc in states.items():
+            key = state[cut:cut + len(live)]
+            sliced[key] = join(sliced[key], acc) if key in sliced else acc
+        states = sliced
+    return states[()]  # lam in mu admits the filling of each row i by i
 
 
 def f_map(T: SetValuedTableau) -> BoxSet:

@@ -53,6 +53,25 @@ def test_packed_counts_agree_with_the_dict_reference_size_by_size():
     assert pairs > 1000
 
 
+def test_svt_counts_agree_with_the_hecke_fold_on_long_rows():
+    # rows long enough for states that differ only in a dead maximum to merge;
+    # the fold DP shares no code with the transfer DP
+    pairs = 0
+    for rs in (RootSystem("C", 6), RootSystem("D", 7), RootSystem("B", 6)):
+        reps = minimal_reps(rs)
+        for v in reps:
+            for w in reps:
+                pair = Pair.of(rs, None, w, v)
+                if not pair.on_variety:
+                    continue
+                pairs += 1
+                if rs.kind == "B":
+                    pair = pair.lifted
+                assert (svt_counts(pair.lam, pair.mu, pair.geometry)
+                        == subsequence_stats(pair.w, pair.word)), (rs, w, v)
+    assert pairs == 5148
+
+
 def test_a_count_above_two_to_the_64_is_exact():
     s1 = simple_reflection(RootSystem("A", 3), 1)
     # every nonempty subword of (1,)*70 folds to s_1
@@ -116,3 +135,19 @@ def test_a_count_is_refused_at_its_slot_weighted_work(module, packed, reference,
     monkeypatch.setattr(ring, "MAX_EXPANSION", need - 1)
     with pytest.raises(ValueError, match=f"{need} entries read"):
         packed()
+
+
+def staircase(n):
+    return tuple(range(n, 0, -1))
+
+
+@pytest.mark.parametrize("lam, mu, geometry, states", [
+    ((4, 2, 1), staircase(6), "shiftedBC", 47),
+    (staircase(6), staircase(12), "shiftedBC", 8323),
+    ((4, 4, 2, 2), (6, 6, 6, 5, 4, 4), "ordinary", 172),  # no row leaves a dead maximum
+])
+def test_svt_counts_visit_only_the_states_later_boxes_tell_apart(lam, mu, geometry, states,
+                                                                 monkeypatch):
+    # one check_work call per state and box
+    work = recorded_work(monkeypatch, tableaux, lambda: svt_counts(lam, mu, geometry))
+    assert len(work) == states
