@@ -17,7 +17,7 @@ from .diagrams import boxset_to_json, boxset_to_tikz, enumerate_eyd
 from .ring import format_poly, format_poly_json, signed_sum
 from .shapes import parse_shape, perm_of, perm_of_strict, size
 from .tableaux import enumerate_svt, svt_counts, svt_to_json
-from .weyl import RootSystem, format_weight, length, parabolic_index, parse_window
+from .weyl import RootSystem, format_weight, parabolic_index, parse_window
 
 EMITS = ("class", "hilbert", "hilbert-poly", "mult", "diagrams", "tableaux", "character")
 
@@ -146,7 +146,7 @@ def _print_with(doc, key, member: str) -> None:
 def _latex_class(pair, backend):
     """The factored form of the class; it is never expanded."""
     terms = restriction.pullback_terms(pair, backend=backend)
-    negative = length(pair.w) % 2 == 1
+    negative = size(pair.lam) % 2 == 1
     factor = {g: rf"\left(e^{{{format_weight(g, True)}}}-1\right)" for g in set().union(*terms)}
     return signed_sum((negative, "".join(map(factor.get, exps)) or "1") for exps in terms)
 

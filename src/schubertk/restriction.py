@@ -37,7 +37,7 @@ from .ring import (
     specialize_zero,
 )
 from .shapes import contains, perm_of_strict, shape_of, size
-from .tableaux import enumerate_svt, svt_counts, svt_dp
+from .tableaux import enumerate_svt, svt_counts, svt_sum
 from .weyl import (
     RootSystem,
     WeylElement,
@@ -75,10 +75,10 @@ class HilbertData:
 @dataclass(frozen=True)
 class Pair:
     """One validated query: minimal representatives w, v of rstype, the index
-    d of the maximal parabolic, the shapes lam of w and mu of v, and whether
-    v lies on X^w.  `Pair.of` validates once, every engine takes a pair, and
-    T_mu, its reading word, its exponents, the tangent weights and xi are
-    built here on first use."""
+    d of the maximal parabolic, the shapes lam of w and mu of v (so l(w) =
+    |lam|), and whether v lies on X^w.  `Pair.of` validates once, every
+    engine takes a pair, and T_mu, its reading word, its exponents, the
+    tangent weights and xi are built here on first use."""
 
     rstype: RootSystem
     d: int
@@ -124,7 +124,8 @@ class Pair:
         cominuscule, and its Hilbert data, character and lifted class use it."""
         n = self.rstype.rank
         if self.rstype.kind != "B":
-            raise ValueError("bd_identify_inverse expects a type B element")
+            raise ValueError(f"Pair.lifted lifts a type B pair to D{n + 1}, "
+                             f"not a {self.rstype.kind}{n} pair")
         try:  # a refused D_{n+1} names the rank the caller gave
             rsD = RootSystem("D", n + 1)
         except ValueError as exc:
@@ -333,25 +334,19 @@ def pair_class(pair: Pair, backend: str = "eyd") -> KClass:
         key = {box: pack(g) for box, g in pair.exponents.items()}
         packed = _sum_of_products([list(map(key.__getitem__, C.sorted_boxes()))
                                    for C in enumerate_eyd(pair.lam, pair.mu, pair.geometry)])
-    return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span) * (-1) ** length(pair.w))
+    return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span) * (-1) ** size(pair.lam))
 
 
 def _svt_packed(pair: Pair, N: int = None) -> dict:
     """The unsigned class of an on-variety pair as a packed dict, summed over
     the set-valued tableaux T of prod_{x in T(i,j)} (e^{g(x, j-i)} - 1) by
-    the transfer DP, with g(x, j-i) the exponent of the box (x, x+j-i) of
-    f(T).  The entries of a box below its maximum contribute
-    1 + (e^g - 1) = e^g each, so every transition is one fused kernel call.
+    `svt_sum`, with g(x, j-i) the exponent of the box (x, x+j-i) of f(T).
     With N, each g of xi-degree 1 carries its degree digit and the keys of
     degree > N are dropped (`ring`): the class truncated at degree N."""
     top, cap, remedy = (0, None, CLASS_REMEDY) if N is None else (  # cap: degree N + 1's least key
         1, pack((-LIMIT,) * pair.rstype.rank, N + 1), TRUNC_REMEDY)
-    g = {(x, y - x): pack(e, top) for (x, y), e in pair.exponents.items()}
-
-    def step(dst, src, q, below, largest):
-        add_binomial_into(dst, src, g[largest, q], sum(g[x, q] for x in below), cap)
-
-    return svt_dp(pair.lam, pair.mu, pair.geometry, step, remedy)
+    keys = {(x, y - x): pack(e, top) for (x, y), e in pair.exponents.items()}
+    return svt_sum(pair.lam, pair.mu, pair.geometry, keys, cap, remedy)
 
 
 def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> LaurentPoly:
@@ -392,7 +387,7 @@ def pair_hilbert(pair: Pair, method: str = "svt") -> HilbertData:
         raise ValueError(f"unknown method {method!r}")
     if pair.rstype.kind == "B":
         pair = pair.lifted
-    d_w = dim_gp(pair.rstype, pair.d) - length(pair.w)
+    d_w = dim_gp(pair.rstype, pair.d) - size(pair.lam)
     if not pair.on_variety:
         return HilbertData(d_w, ())
     lam, mu = pair.lam, pair.mu
@@ -492,7 +487,7 @@ def pair_character(pair: Pair, N: int) -> GradedSeries:
             raise RuntimeError(f"xi-degree check failed: {g}(xi) = {Fraction(pairing, den)}")
     span = series_span(_span_bound(exps), weights, N)
     graded = _svt_packed(pair, N) if pair.on_variety else {}
-    if length(pair.w) % 2:
+    if size(pair.lam) % 2:
         graded = {k: -c for k, c in graded.items()}
     series = expand_graded(graded, pair.rstype.rank, weights, N, span)
     if pair.rstype.rank == n:

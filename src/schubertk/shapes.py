@@ -10,7 +10,7 @@ with no part when the number of parts is odd, which keeps the bar count even.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .weyl import RootSystem, WeylElement, is_minimal_rep, parabolic_index
 
@@ -137,29 +137,17 @@ def bd_identify_inverse(u: WeylElement) -> WeylElement:
 
 
 def all_shapes(rstype: RootSystem, d: int = None):
-    """All shapes indexing W^P: partitions in a d x (n-d) box for type A,
-    strict partitions with parts <= n (B/C) or <= n-1 (D)."""
-    n = rstype.rank
+    """All shapes indexing W^P, each descending, by size and then lex order:
+    partitions in a d x (n-d) box for type A, strict partitions with parts
+    <= n (B/C) or <= n-1 (D)."""
     if rstype.kind == "A":
-        d = parabolic_index(rstype, d)
-        return _box_partitions(d, n - d)
-    parts = range(largest_part(rstype), 0, -1)
-    shapes = [combo for r in range(len(parts) + 1) for combo in combinations(parts, r)]
+        rows = parabolic_index(rstype, d)
+        parts, choose = range(rstype.rank - rows, 0, -1), combinations_with_replacement
+    else:
+        parts, choose = range(largest_part(rstype), 0, -1), combinations
+        rows = len(parts)
+    shapes = [combo for r in range(rows + 1) for combo in choose(parts, r)]
     return sorted(shapes, key=lambda s: (sum(s), s))
-
-
-def _box_partitions(rows: int, cols: int):
-    out = []
-
-    def rec(prefix, prev):
-        out.append(trim(prefix))
-        if len(prefix) == rows:
-            return
-        for a in range(1, prev + 1):
-            rec(prefix + [a], a)
-
-    rec([], cols)
-    return sorted(set(out), key=lambda s: (sum(s), s))
 
 
 def minimal_reps(rstype: RootSystem, d: int = None):

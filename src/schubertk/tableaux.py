@@ -1,7 +1,7 @@
 """Set-valued (shifted) tableaux restricted by an ambient shape: the
-transfer DP over them (`svt_dp`; `svt_counts` on one packed count per
-state; `enumerate_svt`, which lists them with one bit per (box, entry) as
-the key), and the map f onto excited Young diagrams.
+transfer DP over them (`_transfer`: `svt_sum` for the class, `svt_counts`
+on one packed count per state, `enumerate_svt`, which lists them with one
+bit per (box, entry) as the key), and the map f onto excited Young diagrams.
 
 A filling is semistandard when rows are weakly and columns strictly
 increasing entry-by-entry; it is restricted by mu when every entry x of box
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagrams import BoxSet, ambient_boxes
-from .ring import add_into, check_work, count_slots, unpack_counts
+from .ring import add_binomial_into, add_into, check_work, count_slots, unpack_counts
 from .shapes import contains, size, trim
 
 
@@ -72,7 +72,7 @@ def enumerate_svt(lam, mu, geometry: str, d: int = None,
                   single_valued_only: bool = False) -> list:
     """All set-valued tableaux of shape lam restricted by mu, ordered by cells.
 
-    They are listed through the DP of `svt_dp`, as `hecke_subsequences`
+    They are listed through the DP of `_transfer`, as `hecke_subsequences`
     lists subwords: a key is the bit set of one tableau's (box, entry)
     pairs, bit k*l(mu) + x - 1 for entry x of the k-th box in row-major
     order, so no two tableaux share a key.  The keys pass `check_work`
@@ -107,27 +107,25 @@ def enumerate_svt(lam, mu, geometry: str, d: int = None,
     return sorted(tableaux, key=lambda T: T.cells)
 
 
-def svt_dp(lam, mu, geometry: str, step, remedy: str = "") -> dict:
-    """Sum over the set-valued tableaux of shape lam restricted by mu of a
-    weight that multiplies one factor per (box, entry) pair; a dict of ints.
+def svt_sum(lam, mu, geometry: str, keys: dict, cap: int = None, remedy: str = "") -> dict:
+    """Sum over the set-valued tableaux of shape lam restricted by mu of the
+    product of (e^g - 1) over their (box, entry) pairs, as a packed dict,
+    with g = keys[x, j - i] the packed key of entry x in box (i, j), by the
+    DP of `_transfer`.  The entries of a box below its maximum contribute
+    1 + (e^g - 1) = e^g each, so each feasible maximum is one fused
+    `add_binomial_into` call, shifted by the running sum of the smaller
+    entries' keys.  With cap, keys at or above it are dropped (`ring`'s
+    degree digit).  A refusal names remedy.
 
-    A transfer-matrix DP over the boxes in row-major order.  Its state is the
-    tuple of column maxima on the frontier that later boxes read: the current
-    row's maxima left of the box, the previous row's from the box on.  A box
-    needs max(left) <= min and max(above) < min, so later boxes see nothing
-    else, and a maximum that no later box reads is written as 0
-    (`_transfer`).  For a box on diagonal q and each feasible maximum,
-    ``step(dst, src, q, below, largest)`` adds src times the summed weight
-    of the entry sets with that maximum, whose other entries are drawn from
-    ``below`` (the feasible entries smaller than ``largest``).  The empty
-    filling weighs {0: 1}, the unit of every accumulator.  Before each
-    state's steps, the entries handed to ``step`` so far pass `check_work`,
-    whose refusal names remedy.
+    >>> svt_sum((1,), (2, 2), "ordinary", {(1, 0): 1, (2, 0): 4})  # (e - 1) + e(e^4 - 1)
+    {1: 0, 0: -1, 5: 1}
     """
     def spread(nxt, acc, head, tail, values, s, box):
-        q = box[1] - box[0]
+        q, shift = box[1] - box[0], 0
         for t in range(s, len(values)):
-            step(nxt.setdefault(head + (values[t],) + tail, {}), acc, q, values[s:t], values[t])
+            g = keys[values[t], q]
+            add_binomial_into(nxt.setdefault(head + (values[t],) + tail, {}), acc, g, shift, cap)
+            shift += g
         return len(acc) * (len(values) - s)
 
     return _transfer(lam, mu, geometry, spread, remedy, {0: 1}, _joined)
@@ -135,7 +133,7 @@ def svt_dp(lam, mu, geometry: str, step, remedy: str = "") -> dict:
 
 def svt_counts(lam, mu, geometry: str) -> dict:
     """{n: the number of set-valued tableaux of shape lam restricted by mu
-    with n entries}: the DP of `svt_dp` with one packed count Q(2^W) per
+    with n entries}: the DP of `_transfer` with one packed count Q(2^W) per
     state, Q(t) counting the fillings of the boxes placed so far by their
     entries beyond one per box (`ring.unpack_counts`), so no state stores
     its number of boxes; W = |mu| + 1 as f maps the tableaux one to one onto
@@ -169,11 +167,18 @@ def _joined(dst: dict, src: dict) -> dict:
 
 
 def _transfer(lam, mu, geometry: str, spread, remedy: str, unit, join):
-    """The DP of `svt_dp`: ``spread(nxt, acc, head, tail, values, s, box)``
-    adds one state's moves at box (i, j) into nxt, to head + (values[t],) +
-    tail for t >= s, and returns the entries it read; a refusal names
-    remedy.  The empty filling weighs unit, and ``join(a, b)`` returns the
-    sum of two accumulators, free to reuse a.
+    """The transfer DP over the set-valued tableaux of shape lam restricted
+    by mu, summing an accumulator per state over the boxes in row-major
+    order.  A state is the tuple of column maxima on the frontier that later
+    boxes read: the current row's maxima left of the box, the previous row's
+    from the box on.  A box needs max(left) <= min and max(above) < min, so
+    later boxes see nothing else.  ``spread(nxt, acc, head, tail, values, s,
+    box)`` adds one state's moves at box (i, j) into nxt, one per feasible
+    maximum values[t], t >= s, to the state head + (values[t],) + tail, and
+    returns the entries it read; before each state's moves the entries read
+    so far pass `check_work`, whose refusal names remedy.  The empty filling
+    weighs unit, and ``join(a, b)`` returns the sum of two accumulators,
+    free to reuse a.
 
     The state keeps only the column maxima that later boxes read.  Once box
     p of row i is placed, the maximum at position p - 1 is read only by row

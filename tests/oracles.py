@@ -8,12 +8,13 @@ commutativity, a sum of products multiplied out term by term, a packed key
 read digit by digit, a coordinate cut out of a key digit by digit, a
 geometric series convolved power by power, xi built in Fractions), is the
 character as it was built from the whole svt class before its numerator was
-truncated in the DP, is the argparse parser the CLI
-replaced by its option table, is the dict-keyed count step the packed
-counts replaced, is the backtracking tableau enumerator the listing through
-the transfer DP replaced, is the renderer that formatted a polynomial
-monomial by monomial before the renderer kept prefixes, or is a tool the
-tests need (energies, JSON readers, the grading of a polynomial along xi).
+truncated in the DP, is the argparse parser the CLI replaced by its option
+table, is the dict-keyed count step the packed counts replaced (run per
+maximum over the transfer DP), is the backtracking tableau enumerator the
+listing through the transfer DP replaced, is the renderer that formatted a
+polynomial monomial by monomial before the renderer kept prefixes, or is a
+tool the tests need (energies, JSON readers, the grading of a polynomial
+along xi).
 """
 
 import argparse
@@ -36,7 +37,7 @@ from schubertk.ring import (
     specialize_zero,
 )
 from schubertk.shapes import contains, part, size, trim
-from schubertk.tableaux import SetValuedTableau, f_map
+from schubertk.tableaux import SetValuedTableau, _joined, _transfer, f_map
 from schubertk.weyl import (
     CACHE_SIZE,
     RootSystem,
@@ -437,9 +438,26 @@ def sum_of_products(terms, rank: int) -> dict:
 
 # -- counts by size, one dict key per size -----------------------------------
 
+def svt_steps(lam, mu, geometry: str, step) -> dict:
+    """The transfer DP of `tableaux._transfer` on dict states, one call of
+    ``step(dst, src, q, below, largest)`` per state and feasible maximum of
+    a box on diagonal q: it adds src times the summed weight of the entry
+    sets with that maximum, whose other entries are drawn from ``below``
+    (the feasible entries smaller than ``largest``).  It reads as many
+    entries as `tableaux.svt_sum`, with no remedy."""
+    def spread(nxt, acc, head, tail, values, s, box):
+        q = box[1] - box[0]
+        for t in range(s, len(values)):
+            step(nxt.setdefault(head + (values[t],) + tail, {}), acc, q, values[s:t], values[t])
+        return len(acc) * (len(values) - s)
+
+    return _transfer(lam, mu, geometry, spread, "", {0: 1}, _joined)
+
+
 def count_entries(dst: dict, src: dict, q: int, below, largest: int) -> None:
-    """`svt_dp` step keyed by the number of entries: the entry sets made of
-    largest and a of the k values below add 1 + a entries, binom(k, a) ways."""
+    """`svt_steps` step keyed by the number of entries: the entry sets made
+    of largest and a of the k values below add 1 + a entries, binom(k, a)
+    ways."""
     k = len(below)
     get = dst.get
     for n, c in src.items():

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from schubertk import cli, diagrams, hecke, restriction, ring, shapes, tableaux
+from schubertk import cli, diagrams, hecke, restriction, ring, shapes, tableaux, weyl
 from schubertk.cli import run
 from schubertk.ring import poly_from_json
 from schubertk.restriction import pullback
@@ -158,15 +158,38 @@ def test_a_character_is_not_refused_for_the_size_of_its_whole_class(capsys, monk
 
 def test_a_character_past_the_packing_range_is_refused_before_the_dp(capsys, monkeypatch):
     def unexpected(*args):
-        raise AssertionError("svt_dp ran")
+        raise AssertionError("svt_sum ran")
 
-    monkeypatch.setattr(restriction, "svt_dp", unexpected)
+    monkeypatch.setattr(restriction, "svt_sum", unexpected)
     argv = "--type C --rank 4 --lambda 2,1 --mu 4,3,2,1 --emit character --trunc 40000"
     assert run(argv.split()) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == ("error: exponent coordinates up to 80005 exceed the packing range "
                        "+-32767; lower the truncation degree\n")
+
+
+@pytest.mark.parametrize("pair", [
+    "--type A --n 7 --d 3 --lambda 2,1 --mu 4,3,1",
+    "--type C --rank 4 --lambda 2,1 --mu 4,3,2",
+    "--type B --rank 4 --lambda 2,1 --mu 4,3,2",
+], ids=["A", "C", "B"])
+def test_the_sign_and_d_w_are_read_off_lambda_without_a_reduced_word(pair, capsys, monkeypatch):
+    # l(w) = |lam| for a minimal representative w
+    emits = ["--backend eyd", "--backend svt", "--emit hilbert", "--emit character --trunc 2",
+             "--backend eyd --format latex", "--backend svt --format latex"]
+    expect = []
+    for emit in emits:
+        assert run(f"{pair} {emit}".split()) == 0
+        expect.append(capture(capsys))
+
+    def unexpected(w):
+        raise AssertionError("reduced_word ran")
+
+    monkeypatch.setattr(weyl, "reduced_word", unexpected)
+    for emit, out in zip(emits, expect):
+        assert run(f"{pair} {emit}".split()) == 0
+        assert capture(capsys) == out, emit
 
 
 def test_rank_past_the_budget_exits_2_with_one_line(capsys):

@@ -1,18 +1,18 @@
 """The packed counts of `svt_counts` and `subsequence_stats`: one integer per
-DP state, checked against the dict-keyed count steps of `oracles` and
-against the work budget those steps were refused at."""
+DP state, checked against the dict-keyed count steps of `oracles`, run over
+the same DPs, and against the work budget those steps were refused at."""
 
 from math import comb
 
 import pytest
 
-from oracles import count_entries, skip_and_take
+from oracles import count_entries, skip_and_take, svt_steps
 from schubertk import hecke, ring, tableaux
 from schubertk.hecke import fold_dp, subsequence_stats
 from schubertk.restriction import Pair
 from schubertk.ring import add_into
 from schubertk.shapes import minimal_reps, perm_of_strict
-from schubertk.tableaux import svt_counts, svt_dp
+from schubertk.tableaux import svt_counts
 from schubertk.weyl import RootSystem, simple_reflection
 
 CONFIGS = (
@@ -33,7 +33,7 @@ def on_variety_pairs():
 
 
 def svt_reference(lam, mu, geometry):
-    return dict(sorted(svt_dp(lam, mu, geometry, count_entries).items()))
+    return dict(sorted(svt_steps(lam, mu, geometry, count_entries).items()))
 
 
 def hecke_reference(w, word):
@@ -116,7 +116,7 @@ SVT = [((3, 2), (5, 4, 2), "ordinary"), ((3, 1), (5, 4, 3, 1), "shiftedBC"),
 
 @pytest.mark.parametrize("module, packed, reference, one_per_state", [
     *(pytest.param(tableaux, lambda s=s: svt_counts(*s), lambda s=s: svt_reference(*s),
-                   lambda s=s: svt_dp(*s, one_key), id=f"svt-{s[2]}") for s in SVT),
+                   lambda s=s: svt_steps(*s, one_key), id=f"svt-{s[2]}") for s in SVT),
     pytest.param(hecke, lambda: subsequence_stats(HECKE.w, HECKE.word),
                  lambda: hecke_reference(HECKE.w, HECKE.word),
                  lambda: fold_dp(HECKE.w, HECKE.word, [1] * len(HECKE.word), one_key, one_key),

@@ -374,6 +374,12 @@ def test_b_to_d_lift_keeps_length_and_dimension(rank):
         assert shape_of(bd_identify_inverse(w)) == shape_of(w), w
 
 
+def test_only_a_type_b_pair_is_lifted():
+    pair = Pair.of(C4, None, perm_of_strict((2, 1), C4), perm_of_strict((4, 3), C4))
+    with pytest.raises(ValueError, match=r"^Pair.lifted lifts a type B pair to D5, not a C4 pair$"):
+        pair.lifted
+
+
 @pytest.mark.parametrize("method", ["svt", "eyd", "hecke"])
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_type_b_hilbert_data_is_that_of_the_lifted_pair(rank, method):
@@ -496,7 +502,7 @@ def test_graded_character_b_via_d():
 def test_negative_truncation_is_refused_before_the_class(monkeypatch, rs, d, w, v):
     # the numerator is the svt class, of the lifted pair in type B
     calls = []
-    monkeypatch.setattr(restriction, "svt_dp", lambda *args: calls.append(args))
+    monkeypatch.setattr(restriction, "svt_sum", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="truncation degree must be nonnegative"):
         graded_character(rs, d, w, v, -1)
     assert calls == []
@@ -599,11 +605,11 @@ def test_the_eyd_class_builds_t_mu_once_and_runs_no_transfer_dp(monkeypatch):
         return real(*args)
 
     def unexpected(*args):
-        raise AssertionError("svt_dp ran")
+        raise AssertionError("svt_sum ran")
 
     monkeypatch.setattr(restriction, "reflection_tableau", counted)
-    monkeypatch.setattr(restriction, "svt_dp", unexpected)
-    monkeypatch.setattr(tableaux, "svt_dp", unexpected)
+    monkeypatch.setattr(restriction, "svt_sum", unexpected)
+    monkeypatch.setattr(tableaux, "svt_sum", unexpected)
     assert pullback(A7, 3, WA, VA, backend="eyd") == expect
     assert len(calls) == 1
 
@@ -704,6 +710,37 @@ def test_the_eyd_sum_shares_the_prefixes_of_the_diagrams(monkeypatch, rs, d, lam
     got = _reads_of_the_eyd_class(monkeypatch, rs, d, w, v)
     assert 10 * got[0] <= per_term
     assert got == (reads, calls)
+
+
+def _work_of_the_svt_sum(monkeypatch, run):
+    """The kernel calls of the svt sum, its state visits (one `check_work`
+    call each) and the entries it has read before its last state."""
+    calls, work = [], []
+    kernel, check = tableaux.add_binomial_into, ring.check_work
+
+    def counted(*args):
+        calls.append(args)
+        kernel(*args)
+
+    def checked(read, *args):
+        work.append(read)
+        return check(read, *args)
+
+    monkeypatch.setattr(tableaux, "add_binomial_into", counted)
+    monkeypatch.setattr(tableaux, "check_work", checked)
+    run()
+    monkeypatch.undo()
+    return len(calls), len(work), work[-1]
+
+
+@pytest.mark.parametrize("mu, run, work", [
+    ((6, 5, 4, 3, 2), lambda pair: restriction.pair_class(pair, "svt"), (96, 41, 1938)),
+    ((6, 4, 3, 2, 1), lambda pair: restriction.pair_character(pair, 4), (61, 31, 786)),
+], ids=["class", "character"])
+def test_the_svt_sum_makes_one_kernel_call_per_state_and_maximum(monkeypatch, mu, run, work):
+    C6 = RootSystem("C", 6)
+    pair = Pair.of(C6, None, perm_of_strict((3, 2, 1), C6), perm_of_strict(mu, C6))
+    assert _work_of_the_svt_sum(monkeypatch, lambda: run(pair)) == work
 
 
 def test_the_eyd_class_lists_the_diagrams_once_and_builds_no_factored_terms(monkeypatch):
@@ -907,7 +944,7 @@ def test_hecke_agrees_with_svt_on_random_larger_pairs(pair):
 
 
 # the first step of each engine's work
-@pytest.mark.parametrize("backend, engine", [("eyd", "enumerate_eyd"), ("svt", "svt_dp")],
+@pytest.mark.parametrize("backend, engine", [("eyd", "enumerate_eyd"), ("svt", "svt_sum")],
                          ids=["eyd", "svt"])
 def test_class_exponents_are_bounded_before_the_work(backend, engine, monkeypatch):
     calls = []

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +146,14 @@ def test_length_equals_shape_size():
             rsx = RootSystem(kind, rank)
             for w in minimal_reps(rsx):
                 assert sum(strict_partition_of(w)) == length(w)
+
+
+def test_type_a_shapes_are_the_decreasing_d_tuples_by_size_then_lex():
+    for n in range(2, 9):
+        for d in range(1, n):
+            shapes = {tuple(a for a in t if a) for t in product(range(n - d + 1), repeat=d)
+                      if all(a >= b for a, b in zip(t, t[1:]))}
+            assert all_shapes(RootSystem("A", n), d) == sorted(shapes, key=lambda s: (sum(s), s))
 
 
 def test_perm_of_strict_roundtrip():

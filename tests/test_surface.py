@@ -1,8 +1,9 @@
 """Every public top-level function or class of schubertk is called in the
-package, exported in ``__all__`` or named by the benchmark; the references
-only the tests use live in ``tests/oracles.py``."""
+package, exported in ``__all__`` or named by the benchmark, and every cache
+is bounded; the references only the tests use live in ``tests/oracles.py``."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -83,3 +84,18 @@ def test_only_the_eyd_listing_builds_unchecked_box_sets():
         if any(isinstance(n, ast.Attribute) and n.attr == "_from_row" for n in ast.walk(node))
     ]
     assert callers == [("diagrams", "enumerate_eyd")]
+
+
+def test_every_cache_is_bounded():
+    # a cache that grows with every query leaks in long-running library use
+    cached = {}
+    for path in sorted((ROOT / "src" / "schubertk").glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"schubertk.{path.stem}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                cached[f"{path.stem}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert {"diagrams._boxes_of", "tableaux._entries", "ring._decoder",
+            "weyl.reduced_word"} <= set(cached)
+    assert all(isinstance(size, int) for size in cached.values()), cached
