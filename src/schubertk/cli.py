@@ -15,7 +15,7 @@ from types import SimpleNamespace
 from . import restriction
 from .diagrams import boxset_to_json, boxset_to_tikz, enumerate_eyd
 from .ring import format_poly, format_poly_json, signed_sum
-from .shapes import parse_shape, perm_of, perm_of_strict, size
+from .shapes import parse_shape, size
 from .tableaux import enumerate_svt, svt_counts, svt_to_json
 from .weyl import RootSystem, format_weight, parabolic_index, parse_window
 
@@ -112,15 +112,10 @@ def _resolve_inputs(args) -> restriction.Pair:
         if args.w is None or args.v is None:
             raise ValueError("both --w and --v are required")
         w, v = parse_window(rstype, args.w), parse_window(rstype, args.v)
-    else:
-        if args.lam is None or args.mu is None:
-            raise ValueError("both --lambda and --mu are required")
-        lam, mu = parse_shape(args.lam), parse_shape(args.mu)
-        if rstype.kind == "A":
-            w, v = perm_of(lam, d, rstype.rank), perm_of(mu, d, rstype.rank)
-        else:
-            w, v = perm_of_strict(lam, rstype), perm_of_strict(mu, rstype)
-    return restriction.Pair.of(rstype, d, w, v)
+        return restriction.Pair.of(rstype, d, w, v)
+    if args.lam is None or args.mu is None:
+        raise ValueError("both --lambda and --mu are required")
+    return restriction.Pair.of_shapes(rstype, d, parse_shape(args.lam), parse_shape(args.mu))
 
 
 def _base_doc(pair):

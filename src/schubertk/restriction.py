@@ -36,18 +36,15 @@ from .ring import (
     signed_sum,
     specialize_zero,
 )
-from .shapes import contains, perm_of_strict, shape_of, size
+from .shapes import contains, rep_of, shape_of, size, trim
 from .tableaux import enumerate_svt, svt_counts, svt_sum
 from .weyl import (
     RootSystem,
     WeylElement,
-    apply,
-    is_positive_root_vector,
     length,
     negate_weight,
     parabolic_index,
-    simple_roots,
-    window_apply,
+    window_right_ascent,
     window_right_mult,
 )
 
@@ -76,7 +73,9 @@ class HilbertData:
 class Pair:
     """One validated query: minimal representatives w, v of rstype, the index
     d of the maximal parabolic, the shapes lam of w and mu of v (so l(w) =
-    |lam|), and whether v lies on X^w.  `Pair.of` validates once, every
+    |lam|), and whether v lies on X^w.  Each input style becomes a pair in
+    one pass: `Pair.of` validates two windows and reads their shapes,
+    `Pair.of_shapes` validates two shapes and builds their windows.  Every
     engine takes a pair, and T_mu, its reading word, its exponents, the
     tangent weights and xi are built here on first use."""
 
@@ -96,6 +95,15 @@ class Pair:
         d = parabolic_index(rstype, d)
         lam, mu = shape_of(w, d), shape_of(v, d)
         return cls(rstype, d, w, v, lam, mu, contains(lam, mu))
+
+    @classmethod
+    def of_shapes(cls, rstype: RootSystem, d, lam, mu) -> Pair:
+        """The pair of the shapes lam of w and mu of v, with w and v built by
+        `shapes.rep_of`, so neither is checked or read back; ValueError on a
+        bad d or shape, with the texts of `perm_of` and `perm_of_strict`."""
+        d = parabolic_index(rstype, d)
+        w, v = rep_of(lam, rstype, d), rep_of(mu, rstype, d)
+        return cls(rstype, d, w, v, trim(lam), trim(mu), contains(lam, mu))
 
     @property
     def geometry(self) -> str:
@@ -132,14 +140,28 @@ class Pair:
             raise ValueError(f"B{n}'s Hilbert data, character and lifted class "
                              f"are computed through D{n + 1}: {exc}") from None
         # bd_identify_inverse of w and v, without reading their shapes again
-        wD, vD = perm_of_strict(self.lam, rsD), perm_of_strict(self.mu, rsD)
+        wD, vD = rep_of(self.lam, rsD), rep_of(self.mu, rsD)
         return Pair(rsD, n + 1, wD, vD, self.lam, self.mu, self.on_variety)
 
     @cached_property
     def tangent_weights(self) -> list:
-        """The weights of the tangent space at v (`tangent_weights`)."""
-        roots = levi_complement_roots(self.rstype, self.d)
-        return [apply(self.v, negate_weight(beta)) for beta in roots]
+        """The tangent weights at v, -v(beta) by (i, j) for the roots beta
+        outside the Levi: eps_i - eps_j, i <= d < j, in type A; else eps_i +
+        eps_j, i < j, and for i = j 2 eps_i in C and eps_i in B.  Each is
+        written from v_i and v_j, as v(eps_k) = sgn(v_k) eps_|v_k|."""
+        n, kind, win = self.rstype.rank, self.rstype.kind, self.v.window
+        if kind == "A":
+            pairs = [(i, j) for i in range(self.d) for j in range(self.d, n)]
+        else:
+            pairs = [(i, j) for i in range(n) for j in range(i + (kind == "D"), n)]
+        out = []
+        for i, j in pairs:
+            c = -1 if kind == "A" else int(i != j or kind == "C")  # beta = eps_i + c eps_j
+            a, b, g = win[i], win[j], [0] * n
+            g[abs(a) - 1] -= 1 if a > 0 else -1
+            g[abs(b) - 1] -= c if b > 0 else -c
+            out.append(tuple(g))
+        return out
 
     @cached_property
     def xi(self) -> tuple:
@@ -164,29 +186,10 @@ class Pair:
         return ixi, den
 
 
-def levi_complement_roots(rstype: RootSystem, d: int = None) -> list:
-    """Positive roots of g outside the Levi of the maximal parabolic: the
-    eps_i - eps_j with i <= d < j in type A, else the eps_i + eps_j with
-    i < j, and with i = j also 2 eps_i in type C and eps_i in type B."""
-    n, kind = rstype.rank, rstype.kind
-    if kind == "A":
-        d = parabolic_index(rstype, d)
-        pairs = [(i, j) for i in range(d) for j in range(d, n)]
-    else:
-        pairs = [(i, j) for i in range(n) for j in range(i + (kind == "D"), n)]
-    out = []
-    for i, j in pairs:
-        v = [0] * n
-        v[i] += 1
-        v[j] += -1 if kind == "A" else int(i != j or kind == "C")
-        out.append(tuple(v))
-    return out
-
-
 def dim_gp(rstype: RootSystem, d: int = None) -> int:
-    """dim G/P, the number of positive roots outside the Levi
-    (`levi_complement_roots`): d(n - d) in type A, n(n + 1)/2 in types B and
-    C, n(n - 1)/2 in type D; ValueError on a bad d in type A."""
+    """dim G/P, one per tangent weight (`Pair.tangent_weights`): d(n - d)
+    in type A, n(n + 1)/2 in types B and C, n(n - 1)/2 in type D;
+    ValueError on a bad d in type A."""
     n, kind = rstype.rank, rstype.kind
     if kind == "A":
         d = parabolic_index(rstype, d)
@@ -200,21 +203,30 @@ def tangent_weights(rstype: RootSystem, d, v: WeylElement) -> list:
 
 
 def r_values(word, rstype: RootSystem) -> list:
-    """r(c) = s_1 s_2 ... s_{c-1}(alpha_c) along a reduced word; positive roots.
+    """r(c) = u(alpha_{i_c}), u = s_{i_1} ... s_{i_{c-1}}, along a reduced
+    word; positive roots, the factor roots of every backend.
 
-    The prefix is carried as a window.  l(u s_i) > l(u) iff u(alpha_i) > 0,
-    so the word is reduced exactly when every r(c) is positive."""
-    alphas = simple_roots(rstype)
-    win = tuple(range(1, rstype.rank + 1))
-    out = []
+    The prefix u is a window, and r(c) is read off the one or two entries of
+    it that alpha_i touches, as u(eps_k) = sgn(u_k) eps_|u_k|.  l(u s_i) >
+    l(u) iff u(alpha_i) > 0 (`window_right_ascent`), so the word is reduced
+    exactly when every r(c) is positive."""
+    kind, n = rstype.kind, rstype.rank
+    win, out = tuple(range(1, n + 1)), []
     for c, i in enumerate(word):
         if not 1 <= i <= rstype.num_simple:
             raise ValueError(f"letter {i} out of range for {rstype}")
-        r = window_apply(win, alphas[i - 1])
-        if not is_positive_root_vector(r):
+        if not window_right_ascent(kind, win, i):
             raise ValueError(f"word is not reduced: r({c + 1}) is a negative root")
-        out.append(r)
-        win = window_right_mult(rstype.kind, win, i)
+        if i < n:  # alpha_i as (position, coefficient) pairs
+            alpha = ((i - 1, 1), (i, -1))
+        else:  # eps_n in B, 2 eps_n in C, eps_{n-1} + eps_n in D
+            alpha = ((n - 2, 1), (n - 1, 1)) if kind == "D" else ((n - 1, 2 if kind == "C" else 1),)
+        r = [0] * n
+        for k, coef in alpha:
+            t = win[k]
+            r[abs(t) - 1] = coef if t > 0 else -coef
+        out.append(tuple(r))
+        win = window_right_mult(kind, win, i)
     return out
 
 

@@ -66,17 +66,9 @@ def partition_of(v: WeylElement, d: int) -> tuple:
 
 
 def perm_of(lam, d: int, n: int) -> WeylElement:
-    """Inverse of partition_of: the minimal representative with partition lam."""
-    rstype = RootSystem("A", n)
-    d = parabolic_index(rstype, d)
-    lam = trim(lam)
-    if not is_partition(lam):
-        raise ValueError(f"{lam} is not a partition")
-    if len(lam) > d or (lam and lam[0] > n - d):
-        raise ValueError(f"{lam} does not fit in a {d}x{n - d} box")
-    head = sorted(part(lam, i) + (d + 1 - i) for i in range(1, d + 1))
-    tail = sorted(set(range(1, n + 1)) - set(head))
-    return WeylElement(rstype, tuple(head + tail))
+    """Inverse of partition_of: the element of W^{P_d} in A_n with partition
+    lam, built by `rep_of`."""
+    return rep_of(lam, RootSystem("A", n), d)
 
 
 def largest_part(rstype: RootSystem) -> int:
@@ -97,15 +89,15 @@ def strict_partition_of(w: WeylElement) -> tuple:
     if w.rstype.kind == "A":
         raise ValueError("expected a type B/C/D element")
     if not is_minimal_rep(w):
-        raise ValueError(f"{w} is not minimal in W^P_n")
+        raise ValueError(f"{w} is not minimal in W^P_{w.rstype.rank}")
     top = largest_part(w.rstype) + 1
     parts = (top + t for t in w.window if t < 0)
     return tuple(sorted((p for p in parts if p), reverse=True))  # D drops the letter n's 0
 
 
 def perm_of_strict(lam, rstype: RootSystem) -> WeylElement:
-    """Inverse of strict_partition_of: plain letters ascending, then barred
-    letters largest first.
+    """Inverse of strict_partition_of: the minimal representative of a
+    type B/C/D rstype with strict partition lam (`rep_of`).
 
     >>> from schubertk.weyl import RootSystem
     >>> perm_of_strict((5, 4, 2, 1), RootSystem("C", 6))
@@ -115,17 +107,35 @@ def perm_of_strict(lam, rstype: RootSystem) -> WeylElement:
     """
     if rstype.kind == "A":
         raise ValueError("perm_of_strict applies to types B/C/D")
-    lam = trim(lam)
-    if not is_strict_partition(lam):
-        raise ValueError(f"{lam} is not a strict partition")
-    n, bound = rstype.rank, largest_part(rstype)
-    if lam and lam[0] > bound:
-        raise ValueError(f"{lam} does not fit: largest part exceeds {bound}")
-    barred = {bound + 1 - p for p in lam}
-    if rstype.kind == "D" and len(lam) % 2:
-        barred.add(n)
-    plain = [k for k in range(1, n + 1) if k not in barred]
-    return WeylElement(rstype, tuple(plain + [-k for k in sorted(barred, reverse=True)]))
+    return rep_of(lam, rstype)
+
+
+def rep_of(lam, rstype: RootSystem, d=None) -> WeylElement:
+    """The minimal representative of W^P with shape lam, unchecked as valid
+    and minimal by construction: in type A the letters lam_{d+1-i} + i, then
+    the rest; in B/C/D the plain letters, then the barred ones largest first.
+    ValueError unless lam is a partition in the d x (n - d) box (A) or a
+    strict partition with parts <= `largest_part` (B/C/D)."""
+    lam, n = trim(lam), rstype.rank
+    if rstype.kind == "A":
+        d = parabolic_index(rstype, d)
+        if not is_partition(lam):
+            raise ValueError(f"{lam} is not a partition")
+        if len(lam) > d or (lam and lam[0] > n - d):
+            raise ValueError(f"{lam} does not fit in a {d}x{n - d} box")
+        head = [part(lam, d + 1 - i) + i for i in range(1, d + 1)]
+        window = (*head, *sorted(set(range(1, n + 1)).difference(head)))
+    else:
+        if not is_strict_partition(lam):
+            raise ValueError(f"{lam} is not a strict partition")
+        bound = largest_part(rstype)
+        if lam and lam[0] > bound:
+            raise ValueError(f"{lam} does not fit: largest part exceeds {bound}")
+        barred = [bound + 1 - p for p in lam]  # ascending
+        if rstype.kind == "D" and len(lam) % 2:
+            barred.append(n)
+        window = (*(k for k in range(1, n + 1) if k not in barred), *(-k for k in reversed(barred)))
+    return WeylElement._from_window(rstype, window)
 
 
 def bd_identify_inverse(u: WeylElement) -> WeylElement:
@@ -152,9 +162,7 @@ def all_shapes(rstype: RootSystem, d: int = None):
 
 def minimal_reps(rstype: RootSystem, d: int = None):
     """All minimal coset representatives, enumerated through their shapes."""
-    if rstype.kind == "A":
-        return [perm_of(lam, d, rstype.rank) for lam in all_shapes(rstype, d)]
-    return [perm_of_strict(lam, rstype) for lam in all_shapes(rstype)]
+    return [rep_of(lam, rstype, d) for lam in all_shapes(rstype, d)]
 
 
 def shape_of(w: WeylElement, d: int = None) -> tuple:
@@ -169,6 +177,8 @@ def parse_shape(text: str) -> tuple:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"malformed shape {text!r}") from None
+    if (low := min(parts)) < 0:
+        raise ValueError(f"part {low} of {parts} is negative")
     if not is_partition(parts):
         raise ValueError(f"{parts} is not weakly decreasing")
     return trim(parts)

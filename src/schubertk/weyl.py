@@ -93,6 +93,14 @@ class WeylElement:
         if kind == "D" and negatives % 2:
             raise ValueError(f"type D window {win} has an odd number of barred entries")
 
+    @classmethod
+    def _from_window(cls, rstype: RootSystem, window: tuple) -> WeylElement:
+        """The element of a window set without the checks of __post_init__:
+        for the windows `shapes.rep_of` builds, valid by construction."""
+        u = object.__new__(cls)
+        u.__dict__.update(rstype=rstype, window=window)
+        return u
+
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return mult(self, other)
 
@@ -128,18 +136,7 @@ def mult(u: WeylElement, w: WeylElement) -> WeylElement:
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    out = [0] * w.rstype.rank
-    for i, t in enumerate(w.window, start=1):
-        out[abs(t) - 1] = i if t > 0 else -i
-    return WeylElement(w.rstype, tuple(out))
-
-
-def is_positive_root_vector(v) -> bool:
-    """In all four types a root is positive iff its first nonzero coordinate is."""
-    for c in v:
-        if c:
-            return c > 0
-    raise ValueError("zero vector is not a root")
+    return WeylElement(w.rstype, window_inverse(w.window))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -154,7 +151,7 @@ def reduced_word(w: WeylElement) -> tuple:
     (1, 3, 2)
     """
     kind, simple = w.rstype.kind, range(1, w.rstype.num_simple + 1)
-    x, letters = inverse(w).window, []  # u's left descents are x = u^-1's right descents
+    x, letters = window_inverse(w.window), []  # u's left descents are x = u^-1's right descents
     while i := next((i for i in simple if not window_right_ascent(kind, x, i)), None):
         letters.append(i)
         x = window_right_mult(kind, x, i)
@@ -212,9 +209,9 @@ def weight_piece(i: int, c: int, latex: bool = False) -> str:
     return f"{'-' if c < 0 else '+'}{mag}{sym}{i}"
 
 
-# Window-level helpers, the group's ascent tests and right product, used by
-# `reduced_word`, `is_minimal_rep`, `simple_reflection`, the 0-Hecke fold and
-# `restriction.r_values`; the tuple is always a valid window of the rank.
+# Window-level helpers, the group's ascent tests, inverse and right product,
+# used by `reduced_word`, `is_minimal_rep`, `simple_reflection`, the 0-Hecke
+# fold and `restriction.r_values`; the tuple is always a valid window.
 
 def window_apply(win: tuple, mu: Weight) -> Weight:
     """The action of :func:`apply` on a bare window."""
@@ -224,6 +221,14 @@ def window_apply(win: tuple, mu: Weight) -> Weight:
             out[t - 1] += mu[i]
         else:
             out[-t - 1] -= mu[i]
+    return tuple(out)
+
+
+def window_inverse(win: tuple) -> tuple:
+    """The window of the inverse element."""
+    out = [0] * len(win)
+    for i, t in enumerate(win, start=1):
+        out[abs(t) - 1] = i if t > 0 else -i
     return tuple(out)
 
 

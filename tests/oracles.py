@@ -1,8 +1,9 @@
 """Reference implementations that the tests check the library against.
 
 None of them is called by the library: each restates a definition of the
-paper (the Demazure product, a reflection and a greedy reduced word
-through the root action, minimality read off the 2n-window, excitation
+paper (the Demazure product, a reflection, a greedy reduced word, the
+r-values and the tangent weights through the root action, minimality read
+off the 2n-window, the window of a shape built by sorting, excitation
 moves, the restriction condition on tableaux, the inverse of f, full
 commutativity, a sum of products multiplied out term by term, a packed key
 read digit by digit, a coordinate cut out of a key digit by digit, a
@@ -46,12 +47,15 @@ from schubertk.weyl import (
     format_weight,
     inverse,
     is_minimal_rep,
-    is_positive_root_vector,
     length,
     mult,
+    negate_weight,
+    parabolic_index,
     reduced_word,
     simple_reflection,
     simple_roots,
+    window_apply,
+    window_right_mult,
 )
 
 MAX_COMMUTATION_CLASS = 200000
@@ -83,6 +87,56 @@ def reflection(rstype: RootSystem, alpha) -> WeylElement:
         j = next(j for j, c in enumerate(image) if c)
         win.append((j + 1) * image[j])
     return WeylElement(rstype, tuple(win))
+
+
+def is_positive_root_vector(v) -> bool:
+    """In all four types a root is positive iff its first nonzero coordinate is."""
+    for c in v:
+        if c:
+            return c > 0
+    raise ValueError("zero vector is not a root")
+
+
+def reference_r_values(word, rstype: RootSystem) -> list:
+    """r(c) along a word through the whole root vectors: the prefix applied
+    to the vector alpha_{i_c}, and its sign read off the first nonzero
+    coordinate."""
+    alphas = simple_roots(rstype)
+    win = tuple(range(1, rstype.rank + 1))
+    out = []
+    for c, i in enumerate(word):
+        if not 1 <= i <= rstype.num_simple:
+            raise ValueError(f"letter {i} out of range for {rstype}")
+        r = window_apply(win, alphas[i - 1])
+        if not is_positive_root_vector(r):
+            raise ValueError(f"word is not reduced: r({c + 1}) is a negative root")
+        out.append(r)
+        win = window_right_mult(rstype.kind, win, i)
+    return out
+
+
+def levi_complement_roots(rstype: RootSystem, d: int = None) -> list:
+    """Positive roots of g outside the Levi of the maximal parabolic: the
+    eps_i - eps_j with i <= d < j in type A, else the eps_i + eps_j with
+    i < j, and with i = j also 2 eps_i in type C and eps_i in type B."""
+    n, kind = rstype.rank, rstype.kind
+    if kind == "A":
+        d = parabolic_index(rstype, d)
+        pairs = [(i, j) for i in range(d) for j in range(d, n)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + (kind == "D"), n)]
+    out = []
+    for i, j in pairs:
+        v = [0] * n
+        v[i] += 1
+        v[j] += -1 if kind == "A" else int(i != j or kind == "C")
+        out.append(tuple(v))
+    return out
+
+
+def reference_tangent_weights(rstype: RootSystem, d, v: WeylElement) -> list:
+    """v applied to minus each root of `levi_complement_roots`, in its order."""
+    return [apply(v, negate_weight(beta)) for beta in levi_complement_roots(rstype, d)]
 
 
 def reference_reduced_word(w: WeylElement) -> tuple:
@@ -202,12 +256,26 @@ def transpose(lam) -> tuple:
     return tuple(sum(1 for a in lam if a >= j) for j in range(1, lam[0] + 1))
 
 
+def reference_rep_of(lam, rstype: RootSystem, d=None) -> WeylElement:
+    """The checked minimal representative of a valid shape: type A sorts
+    the letters lam_i + d + 1 - i and takes the rest in order; B/C/D takes
+    the plain letters ascending, then the barred ones by a sort."""
+    n = rstype.rank
+    if rstype.kind == "A":
+        head = sorted(part(lam, i) + (d + 1 - i) for i in range(1, d + 1))
+        return WeylElement(rstype, tuple(head + sorted(set(range(1, n + 1)) - set(head))))
+    top = n + 1 if rstype.kind in "BC" else n
+    barred = {top - p for p in lam} | ({n} if rstype.kind == "D" and len(lam) % 2 else set())
+    plain = [k for k in range(1, n + 1) if k not in barred]
+    return WeylElement(rstype, tuple(plain + [-k for k in sorted(barred, reverse=True)]))
+
+
 def bd_identify(w: WeylElement) -> WeylElement:
     """D_n -> B_{n-1}: delete the entry of absolute value n from the window."""
     if w.rstype.kind != "D":
         raise ValueError("bd_identify expects a type D element")
     if not is_minimal_rep(w):
-        raise ValueError(f"{w} is not minimal in W^P_n")
+        raise ValueError(f"{w} is not minimal in W^P_{w.rstype.rank}")
     n = w.rstype.rank
     win = tuple(t for t in w.window if abs(t) != n)
     return WeylElement(RootSystem("B", n - 1), win)

@@ -8,7 +8,15 @@ import random
 from collections import Counter
 from math import factorial
 
-from oracles import demazure_fold, f_inverse, identity, is_fully_commutative, m_order, subword_of
+from oracles import (
+    demazure_fold,
+    f_inverse,
+    identity,
+    is_fully_commutative,
+    is_positive_root_vector,
+    m_order,
+    subword_of,
+)
 from schubertk.diagrams import (
     BoxSet,
     ambient_boxes,
@@ -325,7 +333,7 @@ def test_criterion_08_structural_invariants():
 
 
 def _left_descents(u, uinv):
-    from schubertk.weyl import is_positive_root_vector, simple_roots
+    from schubertk.weyl import simple_roots
 
     rs = u.rstype
     alphas = simple_roots(rs)

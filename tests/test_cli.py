@@ -11,7 +11,7 @@ from schubertk import cli, diagrams, hecke, restriction, ring, shapes, tableaux,
 from schubertk.cli import run
 from schubertk.ring import poly_from_json
 from schubertk.restriction import pullback
-from schubertk.shapes import perm_of_strict
+from schubertk.shapes import perm_of, perm_of_strict
 from schubertk.weyl import RootSystem, parse_window
 
 
@@ -447,12 +447,48 @@ def test_invalid_inputs_exit_2(argv, capsys):
     ("--type D --rank 6", "1,2,4,6,-5,-3", "2,1,3,4,5,6"),
 ], ids=["A", "B", "C", "D"])
 def test_non_minimal_windows_exit_2_with_one_line(argv, good, bad, capsys):
+    # the refusal names the parabolic: P_d in type A, P_n in B/C/D
+    _, kind, _, rank, *rest = argv.split()
+    index = rest[1] if rest else rank
     for w, v in ((bad, good), (good, bad)):
         assert run(argv.split() + ["--w", w, "--v", v]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.count("\n") == 1 and out.err.startswith("error: ")
-        assert "is not minimal" in out.err
+        assert out.err == f"error: WeylElement({kind}{rank}: {bad}) is not minimal in W^P_{index}\n"
+
+
+# (root system, d, a shape that indexes no element, the refusal of perm_of,
+# perm_of_strict and Pair.of_shapes, the refusal of the CLI); parse_shape
+# refuses a shape that is not a partition before any element is built
+BAD_SHAPES = [
+    ("A", 6, 3, (1, 2), "(1, 2) is not a partition", "(1, 2) is not weakly decreasing"),
+    ("A", 6, 3, (-1,), "(-1,) is not a partition", "part -1 of (-1,) is negative"),
+    ("A", 6, 3, (2, 2, -3), "(2, 2, -3) is not a partition", "part -3 of (2, 2, -3) is negative"),
+    ("A", 6, 3, (4,), "(4,) does not fit in a 3x3 box", None),
+    ("A", 6, 3, (1, 1, 1, 1), "(1, 1, 1, 1) does not fit in a 3x3 box", None),
+    ("B", 4, None, (3, 3), "(3, 3) is not a strict partition", None),
+    ("B", 4, None, (5, 1), "(5, 1) does not fit: largest part exceeds 4", None),
+    ("C", 4, None, (2, 1, 1), "(2, 1, 1) is not a strict partition", None),
+    ("C", 4, None, (5,), "(5,) does not fit: largest part exceeds 4", None),
+    ("D", 5, None, (2, 2), "(2, 2) is not a strict partition", None),
+    ("D", 5, None, (5, 2), "(5, 2) does not fit: largest part exceeds 4", None),
+]
+
+
+@pytest.mark.parametrize("kind, rank, d, bad, text, cli_text", BAD_SHAPES)
+def test_a_bad_shape_is_refused_with_one_text(kind, rank, d, bad, text, cli_text, capsys):
+    rs = RootSystem(kind, rank)
+    with pytest.raises(ValueError) as built:
+        perm_of(bad, d, rank) if kind == "A" else perm_of_strict(bad, rs)
+    assert str(built.value) == text
+    for lam, mu in ((bad, ()), ((), bad)):
+        with pytest.raises(ValueError) as paired:
+            restriction.Pair.of_shapes(rs, d, lam, mu)
+        assert str(paired.value) == text
+        argv = f"--type {kind} --rank {rank}" + (f" --d {d}" if d else "")
+        shapes = ["--lambda", ",".join(map(str, lam)), "--mu", ",".join(map(str, mu))]
+        assert run(argv.split() + shapes) == 2
+        assert capsys.readouterr() == ("", f"error: {cli_text or text}\n")
 
 
 def test_window_and_shape_inputs_agree(capsys):
@@ -568,7 +604,8 @@ def test_type_a_d_out_of_range_is_refused_before_any_element(d, capsys):
 
 def _calls_per_query(monkeypatch, argv):
     """How often one CLI query calls shape_of, reflection_tableau, r_values,
-    is_minimal_rep and format_weight, through whichever module binds them."""
+    is_minimal_rep and format_weight, through whichever module binds them,
+    and checks a window ("validate", `WeylElement.__post_init__`)."""
     calls = Counter()
 
     def counted(name, real):
@@ -581,9 +618,16 @@ def _calls_per_query(monkeypatch, argv):
         for module in (cli, restriction, shapes, diagrams):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    post_init = weyl.WeylElement.__post_init__
+    monkeypatch.setattr(weyl.WeylElement, "__post_init__", counted("validate", post_init))
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(argv.split()) == 0
     return calls
+
+
+def _validation(calls):
+    """(window checks, shape_of calls, is_minimal_rep calls) of one query."""
+    return calls["validate"], calls["shape_of"], calls["is_minimal_rep"]
 
 
 @pytest.mark.parametrize("query, tableaux, r_values", [
@@ -593,23 +637,29 @@ def _calls_per_query(monkeypatch, argv):
 ], ids=["C6", "B5"])
 def test_a_check_validates_once_and_builds_t_mu_once_per_root_system(
         query, tableaux, r_values, monkeypatch):
+    # shapes are checked once, by rep_of, and their windows never
     calls = _calls_per_query(monkeypatch, f"{query} --check")
-    assert calls["shape_of"] == 2
+    assert _validation(calls) == (0, 0, 0)
     assert calls["reflection_tableau"] == tableaux
     assert calls["r_values"] <= r_values
 
 
-@pytest.mark.parametrize("query", [
-    "--type A --n 7 --d 3 --lambda 2,1 --mu 3,3,1",
-    "--type B --rank 4 --w 1,3,-4,-2 --v 2,-4,-3,-1",
-], ids=["A", "B"])
+@pytest.mark.parametrize("query, checks", [
+    ("--type A --n 7 --d 3 --lambda 2,1 --mu 3,3,1", 0),
+    ("--type B --rank 4 --w 1,3,-4,-2 --v 2,-4,-3,-1", 2),
+    ("--type A --n 7 --d 3 --w 1,2,5,3,4,6,7 --v 3,4,6,1,2,5,7", 2),
+    ("--type B --rank 4 --lambda 2 --mu 4,3,1", 0),
+], ids=["A", "B", "A-windows", "B-shapes"])
 @pytest.mark.parametrize("emit", [
     *(f"class --backend {backend}" for backend in restriction.BACKENDS),
     "class --format latex --backend eyd", "hilbert", "hilbert-poly", "mult", "diagrams",
     "tableaux --count-only", "character",
 ])
-def test_every_emit_validates_its_pair_once(query, emit, monkeypatch):
-    assert _calls_per_query(monkeypatch, f"{query} --emit {emit}")["shape_of"] == 2
+def test_every_emit_validates_its_pair_once(query, checks, emit, monkeypatch):
+    # a window is checked, read and tested for minimality once, by
+    # parse_window and Pair.of; a shape query builds its windows unchecked
+    calls = _calls_per_query(monkeypatch, f"{query} --emit {emit}")
+    assert _validation(calls) == (checks,) * 3
 
 
 @pytest.mark.parametrize("query", [
@@ -618,9 +668,9 @@ def test_every_emit_validates_its_pair_once(query, emit, monkeypatch):
     "--type B --rank 5 --lambda 3,1 --mu 5,4,3,1 --emit hilbert",
 ], ids=["C6-character", "B5-character", "B5-hilbert"])
 def test_minimality_is_checked_once_per_element(query, monkeypatch):
-    # once for each of w and v, by Pair.of; neither the tangent weights nor
-    # the D_{n+1} lift checks again (at the parent: 3, 5 and 4)
-    assert _calls_per_query(monkeypatch, query)["is_minimal_rep"] == 2
+    # rep_of builds minimal windows, and neither the tangent weights nor the
+    # D_{n+1} lift checks them
+    assert _validation(_calls_per_query(monkeypatch, query)) == (0, 0, 0)
 
 
 def test_latex_formats_each_factor_once(monkeypatch):

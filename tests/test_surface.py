@@ -48,9 +48,11 @@ def test_only_ring_names_the_work_budget():
 
 
 def test_only_the_pair_validates_a_query():
-    # a query's shapes are read once, by restriction.Pair.of
+    # a query becomes a Pair in one call, Pair.of for windows and
+    # Pair.of_shapes for shapes; only Pair.of reads a shape off a window
     source = ROOT / "src" / "schubertk"
-    assert not re.search(r"\b(shape_of|contains)\b", (source / "cli.py").read_text())
+    cli = (source / "cli.py").read_text()
+    assert not re.search(r"\b(perm_of|perm_of_strict|shape_of|contains)\b", cli)
     tree = ast.parse((source / "restriction.py").read_text())
     callers = [
         node.name for node in tree.body
@@ -84,6 +86,18 @@ def test_only_the_eyd_listing_builds_unchecked_box_sets():
         if any(isinstance(n, ast.Attribute) and n.attr == "_from_row" for n in ast.walk(node))
     ]
     assert callers == [("diagrams", "enumerate_eyd")]
+
+
+def test_only_the_shape_builder_skips_the_window_checks():
+    # WeylElement._from_window skips __post_init__, which only
+    # shapes.rep_of makes true by construction
+    callers = [
+        (path.stem, node.name)
+        for path in sorted((ROOT / "src" / "schubertk").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if any(isinstance(n, ast.Attribute) and n.attr == "_from_window" for n in ast.walk(node))
+    ]
+    assert callers == [("shapes", "rep_of")]
 
 
 def test_every_cache_is_bounded():

@@ -8,6 +8,7 @@ from oracles import (
     demazure_fold,
     full_window,
     identity,
+    is_positive_root_vector,
     reference_is_minimal_rep,
     reference_reduced_word,
     reflection,
@@ -19,7 +20,6 @@ from schubertk.weyl import (
     format_window,
     inverse,
     is_minimal_rep,
-    is_positive_root_vector,
     length,
     mult,
     parse_window,
