@@ -41,7 +41,6 @@ from .tableaux import enumerate_svt, svt_counts, svt_sum
 from .weyl import (
     RootSystem,
     WeylElement,
-    length,
     negate_weight,
     parabolic_index,
     window_right_ascent,
@@ -125,6 +124,13 @@ class Pair:
         every backend (Graham-Willems restriction through the r-values)."""
         rs = map(negate_weight, r_values(self.word, self.rstype))
         return dict(zip(self.tableau.reading_boxes, rs))
+
+    @cached_property
+    def factor_keys(self) -> dict:
+        """{box: pack(g)} over `exponents`, in reading order, so its values
+        are the factor keys of the letters of `word`: the one key table of
+        every class engine and of the character."""
+        return {box: pack(g) for box, g in self.exponents.items()}
 
     @cached_property
     def lifted(self) -> Pair:
@@ -331,43 +337,23 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
 
 def pair_class(pair: Pair, backend: str = "eyd") -> KClass:
     """The class of `pullback` for a validated pair.  The span of all of
-    T_mu's exponents passes the packing range before any engine runs."""
+    T_mu's exponents passes the packing range before any engine runs; each
+    engine then sums over `Pair.factor_keys`."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     rstype, d, n = pair.rstype, pair.d, pair.rstype.rank
     if not pair.on_variety:
         return KClass(rstype, d, LaurentPoly.zero(n), on_variety=False)
-    if backend == "hecke":
-        return KClass(rstype, d, pullback_hecke_with_word(rstype, pair.w, pair.word))
     span = _span_bound(pair.exponents.values())
-    if backend == "svt":
-        packed = _svt_packed(pair)
-    else:  # each box of D_mu packed once, each diagram read off as its keys
-        key = {box: pack(g) for box, g in pair.exponents.items()}
-        packed = _sum_of_products([list(map(key.__getitem__, C.sorted_boxes()))
+    keys = pair.factor_keys
+    if backend == "hecke":  # letter c of the word is the box at reading position c
+        packed = hecke.fold_dp(pair.w, pair.word, list(keys.values()), add_binomial_into, add_into)
+    elif backend == "svt":
+        packed = svt_sum(pair.lam, pair.mu, pair.geometry, keys, None, CLASS_REMEDY)
+    else:  # each diagram read off as the keys of its boxes
+        packed = _sum_of_products([list(map(keys.__getitem__, C.sorted_boxes()))
                                    for C in enumerate_eyd(pair.lam, pair.mu, pair.geometry)])
     return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span) * (-1) ** size(pair.lam))
-
-
-def _svt_packed(pair: Pair, N: int = None) -> dict:
-    """The unsigned class of an on-variety pair as a packed dict, summed over
-    the set-valued tableaux T of prod_{x in T(i,j)} (e^{g(x, j-i)} - 1) by
-    `svt_sum`, with g(x, j-i) the exponent of the box (x, x+j-i) of f(T).
-    With N, each g of xi-degree 1 carries its degree digit and the keys of
-    degree > N are dropped (`ring`): the class truncated at degree N."""
-    top, cap, remedy = (0, None, CLASS_REMEDY) if N is None else (  # cap: degree N + 1's least key
-        1, pack((-LIMIT,) * pair.rstype.rank, N + 1), TRUNC_REMEDY)
-    keys = {(x, y - x): pack(e, top) for (x, y), e in pair.exponents.items()}
-    return svt_sum(pair.lam, pair.mu, pair.geometry, keys, cap, remedy)
-
-
-def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> LaurentPoly:
-    """Hecke-backend class over an arbitrary reduced word for v (signed): the
-    sum over T(w, word) of prod (e^{-r} - 1), by the fold DP."""
-    exps = [negate_weight(r) for r in r_values(word, rstype)]
-    span = _span_bound(exps)
-    packed = hecke.fold_dp(w, word, list(map(pack, exps)), add_binomial_into, add_into)
-    return LaurentPoly.from_packed(rstype.rank, packed, span) * (-1) ** length(w)
 
 
 def pullback_b_via_d(w: WeylElement, v: WeylElement) -> KClass:
@@ -498,11 +484,15 @@ def pair_character(pair: Pair, N: int) -> GradedSeries:
         if (pairing := sum(map(mul, g, ixi))) != den:
             raise RuntimeError(f"xi-degree check failed: {g}(xi) = {Fraction(pairing, den)}")
     span = series_span(_span_bound(exps), weights, N)
-    graded = _svt_packed(pair, N) if pair.on_variety else {}
+    graded, rank = {}, pair.rstype.rank
+    if pair.on_variety:  # every key gets degree digit 1; cap: degree N + 1's least key
+        top, cap = pack((0,) * rank, 1), pack((-LIMIT,) * rank, N + 1)
+        keys = {box: top + g for box, g in pair.factor_keys.items()}
+        graded = svt_sum(pair.lam, pair.mu, pair.geometry, keys, cap, TRUNC_REMEDY)
     if size(pair.lam) % 2:
         graded = {k: -c for k, c in graded.items()}
-    series = expand_graded(graded, pair.rstype.rank, weights, N, span)
-    if pair.rstype.rank == n:
+    series = expand_graded(graded, rank, weights, N, span)
+    if rank == n:
         return series
     return GradedSeries(N, [specialize_zero(s, n + 1) for s in series.slices])
 

@@ -49,10 +49,7 @@ def contains(lam, mu) -> bool:
     >>> contains((3,), (2, 2))
     False
     """
-    lam, mu = trim(lam), trim(mu)
-    if len(lam) > len(mu):
-        return False
-    return all(a <= b for a, b in zip(lam, mu))
+    return all(a <= part(mu, i) for i, a in enumerate(lam, start=1))
 
 
 def partition_of(v: WeylElement, d: int) -> tuple:

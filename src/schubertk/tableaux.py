@@ -110,20 +110,20 @@ def enumerate_svt(lam, mu, geometry: str, d: int = None,
 def svt_sum(lam, mu, geometry: str, keys: dict, cap: int = None, remedy: str = "") -> dict:
     """Sum over the set-valued tableaux of shape lam restricted by mu of the
     product of (e^g - 1) over their (box, entry) pairs, as a packed dict,
-    with g = keys[x, j - i] the packed key of entry x in box (i, j), by the
-    DP of `_transfer`.  The entries of a box below its maximum contribute
-    1 + (e^g - 1) = e^g each, so each feasible maximum is one fused
-    `add_binomial_into` call, shifted by the running sum of the smaller
-    entries' keys.  With cap, keys at or above it are dropped (`ring`'s
+    with g = keys[x, x + j - i] for entry x of box (i, j): the packed key
+    of the box of D_mu that f sends it to.  By the DP of `_transfer`.  The
+    entries of a box below its maximum contribute 1 + (e^g - 1) = e^g each,
+    so each feasible maximum is one fused `add_binomial_into` call, shifted
+    by the running sum of the smaller entries' keys.  With cap, keys at or above it are dropped (`ring`'s
     degree digit).  A refusal names remedy.
 
-    >>> svt_sum((1,), (2, 2), "ordinary", {(1, 0): 1, (2, 0): 4})  # (e - 1) + e(e^4 - 1)
+    >>> svt_sum((1,), (2, 2), "ordinary", {(1, 1): 1, (2, 2): 4})  # (e - 1) + e(e^4 - 1)
     {1: 0, 0: -1, 5: 1}
     """
     def spread(nxt, acc, head, tail, values, s, box):
         q, shift = box[1] - box[0], 0
         for t in range(s, len(values)):
-            g = keys[values[t], q]
+            g = keys[values[t], values[t] + q]
             add_binomial_into(nxt.setdefault(head + (values[t],) + tail, {}), acc, g, shift, cap)
             shift += g
         return len(acc) * (len(values) - s)

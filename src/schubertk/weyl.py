@@ -36,7 +36,7 @@ class RootSystem:
             raise ValueError(f"rank must be at least 2, got {self.rank}")
         if self.kind == "D" and self.rank < 3:
             raise ValueError("type D requires rank at least 3")
-        n = self.rank  # the positive roots, built as rank-tuples, must fit the budget
+        n = self.rank  # a pair's rank-tuple lists, each at most |Phi+| long, must fit the budget
         positive = {"A": n * (n - 1) // 2, "D": n * (n - 1)}.get(self.kind, n * n)
         check_work(n * positive, f"coordinates in the positive roots of {self.kind}{n}",
                    "lower the rank")

@@ -13,9 +13,11 @@ truncated in the DP, is the argparse parser the CLI replaced by its option
 table, is the dict-keyed count step the packed counts replaced (run per
 maximum over the transfer DP), is the backtracking tableau enumerator the
 listing through the transfer DP replaced, is the renderer that formatted a
-polynomial monomial by monomial before the renderer kept prefixes, or is a
-tool the tests need (energies, JSON readers, the grading of a polynomial
-along xi).
+polynomial monomial by monomial before the renderer kept prefixes, is the
+hecke class over any reduced word for v (the library's `r_values` and
+`fold_dp` on a given word, where the library reads only the reading word of
+T_mu), which reduced-word independence is checked with, or is a tool the
+tests need (energies, JSON readers, the grading of a polynomial along xi).
 """
 
 import argparse
@@ -25,12 +27,14 @@ from functools import lru_cache
 from math import comb
 
 from schubertk.diagrams import BoxSet, ReflectionTableau, ambient_boxes
-from schubertk.restriction import Pair, pair_class
+from schubertk.hecke import fold_dp
+from schubertk.restriction import Pair, _span_bound, pair_class, r_values
 from schubertk.ring import (
     DIGIT,
     LIMIT,
     GradedSeries,
     LaurentPoly,
+    add_binomial_into,
     add_into,
     geometric_expand,
     pack,
@@ -502,6 +506,16 @@ def sum_of_products(terms, rank: int) -> dict:
         for e, c in prod.items():
             total[e] += c
     return {e: c for e, c in total.items() if c}
+
+
+def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> LaurentPoly:
+    """The hecke class over an arbitrary reduced word for v, signed by l(w):
+    the sum over the subwords of word that fold to w of prod (e^{-r} - 1),
+    by the library's `r_values` and `fold_dp`."""
+    exps = [negate_weight(r) for r in r_values(word, rstype)]
+    span = _span_bound(exps)
+    packed = fold_dp(w, word, list(map(pack, exps)), add_binomial_into, add_into)
+    return LaurentPoly.from_packed(rstype.rank, packed, span) * (-1) ** length(w)
 
 
 # -- counts by size, one dict key per size -----------------------------------

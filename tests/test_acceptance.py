@@ -15,6 +15,7 @@ from oracles import (
     is_fully_commutative,
     is_positive_root_vector,
     m_order,
+    pullback_hecke_with_word,
     subword_of,
 )
 from schubertk.diagrams import (
@@ -45,7 +46,6 @@ from schubertk.restriction import (
     hilbert_polynomial_value,
     pullback,
     pullback_b_via_d,
-    pullback_hecke_with_word,
     pullback_terms,
 )
 from schubertk.tableaux import enumerate_svt, f_map, svt_counts

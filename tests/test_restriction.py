@@ -15,6 +15,7 @@ from oracles import (
     full_window,
     identity,
     levi_complement_roots,
+    pullback_hecke_with_word,
     reference_character,
     reference_r_values,
     reference_rep_of,
@@ -46,7 +47,6 @@ from schubertk.restriction import (
     hilbert_series_str,
     pullback,
     pullback_b_via_d,
-    pullback_hecke_with_word,
     pullback_terms,
     r_values,
     tangent_weights,
@@ -830,6 +830,32 @@ def test_the_svt_sum_makes_one_kernel_call_per_state_and_maximum(monkeypatch, mu
     C6 = RootSystem("C", 6)
     pair = Pair.of(C6, None, perm_of_strict((3, 2, 1), C6), perm_of_strict(mu, C6))
     assert _work_of_the_svt_sum(monkeypatch, lambda: run(pair)) == work
+
+
+def test_every_box_of_d_mu_is_packed_once_per_pair(monkeypatch):
+    # the three classes of a check read one table of box keys, and the
+    # character reuses it, packing only its degree digit and its cap
+    C5 = RootSystem("C", 5)
+    pair = Pair.of(C5, None, perm_of_strict((3, 1), C5), perm_of_strict((5, 4, 2), C5))
+    packed, words = [], []
+    real_pack, real_r_values = restriction.pack, restriction.r_values
+
+    def counted_pack(*args):
+        packed.append(args)
+        return real_pack(*args)
+
+    def counted_r_values(*args):
+        words.append(args)
+        return real_r_values(*args)
+
+    monkeypatch.setattr(restriction, "pack", counted_pack)
+    monkeypatch.setattr(restriction, "r_values", counted_r_values)
+    assert restriction.pair_check(pair).agree
+    assert (len(packed), len(words)) == (11, 1)
+    del packed[:]
+    restriction.pair_character(pair, 3)
+    assert sorted(packed) == sorted([((0,) * 5, 1), ((-ring.LIMIT,) * 5, 4)])
+    assert len(words) == 1
 
 
 def test_the_eyd_class_lists_the_diagrams_once_and_builds_no_factored_terms(monkeypatch):

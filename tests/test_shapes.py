@@ -206,6 +206,10 @@ def test_contains_examples():
     assert contains((2, 1), (4, 4, 3))
     assert contains((3, 1), (3, 1))
     assert not contains((3,), (2, 2))
+    # trailing zeros read as missing rows on either side
+    assert contains((2, 1, 0), (2, 1))
+    assert contains((1,), (1, 0, 0))
+    assert not contains((1, 1, 1), (3, 0))
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,29 @@ def test_only_the_shape_builder_skips_the_window_checks():
     assert callers == [("shapes", "rep_of")]
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # each module reaches another through its public entry points, and a
+    # sibling module bound by `from . import m` is read the same way
+    private = []
+    for path in sorted((ROOT / "src" / "schubertk").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "schubertk"):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        private.append(f"{path.stem}: {alias.name}")
+                    if node.module in (None, "schubertk"):  # a module, read below
+                        siblings.add(alias.asname or alias.name)
+        private += [
+            f"{path.stem}: {n.value.id}.{n.attr}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id in siblings and n.attr.startswith("_")
+        ]
+    assert private == []
+
+
 def test_every_cache_is_bounded():
     # a cache that grows with every query leaks in long-running library use
     cached = {}
