@@ -30,7 +30,7 @@ from .shapes import (
 )
 from .diagrams import BoxSet, enumerate_eyd, reading_word, reflection_tableau
 from .tableaux import SetValuedTableau, enumerate_svt, f_map
-from .ring import GradedSeries, LaurentPoly, geometric_expand, specialize_zero
+from .ring import GradedSeries, LaurentPoly, specialize_zero
 from .restriction import (
     HilbertData,
     KClass,
@@ -59,7 +59,7 @@ __all__ = [
     # tableaux
     "SetValuedTableau", "enumerate_svt", "f_map",
     # ring
-    "GradedSeries", "LaurentPoly", "geometric_expand", "specialize_zero",
+    "GradedSeries", "LaurentPoly", "specialize_zero",
     # restriction
     "HilbertData", "KClass", "check_backends", "graded_character", "hilbert_data",
     "hilbert_polynomial_coeffs", "hilbert_polynomial_value", "pullback",

@@ -78,7 +78,7 @@ def initial_diagram(lam, mu, geometry: str) -> BoxSet:
     """D_lam embedded box-for-box inside D_mu."""
     if not contains(lam, mu):
         raise ValueError(f"{lam} is not contained in {mu}")
-    return BoxSet(geometry, trim(mu), ambient_boxes(lam, geometry))
+    return BoxSet(geometry, mu, ambient_boxes(lam, geometry))  # BoxSet trims mu
 
 
 def _needed(box, geometry: str) -> tuple:
@@ -179,7 +179,7 @@ def reflection_tableau(mu, rstype: RootSystem, d: int = None) -> ReflectionTable
         if mu and mu[0] > bound:
             raise ValueError(f"{mu} does not fit: largest part exceeds {bound}")
     entries = {}
-    for box in ambient_boxes(mu, geometry):
+    for box in _boxes_of(mu, geometry):
         i, j = box
         if kind == "A":
             entries[box] = d + j - i

@@ -1,10 +1,10 @@
 """Exact arithmetic in the representation ring R(T).
 
 LaurentPoly is a sparse map from exponent vectors in Z^rank to arbitrary
-precision integer coefficients.  geometric_expand produces the truncated
-graded character num / prod (1 - e^{-mu}), graded along a rational vector
-xi, and `expand_graded` from a numerator graded by its degree digit (below).
-The count DPs carry polynomials in one variable t as integers, W bits per
+precision integer coefficients.  `expand_graded` produces the truncated
+graded character num / prod (1 - e^{-mu}) from a numerator graded by its
+degree digit (below); `restriction.pair_character` is its one caller, with
+the digits read off the integer xi of the `Pair`.  The count DPs carry polynomials in one variable t as integers, W bits per
 power of t (`unpack_counts`, `count_slots`).
 
 Encoding.  An exponent vector (e_1, ..., e_rank) is stored as the one
@@ -45,10 +45,8 @@ and a wrong polynomial is never returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
-from operator import mul
+from math import comb
 from struct import Struct
 
 DIGIT = 16
@@ -298,15 +296,6 @@ def specialize_zero(p: LaurentPoly, coord: int) -> LaurentPoly:
     return LaurentPoly.from_packed(p.rank - 1, out, p.span)
 
 
-def _degree(exponent, ixi, den) -> int:
-    """The degree along xi = ixi / den; ValueError unless it is an integer."""
-    deg, rem = divmod(sum(map(mul, ixi, exponent)), den)
-    if rem:
-        raise ValueError(f"non-integral degree {deg + Fraction(rem, den)} "
-                         f"for exponent {tuple(exponent)}")
-    return deg
-
-
 @dataclass
 class GradedSeries:
     """Truncated character; slices[i] collects the monomials of xi-degree i."""
@@ -316,33 +305,6 @@ class GradedSeries:
 
     def dims(self) -> list:
         return [s.coefficient_sum() for s in self.slices]
-
-
-def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> GradedSeries:
-    """Expand num / prod_{mu} (1 - e^{-mu}) as a character up to xi-degree N.
-
-    Each -mu must have xi-degree exactly 1 (every tangent weight pairs to -1
-    in the cominuscule setting), so the expansion is graded and finite per
-    degree.  The numerator's terms of degree <= N take their degree digit
-    and go to `expand_graded`."""
-    if N < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    xi = [Fraction(x) for x in xi]
-    den = lcm(*(x.denominator for x in xi))  # degrees become integer dot products
-    ixi = [x.numerator * (den // x.denominator) for x in xi]
-    for mu in denom_weights:
-        if _degree([-x for x in mu], ixi, den) != 1:
-            raise ValueError(f"denominator weight {mu} does not have xi-degree -1")
-    rank = numerator.rank
-    span = series_span(numerator.span, denom_weights, N)
-    graded = {}
-    for e, (k, c) in zip(unpack_all(numerator.packed, rank), numerator.packed.items()):
-        d = _degree(e, ixi, den)
-        if d < 0:
-            raise ValueError(f"negative-degree monomial {e} in numerator")
-        if d <= N:
-            graded[k + (d << DIGIT * rank)] = c
-    return expand_graded(graded, rank, denom_weights, N, span)
 
 
 def series_span(span: int, denom_weights, N: int) -> int:

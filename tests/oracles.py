@@ -7,7 +7,10 @@ off the 2n-window, the window of a shape built by sorting, excitation
 moves, the restriction condition on tableaux, the inverse of f, full
 commutativity, a sum of products multiplied out term by term, a packed key
 read digit by digit, a coordinate cut out of a key digit by digit, a
-geometric series convolved power by power, xi built in Fractions), is the
+geometric series convolved power by power, xi built in Fractions, the
+positive roots listed whole), is the geometric expansion of an expanded
+numerator graded along xi in Fractions (`geometric_expand`, which the
+library carried before it graded xi in integers on the `Pair`), is the
 character as it was built from the whole svt class before its numerator was
 truncated in the DP, is the argparse parser the CLI replaced by its option
 table, is the dict-keyed count step the packed counts replaced (run per
@@ -24,7 +27,8 @@ import argparse
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 from schubertk.diagrams import BoxSet, ReflectionTableau, ambient_boxes
 from schubertk.hecke import fold_dp
@@ -36,10 +40,12 @@ from schubertk.ring import (
     LaurentPoly,
     add_binomial_into,
     add_into,
-    geometric_expand,
+    expand_graded,
     pack,
+    series_span,
     signed_sum,
     specialize_zero,
+    unpack_all,
 )
 from schubertk.shapes import contains, part, size, trim
 from schubertk.tableaux import SetValuedTableau, _joined, _transfer, f_map
@@ -99,6 +105,24 @@ def is_positive_root_vector(v) -> bool:
         if c:
             return c > 0
     raise ValueError("zero vector is not a root")
+
+
+def positive_roots(rstype: RootSystem) -> list:
+    """Every positive root, listed whole: eps_i - eps_j for i < j, and outside
+    type A also eps_i + eps_j for i < j, eps_i in type B and 2 eps_i in type C."""
+    n, kind = rstype.rank, rstype.kind
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for sign in (-1,) if kind == "A" else (-1, 1):
+                v = [0] * n
+                v[i], v[j] = 1, sign
+                out.append(tuple(v))
+        if kind in "BC":
+            v = [0] * n
+            v[i] = 1 if kind == "B" else 2
+            out.append(tuple(v))
+    return out
 
 
 def reference_r_values(word, rstype: RootSystem) -> list:
@@ -606,6 +630,42 @@ def reference_format_poly(p: LaurentPoly) -> str:
         return f"{mag}e^{{{format_weight(e)}}}"
 
     return signed_sum((c < 0, body(e, abs(c))) for e, c in sorted(p.terms.items()))
+
+
+def _degree(exponent, ixi, den) -> int:
+    """The degree along xi = ixi / den; ValueError unless it is an integer."""
+    deg, rem = divmod(sum(map(mul, ixi, exponent)), den)
+    if rem:
+        raise ValueError(f"non-integral degree {deg + Fraction(rem, den)} "
+                         f"for exponent {tuple(exponent)}")
+    return deg
+
+
+def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> GradedSeries:
+    """Expand num / prod_{mu} (1 - e^{-mu}) as a character up to xi-degree N.
+
+    Each -mu must have xi-degree exactly 1 (every tangent weight pairs to -1
+    in the cominuscule setting), so the expansion is graded and finite per
+    degree.  The numerator's terms of degree <= N take their degree digit
+    and go to `expand_graded`."""
+    if N < 0:
+        raise ValueError("truncation degree must be nonnegative")
+    xi = [Fraction(x) for x in xi]
+    den = lcm(*(x.denominator for x in xi))  # degrees become integer dot products
+    ixi = [x.numerator * (den // x.denominator) for x in xi]
+    for mu in denom_weights:
+        if _degree([-x for x in mu], ixi, den) != 1:
+            raise ValueError(f"denominator weight {mu} does not have xi-degree -1")
+    rank = numerator.rank
+    span = series_span(numerator.span, denom_weights, N)
+    graded = {}
+    for e, (k, c) in zip(unpack_all(numerator.packed, rank), numerator.packed.items()):
+        d = _degree(e, ixi, den)
+        if d < 0:
+            raise ValueError(f"negative-degree monomial {e} in numerator")
+        if d <= N:
+            graded[k + (d << DIGIT * rank)] = c
+    return expand_graded(graded, rank, denom_weights, N, span)
 
 
 def reference_xi(rstype: RootSystem, d, v: WeylElement) -> tuple:

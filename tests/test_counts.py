@@ -9,9 +9,9 @@ import pytest
 from oracles import count_entries, skip_and_take, svt_steps
 from schubertk import hecke, ring, tableaux
 from schubertk.hecke import fold_dp, subsequence_stats
-from schubertk.restriction import Pair
+from schubertk.restriction import Pair, pair_hilbert
 from schubertk.ring import add_into
-from schubertk.shapes import minimal_reps, perm_of_strict
+from schubertk.shapes import minimal_reps, perm_of_strict, size
 from schubertk.tableaux import svt_counts
 from schubertk.weyl import RootSystem, simple_reflection
 
@@ -151,3 +151,47 @@ def test_svt_counts_visit_only_the_states_later_boxes_tell_apart(lam, mu, geomet
     # one check_work call per state and box
     work = recorded_work(monkeypatch, tableaux, lambda: svt_counts(lam, mu, geometry))
     assert len(work) == states
+
+
+SUBWORD_SPACES = (
+    [(RootSystem("A", n), d) for n in range(2, 9) for d in range(1, n)]
+    + [(RootSystem(kind, r), None) for kind in "BC" for r in range(2, 6)]
+    + [(RootSystem("D", r), None) for r in range(3, 7)]
+)
+
+
+def h_vector(m):
+    """h(t) = sum_k m_k (t - 1)^k, ascending and without trailing zeros."""
+    h = [sum((-1) ** (k - i) * comb(k, i) * mk for k, mk in enumerate(m)) for i in range(len(m))]
+    while h and not h[-1]:
+        h.pop()
+    return h
+
+
+def subword_identities_hold(m, lam, mu) -> bool:
+    """h_0 = 1, every h_i >= 0, and deg h < |mu| - |lam| unless lam = mu."""
+    h = h_vector(m)
+    return (h[:1] == [1] and min(h) >= 0
+            and (lam == mu or len(h) - 1 < size(mu) - size(lam)))
+
+
+def test_the_m_vector_is_the_h_vector_of_a_subword_complex():
+    # the Hilbert series at v is that of the Stanley-Reisner ring of the
+    # subword complex of T_mu's reading word and w (Knutson-Miller), a
+    # vertex-decomposable ball, or a sphere when w = v; it shares no
+    # combinatorics with the count DPs
+    pair = Pair.of_shapes(RootSystem("A", 6), 3, (2, 1), (3, 3, 2))
+    assert pair_hilbert(pair).m == (5, 5, 1)
+    assert subword_identities_hold((5, 5, 1), pair.lam, pair.mu)
+    assert not subword_identities_hold((5, 5, 2), pair.lam, pair.mu)  # h_0 = 2
+    pairs = 0
+    for rs, d in SUBWORD_SPACES:
+        reps = minimal_reps(rs, d)
+        for v in reps:
+            for w in reps:
+                pair = Pair.of(rs, d, w, v)
+                if pair.on_variety:
+                    pairs += 1
+                    m = pair_hilbert(pair).m
+                    assert subword_identities_hold(m, pair.lam, pair.mu), (rs, w, v, m)
+    assert pairs == 8799

@@ -14,7 +14,9 @@ from oracles import (
     ev_xi,
     full_window,
     identity,
+    is_positive_root_vector,
     levi_complement_roots,
+    positive_roots,
     pullback_hecke_with_word,
     reference_character,
     reference_r_values,
@@ -35,6 +37,7 @@ from schubertk.shapes import (
     perm_of,
     perm_of_strict,
     shape_of,
+    size,
 )
 from schubertk.restriction import (
     Pair,
@@ -54,6 +57,8 @@ from schubertk.restriction import (
 from schubertk.weyl import (
     RootSystem,
     WeylElement,
+    apply,
+    inverse,
     length,
     negate_weight,
     parse_window,
@@ -905,6 +910,65 @@ def test_character_to_degree_6_matches_the_hilbert_function():
     dims = graded_character(rs, None, w, v, 6).dims()
     assert dims == [hilbert_polynomial_value(data, n) for n in range(7)]
     assert dims == [1, 21, 231, 1721, 9751, 45003, 176988]
+
+
+INVARIANT_SPACES = (
+    [(RootSystem("A", n), d) for n in range(2, 8) for d in range(1, n)]
+    + [(RootSystem(kind, r), None) for kind in "BC" for r in range(2, 6)]
+    + [(RootSystem("D", r), None) for r in range(3, 7)]
+)
+
+
+def _normal_product(rank, roots, sign):
+    """sign * prod over the roots gamma of (e^{-gamma} - 1)."""
+    out = LaurentPoly.one(rank) * sign
+    for gamma in roots:
+        out = out * (LaurentPoly.monomial(negate_weight(gamma)) - 1)
+    return out
+
+
+def test_the_class_at_w_is_the_product_over_the_inversions_of_w_inverse():
+    # psi^w(w) = (-1)^{|lam|} prod (e^{-gamma} - 1) over N(w^-1), the positive
+    # roots gamma with w^-1(gamma) negative: read off all positive roots,
+    # with no reduced word and no diagram
+    elements = 0
+    for rs, d in INVARIANT_SPACES:
+        roots = positive_roots(rs)
+        for w in minimal_reps(rs, d):
+            elements += 1
+            pair = Pair.of(rs, d, w, w)
+            winv = inverse(w)
+            normal = [g for g in roots if not is_positive_root_vector(apply(winv, g))]
+            sign = (-1) ** size(pair.lam)
+            expect = _normal_product(rs.rank, normal, sign)
+            for backend in restriction.BACKENDS:
+                assert restriction.pair_class(pair, backend).value == expect, (rs, w, backend)
+    assert elements == 420
+    # one root of N(w^-1) negated, or the sign flipped, is a different class
+    got = pullback(C4, None, WC, WC).value
+    normal = [g for g in positive_roots(C4) if not is_positive_root_vector(apply(inverse(WC), g))]
+    sign = (-1) ** size(shape_of(WC, None))
+    assert got == _normal_product(4, normal, sign)
+    assert got != _normal_product(4, [negate_weight(normal[0])] + normal[1:], sign)
+    assert got != _normal_product(4, normal, -sign)
+
+
+def test_the_fold_over_the_reading_word_of_v_vanishes_off_the_variety():
+    # the hecke fold over v's reading word, without the containment shortcut
+    # the library takes, has no subword of Demazure product w when v is not >= w
+    off = 0
+    for rs, d in INVARIANT_SPACES:
+        reps = minimal_reps(rs, d)
+        for v in reps:
+            for w in reps:
+                pair = Pair.of(rs, d, w, v)
+                if not pair.on_variety:
+                    off += 1
+                    assert pullback_hecke_with_word(rs, w, pair.word).is_zero(), (rs, w, v)
+        # the same fold does not vanish on the variety: at w = v it is the diagonal
+        top = max(reps, key=length)
+        assert not pullback_hecke_with_word(rs, top, Pair.of(rs, d, top, top).word).is_zero()
+    assert off == 4833
 
 
 def test_reduced_word_independence_small():

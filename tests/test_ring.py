@@ -10,6 +10,7 @@ from oracles import (
     convolved_slices,
     drop_digit,
     ev_xi,
+    geometric_expand,
     reference_format_poly,
     unpack,
     xi_degree,
@@ -23,7 +24,6 @@ from schubertk.ring import (
     add_into,
     format_poly,
     format_poly_json,
-    geometric_expand,
     pack,
     poly_from_json,
     poly_to_json,

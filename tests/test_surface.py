@@ -100,6 +100,20 @@ def test_only_the_shape_builder_skips_the_window_checks():
     assert callers == [("shapes", "rep_of")]
 
 
+def test_only_the_pair_character_expands_a_character():
+    # one character path: xi is graded in integers on the Pair, and the
+    # Fraction-graded expander lives with the test oracles
+    callers = [
+        (path.stem, node.name)
+        for path in sorted((ROOT / "src" / "schubertk").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if any(isinstance(n, ast.Call) and "expand_graded" in (
+                   getattr(n.func, "id", None), getattr(n.func, "attr", None))
+               for n in ast.walk(node))
+    ]
+    assert callers == [("restriction", "pair_character")]
+
+
 def test_no_module_imports_a_private_name_of_another():
     # each module reaches another through its public entry points, and a
     # sibling module bound by `from . import m` is read the same way
