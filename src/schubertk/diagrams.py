@@ -207,7 +207,7 @@ def boxset_to_tikz(C: BoxSet) -> str:
     """A minimal TikZ picture: ambient outline plus shaded boxes."""
     lines = [r"\begin{tikzpicture}[scale=.4]"]
     height = len(C.ambient)
-    for (i, j) in sorted(ambient_boxes(C.ambient, C.geometry)):
+    for (i, j) in sorted(_boxes_of(C.ambient, C.geometry)):  # trimmed by BoxSet
         y = height - i
         fill = "[fill=blue!30]" if (i, j) in C.boxes else ""
         lines.append(

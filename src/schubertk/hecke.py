@@ -82,7 +82,8 @@ def fold_dp(w: WeylElement, word, factors, take, stay) -> dict:
     A dynamic program with one packed dict per fold state (a window); letter
     c carries ``factors[c]``.  At an ascent, ``take(dst, src, f)`` adds the
     taken letter into the state win * s_i, and the state also keeps src (the
-    letter is skipped).  Otherwise the letter is absorbed, and
+    letter is skipped; every other move at s_i lands on a state with s_i as
+    a descent, so none joins it).  Otherwise the letter is absorbed, and
     ``stay(dst, src, f)`` adds skip and take into the same state.  A state is
     kept only while some subword of the rest of the word folds it to w
     (`_reaching`), so the DP starts empty when w is out of reach.  Before
@@ -93,7 +94,8 @@ def fold_dp(w: WeylElement, word, factors, take, stay) -> dict:
 
 def _fold(w: WeylElement, word, factors, take, stay, reach, remedy: str, weigh=len) -> dict:
     """The loop of `fold_dp` on a reach table for w and word; a refusal
-    names remedy, and a state weighs weigh(acc)."""
+    names remedy, and a state weighs weigh(acc).  A skipped state is new to
+    nxt: s_i is its ascent and a descent of every take or stay target."""
     rs = w.rstype
     kind = rs.kind
     ident = tuple(range(1, rs.rank + 1))
@@ -109,10 +111,8 @@ def _fold(w: WeylElement, word, factors, take, stay, reach, remedy: str, weigh=l
             win2 = window_right_mult(kind, win, i)
             if win2 in ahead:
                 take(nxt.setdefault(win2, {}), val, f)
-            if win in nxt:  # every key of nxt is in ahead
-                add_into(nxt[win], val)
-            elif win in ahead:
-                nxt[win] = val  # val is not read again, so it is reused
+            if win in ahead:  # new to nxt, and val is not read again: reused
+                nxt[win] = val
         states = nxt
     return states.get(w.window, {})
 

@@ -43,6 +43,7 @@ from .weyl import (
     WeylElement,
     negate_weight,
     parabolic_index,
+    window_image,
     window_right_ascent,
     window_right_mult,
 )
@@ -153,21 +154,15 @@ class Pair:
     def tangent_weights(self) -> list:
         """The tangent weights at v, -v(beta) by (i, j) for the roots beta
         outside the Levi: eps_i - eps_j, i <= d < j, in type A; else eps_i +
-        eps_j, i < j, and for i = j 2 eps_i in C and eps_i in B.  Each is
-        written from v_i and v_j, as v(eps_k) = sgn(v_k) eps_|v_k|."""
-        n, kind, win = self.rstype.rank, self.rstype.kind, self.v.window
-        if kind == "A":
-            pairs = [(i, j) for i in range(self.d) for j in range(self.d, n)]
-        else:
-            pairs = [(i, j) for i in range(n) for j in range(i + (kind == "D"), n)]
-        out = []
-        for i, j in pairs:
-            c = -1 if kind == "A" else int(i != j or kind == "C")  # beta = eps_i + c eps_j
-            a, b, g = win[i], win[j], [0] * n
-            g[abs(a) - 1] -= 1 if a > 0 else -1
-            g[abs(b) - 1] -= c if b > 0 else -c
-            out.append(tuple(g))
-        return out
+        eps_j, i < j, and for i = j 2 eps_i in C and eps_i in B.  Each is the
+        `window_image` of -beta, which reads v_i and v_j."""
+        n, kind = self.rstype.rank, self.rstype.kind
+        if kind == "A":  # -beta as (position, coefficient) pairs
+            terms = [((i, -1), (j, 1)) for i in range(self.d) for j in range(self.d, n)]
+        else:  # i = j gives -2 eps_i in C and -eps_i in B
+            terms = [((i, -1), (j, -int(i != j or kind == "C")))
+                     for i in range(n) for j in range(i + (kind == "D"), n)]
+        return [window_image(self.v.window, t) for t in terms]
 
     @cached_property
     def xi(self) -> tuple:
@@ -175,17 +170,8 @@ class Pair:
         xi = v(sum of the first d eps_i), resp. v(sum eps_i / 2), the grading
         of the character.  RuntimeError unless every tangent weight pairs to
         -1 with it."""
-        n = self.rstype.rank
-        if self.rstype.kind == "A":
-            base, den = [1] * self.d + [0] * (n - self.d), 1
-        else:
-            base, den = [1] * n, 2
-        ixi = [0] * n
-        for b, t in zip(base, self.v.window):
-            if t > 0:
-                ixi[t - 1] += b
-            else:
-                ixi[-t - 1] -= b
+        top, den = (self.d, 1) if self.rstype.kind == "A" else (self.rstype.rank, 2)
+        ixi = window_image(self.v.window, ((k, 1) for k in range(top)))
         for alpha in self.tangent_weights:
             if (pairing := sum(map(mul, alpha, ixi))) != -den:
                 raise RuntimeError(f"xi pairing failed: {alpha}(xi) = {Fraction(pairing, den)}")
@@ -212,10 +198,10 @@ def r_values(word, rstype: RootSystem) -> list:
     """r(c) = u(alpha_{i_c}), u = s_{i_1} ... s_{i_{c-1}}, along a reduced
     word; positive roots, the factor roots of every backend.
 
-    The prefix u is a window, and r(c) is read off the one or two entries of
-    it that alpha_i touches, as u(eps_k) = sgn(u_k) eps_|u_k|.  l(u s_i) >
-    l(u) iff u(alpha_i) > 0 (`window_right_ascent`), so the word is reduced
-    exactly when every r(c) is positive."""
+    The prefix u is a window, and r(c) is the image of alpha_i under it
+    (`window_image`), read off the one or two entries alpha_i touches.
+    l(u s_i) > l(u) iff u(alpha_i) > 0 (`window_right_ascent`), so the word
+    is reduced exactly when every r(c) is positive."""
     kind, n = rstype.kind, rstype.rank
     win, out = tuple(range(1, n + 1)), []
     for c, i in enumerate(word):
@@ -227,11 +213,7 @@ def r_values(word, rstype: RootSystem) -> list:
             alpha = ((i - 1, 1), (i, -1))
         else:  # eps_n in B, 2 eps_n in C, eps_{n-1} + eps_n in D
             alpha = ((n - 2, 1), (n - 1, 1)) if kind == "D" else ((n - 1, 2 if kind == "C" else 1),)
-        r = [0] * n
-        for k, coef in alpha:
-            t = win[k]
-            r[abs(t) - 1] = coef if t > 0 else -coef
-        out.append(tuple(r))
+        out.append(window_image(win, alpha))
         win = window_right_mult(kind, win, i)
     return out
 

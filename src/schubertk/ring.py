@@ -112,8 +112,8 @@ def unpack_all(keys, rank: int) -> list:
     return [read(((k + flip) ^ flip).to_bytes(size, "big")) for k in keys]
 
 
-def add_into(dst: dict, src: dict, g: int = 0) -> None:
-    """dst += src * e^g on packed dicts.  dst must not be src.
+def add_into(dst: dict, src: dict, g: int = 0) -> dict:
+    """dst += src * e^g on packed dicts, returning dst.  dst must not be src.
 
     Cancelled coefficients stay in dst as zeros; they are skipped when read
     as src, and `LaurentPoly.from_packed` drops them.  The caller bounds the
@@ -123,6 +123,7 @@ def add_into(dst: dict, src: dict, g: int = 0) -> None:
         if c:
             k += g
             dst[k] = get(k, 0) + c
+    return dst
 
 
 def add_binomial_into(dst: dict, src: dict, g: int, shift: int = 0, cap: int = None) -> None:

@@ -103,7 +103,7 @@ def enumerate_svt(lam, mu, geometry: str, d: int = None,
     mask = (1 << rows) - 1
     tableaux = (SetValuedTableau(geometry, lam, mu, tuple(
         (box, _entries(key >> shift[box] & mask)) for box in boxes))
-        for key in _transfer(lam, mu, geometry, spread, "", {0: 1}, _joined))  # no remedy
+        for key in _transfer(lam, mu, geometry, spread, "", {0: 1}, add_into))  # no remedy
     return sorted(tableaux, key=lambda T: T.cells)
 
 
@@ -128,7 +128,7 @@ def svt_sum(lam, mu, geometry: str, keys: dict, cap: int = None, remedy: str = "
             shift += g
         return len(acc) * (len(values) - s)
 
-    return _transfer(lam, mu, geometry, spread, remedy, {0: 1}, _joined)
+    return _transfer(lam, mu, geometry, spread, remedy, {0: 1}, add_into)
 
 
 def svt_counts(lam, mu, geometry: str) -> dict:
@@ -158,12 +158,6 @@ def svt_counts(lam, mu, geometry: str) -> dict:
 
     total = _transfer(lam, mu, geometry, spread, "", 1, int.__add__)  # no remedy for a count
     return unpack_counts({size(lam): total}, width)
-
-
-def _joined(dst: dict, src: dict) -> dict:
-    """dst += src (`ring.add_into`), returning dst: the join of dict states."""
-    add_into(dst, src)
-    return dst
 
 
 def _transfer(lam, mu, geometry: str, spread, remedy: str, unit, join):

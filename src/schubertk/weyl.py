@@ -209,19 +209,28 @@ def weight_piece(i: int, c: int, latex: bool = False) -> str:
     return f"{'-' if c < 0 else '+'}{mag}{sym}{i}"
 
 
-# Window-level helpers, the group's ascent tests, inverse and right product,
-# used by `reduced_word`, `is_minimal_rep`, `simple_reflection`, the 0-Hecke
-# fold and `restriction.r_values`; the tuple is always a valid window.
+# Window-level helpers, the group's one action on weights, ascent tests,
+# inverse and right product, used by `reduced_word`, `is_minimal_rep`,
+# `simple_reflection`, the 0-Hecke fold and `restriction`'s roots and
+# weights; the tuple is always a valid window.
+
+def window_image(win: tuple, terms) -> Weight:
+    """u(sum of c eps_{k+1} over the (k, c) in terms), u the element of win:
+    one entry read per term, as u(eps_k) = sgn(u_k) eps_|u_k|, and repeated
+    positions summed (type C's 2 eps_k may come as two terms)."""
+    out = [0] * len(win)
+    for k, c in terms:
+        t = win[k]
+        if t > 0:
+            out[t - 1] += c
+        else:
+            out[-t - 1] -= c
+    return tuple(out)
+
 
 def window_apply(win: tuple, mu: Weight) -> Weight:
     """The action of :func:`apply` on a bare window."""
-    out = [0] * len(win)
-    for i, t in enumerate(win):
-        if t > 0:
-            out[t - 1] += mu[i]
-        else:
-            out[-t - 1] -= mu[i]
-    return tuple(out)
+    return window_image(win, enumerate(mu))
 
 
 def window_inverse(win: tuple) -> tuple:

@@ -48,7 +48,7 @@ from schubertk.ring import (
     unpack_all,
 )
 from schubertk.shapes import contains, part, size, trim
-from schubertk.tableaux import SetValuedTableau, _joined, _transfer, f_map
+from schubertk.tableaux import SetValuedTableau, _transfer, f_map
 from schubertk.weyl import (
     CACHE_SIZE,
     RootSystem,
@@ -557,7 +557,7 @@ def svt_steps(lam, mu, geometry: str, step) -> dict:
             step(nxt.setdefault(head + (values[t],) + tail, {}), acc, q, values[s:t], values[t])
         return len(acc) * (len(values) - s)
 
-    return _transfer(lam, mu, geometry, spread, "", {0: 1}, _joined)
+    return _transfer(lam, mu, geometry, spread, "", {0: 1}, add_into)
 
 
 def count_entries(dst: dict, src: dict, q: int, below, largest: int) -> None:

@@ -76,6 +76,23 @@ def test_only_the_window_primitives_decide_an_ascent():
         assert not called[name] & banned, name
 
 
+def test_restriction_reads_no_window_entry():
+    # a window in restriction is only handed to a weyl function, so no
+    # subscript, iteration or zip there depends on the signed-window encoding
+    tree = ast.parse((ROOT / "src" / "schubertk" / "restriction.py").read_text())
+    weyl = {a.asname or a.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module == "weyl" for a in node.names}
+    passed = {id(arg) for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and getattr(n.func, "id", None) in weyl for arg in n.args}
+    reads = [
+        ast.unparse(n) for n in ast.walk(tree)
+        if (isinstance(n, ast.Name) and n.id == "win" and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute) and n.attr == "window")
+        and id(n) not in passed
+    ]
+    assert reads == []
+
+
 def test_only_the_eyd_listing_builds_unchecked_box_sets():
     # BoxSet._from_row skips the ambient check, which only the BFS of
     # enumerate_eyd makes true by construction

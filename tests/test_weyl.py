@@ -26,6 +26,8 @@ from schubertk.weyl import (
     reduced_word,
     simple_reflection,
     simple_roots,
+    window_apply,
+    window_image,
     window_levi_ascent,
     window_right_ascent,
     window_right_mult,
@@ -185,7 +187,9 @@ def test_descent_word_refolds(kind, rank):
 
 
 def test_the_window_ascent_test_matches_the_root_vectors():
-    # every element of A2-A5, B2-B4, C2-C4 and D3-D5, and every d in type A
+    # every element of A2-A5, B2-B4, C2-C4 and D3-D5, and every d in type A;
+    # the sparse image of each simple root and of type C's -2 eps_k, whose
+    # two terms share a position, is the dense one
     ranks = {"A": range(2, 6), "B": range(2, 5), "C": range(2, 5), "D": range(3, 6)}
     for kind, rs in ((k, RootSystem(k, n)) for k, rng in ranks.items() for n in rng):
         alphas = simple_roots(rs)
@@ -196,6 +200,12 @@ def test_the_window_ascent_test_matches_the_root_vectors():
             assert reduced_word(w) == reference_reduced_word(w), w
             for d in ds:
                 assert is_minimal_rep(w, d) == reference_is_minimal_rep(w, d), (w, d)
+            for alpha in alphas:
+                terms = [(k, c) for k, c in enumerate(alpha) if c]
+                assert window_image(w.window, terms) == window_apply(w.window, alpha), (w, alpha)
+            for k in range(rs.rank):
+                twice = tuple(-2 * (m == k) for m in range(rs.rank))
+                assert window_image(w.window, ((k, -1), (k, -1))) == window_apply(w.window, twice)
 
 
 def test_type_d_parity_preserved_under_mult():
