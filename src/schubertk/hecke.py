@@ -3,11 +3,12 @@
 The 0-Hecke monoid multiplies by ``H_s H_w = H_{sw}`` when the length goes
 up and absorbs the letter otherwise.  `fold_dp` sums over the subwords of a
 word that fold to w in one pass over fold states; with the kernels of
-`ring` it computes the hecke class, and on packed counts `subsequence_stats`
-the Hilbert counts.  `hecke_subsequences` counts the subwords that way,
-then lists them through the same DP, with one bit per letter, for the
-factored LaTeX form and as a test oracle.  All keep only the fold states
-from which the rest of the word can still fold to w (`_reaching`).
+`ring` it computes the hecke class and, with `ring`'s degree digit, the
+truncated character's numerator; on packed counts `subsequence_stats` the
+Hilbert counts.  `hecke_subsequences` counts the subwords that way, then
+lists them through the same DP, with one bit per letter, for the factored
+LaTeX form and as a test oracle.  All keep only the fold states from
+which the rest of the word can still fold to w (`_reaching`).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def hecke_subsequences(w: WeylElement, word) -> list:
     return [HeckeSubseq(t, len(t), len(t) - lw) for t in chosen]
 
 
-def fold_dp(w: WeylElement, word, factors, take, stay) -> dict:
+def fold_dp(w: WeylElement, word, factors, take, stay, remedy: str = CLASS_REMEDY) -> dict:
     """Sum over the subwords of word that fold to w, as a packed dict.
 
     A dynamic program with one packed dict per fold state (a window); letter
@@ -87,9 +88,9 @@ def fold_dp(w: WeylElement, word, factors, take, stay) -> dict:
     ``stay(dst, src, f)`` adds skip and take into the same state.  A state is
     kept only while some subword of the rest of the word folds it to w
     (`_reaching`), so the DP starts empty when w is out of reach.  Before
-    each letter, the state entries read so far pass `check_work`.
+    each letter, the entries read so far pass `check_work`, naming remedy.
     """
-    return _fold(w, word, factors, take, stay, _reaching(w, word), CLASS_REMEDY)
+    return _fold(w, word, factors, take, stay, _reaching(w, word), remedy)
 
 
 def _fold(w: WeylElement, word, factors, take, stay, reach, remedy: str, weigh=len) -> dict:

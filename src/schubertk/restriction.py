@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 from operator import mul
 
@@ -331,7 +331,7 @@ def pair_class(pair: Pair, backend: str = "eyd") -> KClass:
     if backend == "hecke":  # letter c of the word is the box at reading position c
         packed = hecke.fold_dp(pair.w, pair.word, list(keys.values()), add_binomial_into, add_into)
     elif backend == "svt":
-        packed = svt_sum(pair.lam, pair.mu, pair.geometry, keys, None, CLASS_REMEDY)
+        packed = svt_sum(pair.lam, pair.mu, pair.geometry, keys)
     else:  # each diagram read off as the keys of its boxes
         packed = _sum_of_products([list(map(keys.__getitem__, C.sorted_boxes()))
                                    for C in enumerate_eyd(pair.lam, pair.mu, pair.geometry)])
@@ -363,7 +363,7 @@ def hilbert_data(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
 
 def pair_hilbert(pair: Pair, method: str = "svt") -> HilbertData:
     """The data of `hilbert_data` for a validated pair."""
-    if method not in ("svt", "eyd", "hecke"):
+    if method not in BACKENDS:
         raise ValueError(f"unknown method {method!r}")
     if pair.rstype.kind == "B":
         pair = pair.lifted
@@ -452,9 +452,9 @@ def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
 
 def pair_character(pair: Pair, N: int) -> GradedSeries:
     """The character of `graded_character` for a validated pair, from the
-    svt class truncated at degree N in the DP.  A negative N, or one past the
-    packing range, is refused before the DP; a box exponent whose xi-degree
-    is not 1, which the degree digit would mis-bucket, is a failed check."""
+    hecke class truncated at degree N in the fold DP.  A negative N, or one
+    past the packing range, is refused before the DP; a box exponent whose
+    xi-degree is not 1, which the degree digit would mis-bucket, fails."""
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
     n = pair.rstype.rank
@@ -469,8 +469,9 @@ def pair_character(pair: Pair, N: int) -> GradedSeries:
     graded, rank = {}, pair.rstype.rank
     if pair.on_variety:  # every key gets degree digit 1; cap: degree N + 1's least key
         top, cap = pack((0,) * rank, 1), pack((-LIMIT,) * rank, N + 1)
-        keys = {box: top + g for box, g in pair.factor_keys.items()}
-        graded = svt_sum(pair.lam, pair.mu, pair.geometry, keys, cap, TRUNC_REMEDY)
+        factors = [top + g for g in pair.factor_keys.values()]
+        graded = hecke.fold_dp(pair.w, pair.word, factors, partial(add_binomial_into, cap=cap),
+                               partial(add_into, cap=cap), TRUNC_REMEDY)
     if size(pair.lam) % 2:
         graded = {k: -c for k, c in graded.items()}
     series = expand_graded(graded, rank, weights, N, span)

@@ -26,8 +26,8 @@ factor key B^rank + pack(g), `pack(g, 1)`, carries the degree of each
 monomial as one more digit on top: k B^rank + pack(e) at degree k.  Degrees
 never fall along the DP, so it stops at degree N by dropping every key at
 or above cap = (N + 1) B^rank - bias, the least key of degree N + 1: one
-comparison per key in `add_binomial_into`.  One shift of the biased key
-reads the digit back (`expand_graded`).
+comparison per key in either kernel (the fold DP of the character).  One
+shift of the biased key reads the digit back (`expand_graded`).
 
 Decoding.  Keys are decoded in bulk, each at C speed.  Adding H, 2^15 in
 every digit, makes each digit e_i + 2^15 in [1, 2^16 - 1] with no borrow;
@@ -112,16 +112,21 @@ def unpack_all(keys, rank: int) -> list:
     return [read(((k + flip) ^ flip).to_bytes(size, "big")) for k in keys]
 
 
-def add_into(dst: dict, src: dict, g: int = 0) -> dict:
+def add_into(dst: dict, src: dict, g: int = 0, cap: int = None) -> dict:
     """dst += src * e^g on packed dicts, returning dst.  dst must not be src.
 
     Cancelled coefficients stay in dst as zeros; they are skipped when read
     as src, and `LaurentPoly.from_packed` drops them.  The caller bounds the
-    spans."""
+    spans.  With cap, keys at or above it are dropped (the degree digit)."""
     get = dst.get
+    if cap is None:
+        for k, c in src.items():
+            if c:
+                k += g
+                dst[k] = get(k, 0) + c
+        return dst
     for k, c in src.items():
-        if c:
-            k += g
+        if c and (k := k + g) < cap:
             dst[k] = get(k, 0) + c
     return dst
 

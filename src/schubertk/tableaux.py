@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagrams import BoxSet, ambient_boxes
-from .ring import add_binomial_into, add_into, check_work, count_slots, unpack_counts
+from .ring import CLASS_REMEDY, add_binomial_into, add_into, check_work, count_slots, unpack_counts
 from .shapes import contains, size, trim
 
 
@@ -107,15 +107,14 @@ def enumerate_svt(lam, mu, geometry: str, d: int = None,
     return sorted(tableaux, key=lambda T: T.cells)
 
 
-def svt_sum(lam, mu, geometry: str, keys: dict, cap: int = None, remedy: str = "") -> dict:
+def svt_sum(lam, mu, geometry: str, keys: dict) -> dict:
     """Sum over the set-valued tableaux of shape lam restricted by mu of the
     product of (e^g - 1) over their (box, entry) pairs, as a packed dict,
     with g = keys[x, x + j - i] for entry x of box (i, j): the packed key
-    of the box of D_mu that f sends it to.  By the DP of `_transfer`.  The
-    entries of a box below its maximum contribute 1 + (e^g - 1) = e^g each,
-    so each feasible maximum is one fused `add_binomial_into` call, shifted
-    by the running sum of the smaller entries' keys.  With cap, keys at or above it are dropped (`ring`'s
-    degree digit).  A refusal names remedy.
+    of the box of D_mu that f sends it to: the svt class, by the DP of
+    `_transfer`.  The entries of a box below its maximum contribute e^g
+    each, so each feasible maximum is one fused `add_binomial_into` call,
+    shifted by the running sum of the smaller entries' keys.
 
     >>> svt_sum((1,), (2, 2), "ordinary", {(1, 1): 1, (2, 2): 4})  # (e - 1) + e(e^4 - 1)
     {1: 0, 0: -1, 5: 1}
@@ -124,11 +123,11 @@ def svt_sum(lam, mu, geometry: str, keys: dict, cap: int = None, remedy: str = "
         q, shift = box[1] - box[0], 0
         for t in range(s, len(values)):
             g = keys[values[t], values[t] + q]
-            add_binomial_into(nxt.setdefault(head + (values[t],) + tail, {}), acc, g, shift, cap)
+            add_binomial_into(nxt.setdefault(head + (values[t],) + tail, {}), acc, g, shift)
             shift += g
         return len(acc) * (len(values) - s)
 
-    return _transfer(lam, mu, geometry, spread, remedy, {0: 1}, add_into)
+    return _transfer(lam, mu, geometry, spread, CLASS_REMEDY, {0: 1}, add_into)
 
 
 def svt_counts(lam, mu, geometry: str) -> dict:

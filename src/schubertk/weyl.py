@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .ring import check_work
 
@@ -159,7 +160,14 @@ def reduced_word(w: WeylElement) -> tuple:
 
 
 def length(w: WeylElement) -> int:
-    return len(reduced_word(w))
+    """l(w), the positive roots that w sends negative, counted on the window:
+    for i < j, w(eps_i - eps_j) < 0 iff w_i follows w_j in the order 1 < ...
+    < n < -n < ... < -1 (`window_levi_ascent`), and w(eps_i + eps_j) < 0 iff
+    the entry of smaller |.| is barred; in B and C each barred entry adds 1."""
+    win, m = w.window, 2 * w.rstype.rank + 1
+    count = sum(t < 0 for t in win) if w.rstype.kind in "BC" else 0
+    return count + sum((a % m > b % m) + ((a if abs(a) < abs(b) else b) < 0)
+                       for a, b in combinations(win, 2))
 
 
 def parabolic_index(rstype: RootSystem, d) -> int:

@@ -146,8 +146,9 @@ def test_a_listing_is_refused_before_one_box_writes_past_the_budget(capsys):
 
 
 def test_a_character_is_not_refused_for_the_size_of_its_whole_class(capsys, monkeypatch):
-    # the numerator is truncated at N in the DP, so only its slices count
-    monkeypatch.setattr(ring, "MAX_EXPANSION", 250)
+    # the numerator is truncated at N in the fold DP, so only its slices
+    # count: 271 entries read for N = 1, against 2437 for the svt class
+    monkeypatch.setattr(ring, "MAX_EXPANSION", 1000)
     pair = "--type C --rank 6 --lambda 3,2,1 --mu 6,5,4,3,2,1"
     assert run(f"{pair} --emit class --backend svt".split()) == 2
     assert "--format latex" in capsys.readouterr().err
@@ -158,9 +159,9 @@ def test_a_character_is_not_refused_for_the_size_of_its_whole_class(capsys, monk
 
 def test_a_character_past_the_packing_range_is_refused_before_the_dp(capsys, monkeypatch):
     def unexpected(*args):
-        raise AssertionError("svt_sum ran")
+        raise AssertionError("fold_dp ran")
 
-    monkeypatch.setattr(restriction, "svt_sum", unexpected)
+    monkeypatch.setattr(hecke, "fold_dp", unexpected)
     argv = "--type C --rank 4 --lambda 2,1 --mu 4,3,2,1 --emit character --trunc 40000"
     assert run(argv.split()) == 2
     out = capsys.readouterr()
@@ -176,8 +177,9 @@ def test_a_character_past_the_packing_range_is_refused_before_the_dp(capsys, mon
 ], ids=["A", "C", "B"])
 def test_the_sign_and_d_w_are_read_off_lambda_without_a_reduced_word(pair, capsys, monkeypatch):
     # l(w) = |lam| for a minimal representative w
-    emits = ["--backend eyd", "--backend svt", "--emit hilbert", "--emit character --trunc 2",
-             "--backend eyd --format latex", "--backend svt --format latex"]
+    emits = ["--backend eyd", "--backend svt", "--backend hecke", "--emit hilbert",
+             "--emit character --trunc 2", "--backend eyd --format latex",
+             "--backend svt --format latex", "--backend hecke --format latex"]
     expect = []
     for emit in emits:
         assert run(f"{pair} {emit}".split()) == 0

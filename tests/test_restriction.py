@@ -565,9 +565,9 @@ def test_graded_character_b_via_d():
 
 @pytest.mark.parametrize("rs,d,w,v", [(A7, 3, WA, VA), (B5, None, WB, VB)], ids=["A", "B"])
 def test_negative_truncation_is_refused_before_the_class(monkeypatch, rs, d, w, v):
-    # the numerator is the svt class, of the lifted pair in type B
+    # the numerator is the hecke class, of the lifted pair in type B
     calls = []
-    monkeypatch.setattr(restriction, "svt_sum", lambda *args: calls.append(args))
+    monkeypatch.setattr(hecke, "fold_dp", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="truncation degree must be nonnegative"):
         graded_character(rs, d, w, v, -1)
     assert calls == []
@@ -829,12 +829,32 @@ def _work_of_the_svt_sum(monkeypatch, run):
 
 @pytest.mark.parametrize("mu, run, work", [
     ((6, 5, 4, 3, 2), lambda pair: restriction.pair_class(pair, "svt"), (96, 41, 1938)),
-    ((6, 4, 3, 2, 1), lambda pair: restriction.pair_character(pair, 4), (61, 31, 786)),
-], ids=["class", "character"])
+], ids=["class"])
 def test_the_svt_sum_makes_one_kernel_call_per_state_and_maximum(monkeypatch, mu, run, work):
     C6 = RootSystem("C", 6)
     pair = Pair.of(C6, None, perm_of_strict((3, 2, 1), C6), perm_of_strict(mu, C6))
     assert _work_of_the_svt_sum(monkeypatch, lambda: run(pair)) == work
+
+
+def test_the_character_runs_the_fold_dp_and_no_transfer_dp(monkeypatch):
+    C6 = RootSystem("C", 6)
+    pair = Pair.of(C6, None, perm_of_strict((3, 2, 1), C6), perm_of_strict((6, 4, 3, 2, 1), C6))
+    expect = reference_character(pair, 4).slices
+    calls = []
+    real = hecke.fold_dp
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def unexpected(*args):
+        raise AssertionError("svt_sum ran")
+
+    monkeypatch.setattr(hecke, "fold_dp", counted)
+    monkeypatch.setattr(restriction, "svt_sum", unexpected)
+    monkeypatch.setattr(tableaux, "svt_sum", unexpected)
+    assert restriction.pair_character(pair, 4).slices == expect
+    assert len(calls) == 1
 
 
 def test_every_box_of_d_mu_is_packed_once_per_pair(monkeypatch):

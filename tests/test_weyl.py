@@ -118,6 +118,7 @@ def test_length_against_root_counting(kind, rank):
             1 for a in positives if not is_positive_root_vector(apply(w, a))
         )
         assert length(w) == sent_negative
+        assert len(reduced_word(w)) == length(w)
 
 
 def test_is_minimal_rep_examples():
