@@ -7,10 +7,9 @@ store boxes in absolute coordinates with col >= row, in type D as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .ring import check_work
+from .ring import Record, check_work
 from .shapes import contains, largest_part, trim
 from .weyl import RootSystem, parabolic_index
 
@@ -40,16 +39,11 @@ def _boxes_of(mu: tuple, geometry: str) -> frozenset:
     return frozenset(boxes)
 
 
-@dataclass(frozen=True)
-class BoxSet:
-    geometry: str
-    ambient: tuple
-    boxes: frozenset
-    order: tuple = field(default=None, compare=False)  # the boxes sorted, if known
+class BoxSet(Record, compare=("geometry", "ambient", "boxes")):
+    __slots__ = ("geometry", "ambient", "boxes", "order")  # order: the boxes sorted, if known
 
-    def __post_init__(self):
-        object.__setattr__(self, "ambient", trim(self.ambient))
-        object.__setattr__(self, "boxes", frozenset(self.boxes))
+    def __init__(self, geometry: str, ambient: tuple, boxes: frozenset, order: tuple = None):
+        self._set(geometry, trim(ambient), frozenset(boxes), order)
         legal = _boxes_of(self.ambient, self.geometry)
         bad = self.boxes - legal
         if bad:
@@ -58,11 +52,9 @@ class BoxSet:
     @classmethod
     def _from_row(cls, geometry: str, ambient: tuple, row: tuple) -> BoxSet:
         """The BoxSet of a sorted row of boxes of the trimmed ambient, set
-        without the checks of __post_init__: for the rows `enumerate_eyd`
-        builds, which are boxes of D_mu by construction."""
-        C = object.__new__(cls)
-        C.__dict__.update(geometry=geometry, ambient=ambient, boxes=frozenset(row), order=row)
-        return C
+        without the checks of __init__: for the rows `enumerate_eyd` builds,
+        which are boxes of D_mu by construction."""
+        return object.__new__(cls)._set(geometry, ambient, frozenset(row), row)
 
     def sorted_boxes(self) -> tuple:
         return self.order if self.order is not None else tuple(sorted(self.boxes))
@@ -145,20 +137,18 @@ def enumerate_eyd(lam, mu, geometry: str, reduced_only: bool = False) -> list:
     return [BoxSet._from_row(geometry, start.ambient, row) for row in rows]
 
 
-@dataclass(frozen=True)
-class ReflectionTableau:
+class ReflectionTableau(Record, compare=("rstype", "d", "mu", "geometry")):
     """The filling T_mu (or T'_mu) together with its reading order.
 
     reading_boxes lists boxes bottom row first, right to left within a row;
     positions into the reading word are 1-based throughout.
     """
 
-    rstype: RootSystem
-    d: int
-    mu: tuple
-    geometry: str
-    entries: dict = field(compare=False)
-    reading_boxes: tuple = field(compare=False)
+    __slots__ = ("rstype", "d", "mu", "geometry", "entries", "reading_boxes")
+
+    def __init__(self, rstype: RootSystem, d: int, mu: tuple, geometry: str,
+                 entries: dict, reading_boxes: tuple):
+        self._set(rstype, d, mu, geometry, entries, reading_boxes)
 
     def letter(self, box) -> int:
         return self.entries[box]

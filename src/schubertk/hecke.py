@@ -13,9 +13,7 @@ which the rest of the word can still fold to w (`_reaching`).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .ring import CLASS_REMEDY, add_into, check_work, count_slots, unpack_counts
+from .ring import CLASS_REMEDY, Record, add_into, check_work, count_slots, unpack_counts
 from .weyl import (
     WeylElement,
     length,
@@ -24,10 +22,15 @@ from .weyl import (
 )
 
 
-class HeckeSubseq(NamedTuple):
-    indices: tuple  # strictly increasing 1-based positions into the word
-    length: int     # l(t) = number of letters
-    excess: int     # e(t) = l(t) - l(w)
+class HeckeSubseq(Record):
+    # strictly increasing 1-based positions into the word, l(t) = number of
+    # letters, and the excess e(t) = l(t) - l(w)
+    __slots__ = ("indices", "length", "excess")
+
+    def __init__(self, indices: tuple, length: int, excess: int):
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "excess", excess)
 
 
 def _reaching(w: WeylElement, word) -> list:
@@ -88,30 +91,34 @@ def fold_dp(w: WeylElement, word, factors, take, stay, remedy: str = CLASS_REMED
     ``stay(dst, src, f)`` adds skip and take into the same state.  A state is
     kept only while some subword of the rest of the word folds it to w
     (`_reaching`), so the DP starts empty when w is out of reach.  Before
-    each letter, the entries read so far pass `check_work`, naming remedy.
+    each letter, the entries that take and stay have read so far pass
+    `check_work`, naming remedy; a skipped state is not read.
     """
     return _fold(w, word, factors, take, stay, _reaching(w, word), remedy)
 
 
 def _fold(w: WeylElement, word, factors, take, stay, reach, remedy: str, weigh=len) -> dict:
     """The loop of `fold_dp` on a reach table for w and word; a refusal
-    names remedy, and a state weighs weigh(acc).  A skipped state is new to
-    nxt: s_i is its ascent and a descent of every take or stay target."""
+    names remedy, and a state weighs weigh(acc) each time take or stay reads
+    it.  A skipped state is new to nxt: s_i is its ascent and a descent of
+    every take or stay target."""
     rs = w.rstype
     kind = rs.kind
     ident = tuple(range(1, rs.rank + 1))
     states = {ident: {0: 1}} if ident in reach[0] else {}
     work = 0
     for i, f, ahead in zip(word, factors, reach[1:]):
-        work = check_work(work, "entries read", remedy) + sum(map(weigh, states.values()))
+        check_work(work, "entries read", remedy)
         nxt = {}
         for win, val in states.items():
             if not window_right_ascent(kind, win, i):
                 stay(nxt.setdefault(win, {}), val, f)
+                work += weigh(val)
                 continue
             win2 = window_right_mult(kind, win, i)
             if win2 in ahead:
                 take(nxt.setdefault(win2, {}), val, f)
+                work += weigh(val)
             if win in ahead:  # new to nxt, and val is not read again: reused
                 nxt[win] = val
         states = nxt

@@ -12,8 +12,6 @@ outside its support is genuinely zero.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 from math import comb
 from operator import mul
@@ -26,6 +24,7 @@ from .ring import (
     TRUNC_REMEDY,
     GradedSeries,
     LaurentPoly,
+    Record,
     add_binomial_into,
     add_into,
     check_span,
@@ -51,26 +50,25 @@ from .weyl import (
 BACKENDS = ("eyd", "svt", "hecke")
 
 
-@dataclass(frozen=True)
-class KClass:
-    rstype: RootSystem
-    d: int
-    value: LaurentPoly
-    on_variety: bool = True
+class KClass(Record):
+    __slots__ = ("rstype", "d", "value", "on_variety")
+
+    def __init__(self, rstype: RootSystem, d: int, value: LaurentPoly, on_variety: bool = True):
+        self._set(rstype, d, value, on_variety)
 
 
-@dataclass(frozen=True)
-class HilbertData:
-    d_w: int
-    m: tuple  # (m_0, m_1, ...), empty when the point is off the variety
+class HilbertData(Record):
+    __slots__ = ("d_w", "m")
+
+    def __init__(self, d_w: int, m: tuple):  # m = (m_0, m_1, ...), () off the variety
+        self._set(d_w, m)
 
     @property
     def multiplicity(self) -> int:
         return self.m[0] if self.m else 0
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(Record):
     """One validated query: minimal representatives w, v of rstype, the index
     d of the maximal parabolic, the shapes lam of w and mu of v (so l(w) =
     |lam|), and whether v lies on X^w.  Each input style becomes a pair in
@@ -79,13 +77,11 @@ class Pair:
     engine takes a pair, and T_mu, its reading word, its exponents, the
     tangent weights and xi are built here on first use."""
 
-    rstype: RootSystem
-    d: int
-    w: WeylElement
-    v: WeylElement
-    lam: tuple
-    mu: tuple
-    on_variety: bool
+    __slots__ = ("rstype", "d", "w", "v", "lam", "mu", "on_variety", "__dict__")  # dict: the caches
+
+    def __init__(self, rstype: RootSystem, d: int, w: WeylElement, v: WeylElement,
+                 lam: tuple, mu: tuple, on_variety: bool):
+        self._set(rstype, d, w, v, lam, mu, on_variety)
 
     @classmethod
     def of(cls, rstype: RootSystem, d, w: WeylElement, v: WeylElement) -> Pair:
@@ -174,6 +170,7 @@ class Pair:
         ixi = window_image(self.v.window, ((k, 1) for k in range(top)))
         for alpha in self.tangent_weights:
             if (pairing := sum(map(mul, alpha, ixi))) != -den:
+                from fractions import Fraction
                 raise RuntimeError(f"xi pairing failed: {alpha}(xi) = {Fraction(pairing, den)}")
         return ixi, den
 
@@ -393,6 +390,7 @@ def hilbert_polynomial_coeffs(data: HilbertData) -> tuple:
     >>> hilbert_polynomial_coeffs(HilbertData(2, (1,)))
     (Fraction(1, 1), Fraction(1, 1))
     """
+    from fractions import Fraction
     acc = [0]  # sum over K' <= K of c_K' (n+1)...(n+K'-1) (K-1)!/(K'-1)!
     rising = [1]  # (n+1)...(n+K-1)
     scale = 1  # (K-1)!
@@ -464,6 +462,7 @@ def pair_character(pair: Pair, N: int) -> GradedSeries:
     exps = pair.exponents.values() if pair.on_variety else ()
     for g in exps:
         if (pairing := sum(map(mul, g, ixi))) != den:
+            from fractions import Fraction
             raise RuntimeError(f"xi-degree check failed: {g}(xi) = {Fraction(pairing, den)}")
     span = series_span(_span_bound(exps), weights, N)
     graded, rank = {}, pair.rstype.rank
@@ -480,11 +479,11 @@ def pair_character(pair: Pair, N: int) -> GradedSeries:
     return GradedSeries(N, [specialize_zero(s, n + 1) for s in series.slices])
 
 
-@dataclass
-class BackendReport:
-    classes: list  # (name, KClass)
-    agree: bool
-    first_diff: str = ""
+class BackendReport(Record):
+    __slots__ = ("classes", "agree", "first_diff")
+
+    def __init__(self, classes: list, agree: bool, first_diff: str = ""):  # classes: (name, KClass)
+        self._set(classes, agree, first_diff)
 
 
 def check_backends(rstype: RootSystem, d, w: WeylElement, v: WeylElement) -> BackendReport:

@@ -5,7 +5,8 @@ precision integer coefficients.  `expand_graded` produces the truncated
 graded character num / prod (1 - e^{-mu}) from a numerator graded by its
 degree digit (below); `restriction.pair_character` is its one caller, with
 the digits read off the integer xi of the `Pair`.  The count DPs carry polynomials in one variable t as integers, W bits per
-power of t (`unpack_counts`, `count_slots`).
+power of t (`unpack_counts`, `count_slots`).  `Record` is the base of the
+package's value records, and `check_work` its one work budget.
 
 Encoding.  An exponent vector (e_1, ..., e_rank) is stored as the one
 integer e_1 B^(rank-1) + ... + e_(rank-1) B + e_rank with B = 2^16: balanced
@@ -44,9 +45,9 @@ and a wrong polynomial is never returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import attrgetter
 from struct import Struct
 
 DIGIT = 16
@@ -66,6 +67,51 @@ def check_work(work: int, what: str = "entries read", remedy: str = "") -> int:
 
 
 TRUNC_REMEDY = "lower the truncation degree"
+
+
+class Record:
+    """Base of the package's value records, lighter to import and build than
+    dataclasses.  A record's __slots__ are its fields in constructor order,
+    each set once by `_set`; `WeylElement._from_window` and `HeckeSubseq`,
+    built most often, set theirs directly (the loop costs 0.2 us a record).
+    Equality and hash read the fields named by `compare` (all by default),
+    the repr shows every field, and pickle and deepcopy rebuild through the
+    constructor.  A record refuses assignment."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare=None):
+        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+        cls._key = attrgetter(*(compare or cls._fields))  # a tuple: every record has two fields
+
+    def _set(self, *values):
+        """Set the fields to values, in order, past the refusal of assignment,
+        and return the record (a bare `object.__new__(cls)`, for a builder
+        that skips __init__'s checks)."""
+        for put, value in zip(self._setters, values):
+            put(self, value)
+        return self
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 def check_span(span: int, remedy: str = "") -> int:
@@ -302,12 +348,13 @@ def specialize_zero(p: LaurentPoly, coord: int) -> LaurentPoly:
     return LaurentPoly.from_packed(p.rank - 1, out, p.span)
 
 
-@dataclass
-class GradedSeries:
+class GradedSeries(Record):
     """Truncated character; slices[i] collects the monomials of xi-degree i."""
 
-    trunc: int
-    slices: list
+    __slots__ = ("trunc", "slices")
+
+    def __init__(self, trunc: int, slices: list):
+        self._set(trunc, slices)
 
     def dims(self) -> list:
         return [s.coefficient_sum() for s in self.slices]

@@ -12,26 +12,21 @@ in shiftedD a diagonal entry also keeps the parity of its row.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagrams import BoxSet, ambient_boxes
-from .ring import CLASS_REMEDY, add_binomial_into, add_into, check_work, count_slots, unpack_counts
+from .ring import CLASS_REMEDY, Record, add_binomial_into, add_into, check_work, count_slots, unpack_counts
 from .shapes import contains, size, trim
 
 
-@dataclass(frozen=True)
-class SetValuedTableau:
-    geometry: str
-    shape: tuple
-    ambient: tuple  # the restricting shape mu
-    cells: tuple    # sorted tuple of ((i, j), (x1 < x2 < ...))
+class SetValuedTableau(Record):
+    # ambient: the restricting shape mu; cells: sorted tuple of ((i, j), (x1 < x2 < ...))
+    __slots__ = ("geometry", "shape", "ambient", "cells")
 
-    def __post_init__(self):
-        object.__setattr__(self, "shape", trim(self.shape))
-        object.__setattr__(self, "ambient", trim(self.ambient))
-        cells = tuple(sorted((tuple(b), tuple(sorted(es))) for b, es in self.cells))
-        object.__setattr__(self, "cells", cells)
+    def __init__(self, geometry: str, shape: tuple, ambient: tuple, cells: tuple):
+        self._set(geometry, trim(shape), trim(ambient),
+                  tuple(sorted((tuple(b), tuple(sorted(es))) for b, es in cells)))
+        cells = self.cells
         boxes = {b for b, _ in cells}
         if boxes != set(ambient_boxes(self.shape, self.geometry)):
             raise ValueError(f"cells do not cover the shape {self.shape}")

@@ -12,11 +12,10 @@ Group elements act on weights on the left, and a product ``u * w`` applies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .ring import check_work
+from .ring import Record, check_work
 
 KINDS = ("A", "B", "C", "D")
 
@@ -25,12 +24,11 @@ Weight = tuple  # integer vector of length rank, coefficients of eps_1..eps_rank
 CACHE_SIZE = 4096  # per-element caches; a sweep of a small rank uses < 1000 elements
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    kind: str
-    rank: int
+class RootSystem(Record):
+    __slots__ = ("kind", "rank")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, rank: int):
+        self._set(kind, rank)
         if self.kind not in KINDS:
             raise ValueError(f"unknown root system kind {self.kind!r}")
         if self.rank < 2:
@@ -74,15 +72,13 @@ def simple_roots(rstype: RootSystem) -> list:
     return roots
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    rstype: RootSystem
-    window: tuple
+class WeylElement(Record):
+    __slots__ = ("rstype", "window")
 
-    def __post_init__(self):
-        n = self.rstype.rank
-        win = tuple(self.window)
-        object.__setattr__(self, "window", win)
+    def __init__(self, rstype: RootSystem, window: tuple):
+        n = rstype.rank
+        win = tuple(window)
+        self._set(rstype, win)
         if len(win) != n:
             raise ValueError(f"window length {len(win)} != rank {n}")
         if sorted(abs(t) for t in win) != list(range(1, n + 1)):
@@ -96,10 +92,11 @@ class WeylElement:
 
     @classmethod
     def _from_window(cls, rstype: RootSystem, window: tuple) -> WeylElement:
-        """The element of a window set without the checks of __post_init__:
-        for the windows `shapes.rep_of` builds, valid by construction."""
+        """The element of a window set without the checks of __init__: for
+        the windows `shapes.rep_of` builds, valid by construction."""
         u = object.__new__(cls)
-        u.__dict__.update(rstype=rstype, window=window)
+        object.__setattr__(u, "rstype", rstype)
+        object.__setattr__(u, "window", window)
         return u
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from oracles import commutation_class, demazure_fold, identity, is_fully_commutative, m_order
-from schubertk import hecke, ring
+from schubertk import hecke, restriction, ring
 from schubertk.diagrams import reading_word, reflection_tableau
 from schubertk.hecke import _reaching, hecke_subsequences, subsequence_stats
 from schubertk.shapes import minimal_reps, perm_of, shape_of
@@ -239,3 +239,39 @@ def test_subword_listing_builds_one_reach_table(monkeypatch):
     subs = hecke_subsequences(simple_reflection(A3, 1), (1, 2, 1))
     assert [t.indices for t in subs] == [(1,), (1, 3), (3,)]
     assert calls == [(1, 2, 1)]
+
+
+
+@pytest.mark.parametrize("query, reads", [
+    (lambda pair: restriction.pair_class(pair, "hecke"), [2270]),
+    (lambda pair: restriction.pair_character(pair, 4), [1275]),
+    (lambda pair: subsequence_stats(pair.w, pair.word), [138]),
+    (lambda pair: hecke_subsequences(pair.w, pair.word), [138, 2719]),  # count, then list
+], ids=["class", "character", "counts", "subwords"])
+def test_the_fold_weighs_exactly_what_take_and_stay_read(query, reads, monkeypatch):
+    # before each letter, the budget sees the weight of every state that take
+    # or stay has read so far in this fold, and no state skipped at an ascent
+    totals, checked = [], []
+    fold = hecke._fold
+
+    def reading(kernel, weigh):
+        def wrapped(dst, src, f):
+            totals[-1] += weigh(src)
+            return kernel(dst, src, f)
+        return wrapped
+
+    def spied(w, word, factors, take, stay, reach, remedy, weigh=len):
+        totals.append(0)
+        return fold(w, word, factors, reading(take, weigh), reading(stay, weigh), reach, remedy, weigh)
+
+    def check_work(work, what="entries read", remedy=""):
+        if what == "entries read":
+            checked.append((work, totals[-1]))
+        return ring.check_work(work, what, remedy)
+
+    monkeypatch.setattr(hecke, "_fold", spied)
+    monkeypatch.setattr(hecke, "check_work", check_work)
+    query(restriction.Pair.of_shapes(RootSystem("C", 6), None, (3, 2, 1), (6, 5, 4, 3, 2, 1)))
+    assert totals == reads
+    assert len(checked) == 21 * len(reads)  # one check before each letter of the word
+    assert all(work == done for work, done in checked)

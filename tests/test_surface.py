@@ -4,7 +4,10 @@ is bounded; the references only the tests use live in ``tests/oracles.py``."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import schubertk
@@ -106,7 +109,7 @@ def test_only_the_eyd_listing_builds_unchecked_box_sets():
 
 
 def test_only_the_shape_builder_skips_the_window_checks():
-    # WeylElement._from_window skips __post_init__, which only
+    # WeylElement._from_window skips the checks of __init__, which only
     # shapes.rep_of makes true by construction
     callers = [
         (path.stem, node.name)
@@ -167,3 +170,36 @@ def test_every_cache_is_bounded():
     assert {"diagrams._boxes_of", "tableaux._entries", "ring._decoder",
             "weyl.reduced_word"} <= set(cached)
     assert all(isinstance(size, int) for size in cached.values()), cached
+
+
+def _imported(node) -> set:
+    """The top-level modules an import statement names."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def test_no_module_imports_dataclasses_or_typing_or_fractions_up_front():
+    # records are plain classes (`ring.Record`), and a Fraction is imported
+    # where one is built: none of these import costs falls on every query
+    found = []
+    for path in sorted((ROOT / "src" / "schubertk").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.stem}: {m}" for n in ast.walk(tree) for m in _imported(n) & {"dataclasses", "typing"}]
+        found += [f"{path.stem}: {m} at top level" for n in tree.body for m in _imported(n) & {"fractions"}]
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_fractions():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    loaded = {
+        code: set(ast.literal_eval(subprocess.run(
+            [sys.executable, "-c", f"{code}; import sys; print(sorted(sys.modules))"],
+            capture_output=True, text=True, check=True, env=env).stdout))
+        for code in ("pass", "import schubertk.cli")
+    }
+    added = loaded["import schubertk.cli"] - loaded["pass"]
+    assert "schubertk.cli" in added
+    assert not {"dataclasses", "inspect", "fractions"} & added
