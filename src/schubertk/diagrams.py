@@ -51,10 +51,14 @@ class BoxSet(Record, compare=("geometry", "ambient", "boxes")):
 
     @classmethod
     def _from_row(cls, geometry: str, ambient: tuple, row: tuple) -> BoxSet:
-        """The BoxSet of a sorted row of boxes of the trimmed ambient, set
-        without the checks of __init__: for the rows `enumerate_eyd` builds,
-        which are boxes of D_mu by construction."""
-        return object.__new__(cls)._set(geometry, ambient, frozenset(row), row)
+        """The BoxSet of a sorted row of boxes of the trimmed ambient, without
+        the checks of __init__: the rows of `enumerate_eyd` lie in D_mu."""
+        C = object.__new__(cls)
+        object.__setattr__(C, "geometry", geometry)
+        object.__setattr__(C, "ambient", ambient)
+        object.__setattr__(C, "boxes", frozenset(row))
+        object.__setattr__(C, "order", row)
+        return C
 
     def sorted_boxes(self) -> tuple:
         return self.order if self.order is not None else tuple(sorted(self.boxes))

@@ -12,9 +12,10 @@ outside its support is genuinely zero.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
+from itertools import filterfalse
 from math import comb
-from operator import mul
+from operator import mul, or_
 
 from . import hecke
 from .diagrams import enumerate_eyd, geometry_of, reading_word, reflection_tableau
@@ -222,54 +223,45 @@ def _span_bound(exps) -> int:
     return check_span(max(map(sum, zip(*(map(abs, g) for g in exps))), default=0))
 
 
-def _sum_of_products(terms) -> dict:
-    """sum over the list terms, each a list of packed keys g, of
-    prod_g (e^g - 1) as a packed dict, by Horner's rule over the minimal
-    automaton of the terms.  nodes[j] holds the open trie node at path[:j]:
-    the number of terms ending there and its edges (g, sum of the child).
-    A node is closed when the next term leaves it, and its sum is the count
-    plus each child's sum times (e^g - 1).  Closed nodes with equal counts
-    and edges (the child's sum by identity) have equal sums, so each such
-    sum is computed once and shared (Daciuk et al. 2000): a suffix under
-    several prefixes is summed once.  The shared sums live for the call,
-    each within 2 * its reads + 1 entries.  Any order gives the same sum;
-    sorted terms share the most work.  Before each kernel call, the entries
-    read so far pass `check_work`.
+def _sum_of_products(masks, keys) -> dict:
+    """sum over masks, each a set of bits with repeats counted, of
+    prod_b (e^keys[b] - 1) as a packed dict, over the zero-suppressed
+    decision diagram of the family (Minato 1993).  At the lowest bit b of
+    the union of a family S, F(S) = F(S0) + (e^keys[b] - 1) F(S1), where
+    S1 holds the masks with b, b cleared, and S0 the rest; a family with
+    union 0 sums to its size.  Each distinct sub-family, a sorted tuple, is
+    split and summed once, on an explicit stack: a sub-family that several
+    prefixes share costs one kernel call, and no bit count bounds the depth.
+    Before each kernel call, the entries read so far, the kernel's source
+    and the copied F(S0), pass `check_work`.
 
-    >>> e1, e2, e3 = pack((1,)), pack((2,)), pack((3,))
-    >>> _sum_of_products([[e1], [e1, e2]])  # (e - 1) + (e - 1)(e^2 - 1)
+    >>> keys = {1: pack((1,)), 2: pack((2,)), 4: pack((3,))}
+    >>> _sum_of_products([0b1, 0b11], keys)  # (e - 1) + (e - 1)(e^2 - 1)
     {3: 1, 2: -1}
-    >>> sorted(_sum_of_products([[e1, e3], [e2, e3]]).items())  # (e + e^2 - 2)(e^3 - 1)
+    >>> sorted(_sum_of_products([0b101, 0b110], keys).items())  # (e + e^2 - 2)(e^3 - 1)
     [(0, 2), (1, -1), (2, -1), (3, -2), (4, 1), (5, 1)]
     """
-    path, nodes, closed, reads = [], [[0, []]], {}, 0
-
-    def close():  # the sum of the deepest open node, which it pops
-        nonlocal reads
-        count, edges = nodes.pop()
-        signature = (count, tuple((g, id(child)) for g, child in edges))
-        if (total := closed.get(signature)) is None:
-            total = closed[signature] = {0: count} if count else {}
-            for g, child in edges:
-                reads = check_work(reads, "entries read", CLASS_REMEDY) + len(child)
-                add_binomial_into(total, child, g)
-        return total
-
-    def close_to(depth):
-        while len(path) > depth:
-            total = close()  # before nodes[-1] is read: close pops the child
-            nodes[-1][1].append((path.pop(), total))
-
-    for term in terms:
-        common, most = 0, min(len(path), len(term))
-        while common < most and path[common] == term[common]:
-            common += 1
-        close_to(common)
-        path += term[common:]
-        nodes += [[0, []] for _ in term[common:]]
-        nodes[-1][0] += 1
-    close_to(0)
-    return close()
+    root = tuple(sorted(masks))
+    sums, todo, reads = {(): {}}, [(root, None)], 0
+    while todo:
+        family, split = todo.pop()
+        if family in sums:
+            continue
+        if split is None:
+            if not (union := reduce(or_, family)):
+                sums[family] = {0: len(family)}
+                continue
+            b = union & -union
+            rest = tuple(filterfalse(b.__and__, family))
+            held = tuple(map(b.__xor__, filter(b.__and__, family)))
+            todo += (family, (b, rest, held)), (rest, None), (held, None)
+            continue
+        b, rest, held = split
+        total, src = dict(sums[rest]), sums[held]
+        reads = check_work(reads, "entries read", CLASS_REMEDY) + len(total) + len(src)
+        add_binomial_into(total, src, keys[b])
+        sums[family] = total
+    return sums[root]
 
 
 def pullback_terms(pair: Pair, backend: str = "eyd") -> list:
@@ -303,8 +295,8 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
 
     All three backends return identical polynomials: svt runs the transfer
     DP over set-valued tableaux, eyd lists the excited diagrams and sums
-    them by Horner's rule over the minimal automaton of their rows, which
-    shares their prefixes and their suffixes, and hecke sums over
+    their products over the zero-suppressed decision diagram of their box
+    masks, which sums every repeated sub-family once, and hecke sums over
     the 0-Hecke subwords of a reduced word for v by the fold DP and is the
     ground truth.  Each engine keeps a running count of the entries it hands
     to a kernel and passes it to `check_work` before each call, so a class
@@ -317,7 +309,8 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
 def pair_class(pair: Pair, backend: str = "eyd") -> KClass:
     """The class of `pullback` for a validated pair.  The span of all of
     T_mu's exponents passes the packing range before any engine runs; each
-    engine then sums over `Pair.factor_keys`."""
+    engine then sums over `Pair.factor_keys`, eyd by the bit of each box of
+    D_mu in its diagrams' masks (`_sum_of_products`)."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     rstype, d, n = pair.rstype, pair.d, pair.rstype.rank
@@ -329,9 +322,11 @@ def pair_class(pair: Pair, backend: str = "eyd") -> KClass:
         packed = hecke.fold_dp(pair.w, pair.word, list(keys.values()), add_binomial_into, add_into)
     elif backend == "svt":
         packed = svt_sum(pair.lam, pair.mu, pair.geometry, keys)
-    else:  # each diagram read off as the keys of its boxes
-        packed = _sum_of_products([list(map(keys.__getitem__, C.sorted_boxes()))
-                                   for C in enumerate_eyd(pair.lam, pair.mu, pair.geometry)])
+    else:  # each diagram as a mask, one bit per box of D_mu in row-major order
+        bit = {box: 1 << k for k, box in enumerate(sorted(keys))}
+        masks = [sum(map(bit.__getitem__, C.sorted_boxes()))
+                 for C in enumerate_eyd(pair.lam, pair.mu, pair.geometry)]
+        packed = _sum_of_products(masks, {b: keys[box] for box, b in bit.items()})
     return KClass(rstype, d, LaurentPoly.from_packed(n, packed, span) * (-1) ** size(pair.lam))
 
 

@@ -72,8 +72,8 @@ TRUNC_REMEDY = "lower the truncation degree"
 class Record:
     """Base of the package's value records, lighter to import and build than
     dataclasses.  A record's __slots__ are its fields in constructor order,
-    each set once by `_set`; `WeylElement._from_window` and `HeckeSubseq`,
-    built most often, set theirs directly (the loop costs 0.2 us a record).
+    each set once by `_set`; `WeylElement._from_window`, `HeckeSubseq` and
+    `BoxSet._from_row`, built most often, set theirs directly, 0.1-0.25 us faster.
     Equality and hash read the fields named by `compare` (all by default),
     the repr shows every field, and pickle and deepcopy rebuild through the
     constructor.  A record refuses assignment."""

@@ -11,6 +11,7 @@ with no part when the number of parts is odd, which keeps the bar count even.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
+from operator import le
 
 from .weyl import RootSystem, WeylElement, is_minimal_rep, parabolic_index
 
@@ -49,7 +50,7 @@ def contains(lam, mu) -> bool:
     >>> contains((3,), (2, 2))
     False
     """
-    return all(a <= part(mu, i) for i, a in enumerate(lam, start=1))
+    return all(map(le, lam, mu)) and not any(lam[len(mu):])
 
 
 def partition_of(v: WeylElement, d: int) -> tuple:

@@ -3,24 +3,25 @@
 None of them is called by the library: each restates a definition of the
 paper (the Demazure product, a reflection, a greedy reduced word, the
 r-values and the tangent weights through the root action, minimality read
-off the 2n-window, the window of a shape built by sorting, excitation
-moves, the restriction condition on tableaux, the inverse of f, full
-commutativity, a sum of products multiplied out term by term, a packed key
-read digit by digit, a coordinate cut out of a key digit by digit, a
-geometric series convolved power by power, xi built in Fractions, the
-positive roots listed whole), is the geometric expansion of an expanded
-numerator graded along xi in Fractions (`geometric_expand`, which the
-library carried before it graded xi in integers on the `Pair`), is the
-character as it was built from the whole svt class before its numerator was
-truncated in the DP, is the argparse parser the CLI replaced by its option
-table, is the dict-keyed count step the packed counts replaced (run per
-maximum over the transfer DP), is the backtracking tableau enumerator the
-listing through the transfer DP replaced, is the renderer that formatted a
-polynomial monomial by monomial before the renderer kept prefixes, is the
-hecke class over any reduced word for v (the library's `r_values` and
-`fold_dp` on a given word, where the library reads only the reading word of
-T_mu), which reduced-word independence is checked with, or is a tool the
-tests need (energies, JSON readers, the grading of a polynomial along xi).
+off the 2n-window, the window of a shape built by sorting, containment read
+row by row, excitation moves, the restriction condition on tableaux, the
+inverse of f, full commutativity, a sum of products multiplied out term by
+term, a packed key read digit by digit, a coordinate cut out of a key digit
+by digit, a geometric series convolved power by power, xi built in
+Fractions, the positive roots listed whole), is the geometric expansion of
+an expanded numerator graded along xi in Fractions (`geometric_expand`,
+which the library carried before it graded xi in integers on the `Pair`),
+is the character as it was built from the whole svt class before its
+numerator was truncated in the DP, is the argparse parser the CLI replaced
+by its option table, is the dict-keyed count step the packed counts
+replaced (run per maximum over the transfer DP), is the backtracking
+tableau enumerator the listing through the transfer DP replaced, is the
+renderer that formatted a polynomial monomial by monomial before the
+renderer kept prefixes, is the hecke class over any reduced word for v (the
+library's `r_values` and `fold_dp` on a given word, where the library reads
+only the reading word of T_mu), which reduced-word independence is checked
+with, or is a tool the tests need (energies, JSON readers, the grading of a
+polynomial along xi).
 """
 
 import argparse
@@ -511,6 +512,12 @@ def excite_tableau(T: SetValuedTableau, box, x: int, kind: str):
 def svt_from_json(data: dict, geometry: str, mu) -> SetValuedTableau:
     cells = tuple((tuple(cell["box"]), tuple(cell["set"])) for cell in data["cells"])
     return SetValuedTableau(geometry, tuple(data["shape"]), trim(mu), cells)
+
+
+def reference_contains(lam, mu) -> bool:
+    """`shapes.contains` row by row, a missing row of mu read as 0 by
+    `part`: the generator the library's C-speed test replaced."""
+    return all(a <= part(mu, i) for i, a in enumerate(lam, start=1))
 
 
 # -- sums of products -------------------------------------------------------

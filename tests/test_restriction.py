@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -27,7 +28,7 @@ from oracles import (
     unpack,
 )
 from schubertk import hecke, restriction, ring, tableaux
-from schubertk.diagrams import reading_word, reflection_tableau
+from schubertk.diagrams import enumerate_eyd, reading_word, reflection_tableau
 from schubertk.ring import LaurentPoly
 from schubertk.shapes import (
     all_shapes,
@@ -719,57 +720,74 @@ def _on_variety_pairs(rs, d=None):
             if contains(lam, mu)]
 
 
-def _keys(terms):
-    """The terms of `pullback_terms` as the lists of packed keys that the
-    eyd sum takes."""
-    return [list(map(ring.pack, term)) for term in terms]
+_A, _B, _C = (1, 0, -1), (0, 2, 0), (-1, 1, 1)
+_EXPS = (_A, _B, _C, _A)  # bit k carries _EXPS[k]; bits 0 and 3 carry one exponent
+
+
+def _masked_sum(masks, exps=_EXPS):
+    """The eyd sum of a family of masks, bit k carrying the exponent exps[k],
+    decoded without zeros."""
+    keys = {1 << k: ring.pack(g) for k, g in enumerate(exps)}
+    return _decoded(restriction._sum_of_products(masks, keys), len(exps[0]))
+
+
+def _terms_of(masks, exps=_EXPS):
+    """Each mask as the tuple of the exponents of its bits, for the oracle."""
+    return [tuple(g for k, g in enumerate(exps) if m >> k & 1) for m in masks]
+
+
+def _family_of(pair):
+    """The eyd class's family: each diagram as a mask, one bit per box of
+    D_mu in row-major order, and the factor key of each bit."""
+    keys = pair.factor_keys
+    bit = {box: 1 << k for k, box in enumerate(sorted(keys))}
+    masks = [sum(map(bit.__getitem__, C.sorted_boxes()))
+             for C in enumerate_eyd(pair.lam, pair.mu, pair.geometry)]
+    return masks, {b: keys[box] for box, b in bit.items()}
 
 
 def test_horner_sum_matches_the_term_by_term_expansion():
-    a, b, c = (1, 0, -1), (0, 2, 0), (-1, 1, 1)
-    for terms in ([], [()], [(a, b), (a, b)], [(a,), (a, b)], [(a, b), (a,)],
-                  [(a, b, c), (a,), (b,), (), (a, c), (a, b)]):
-        got = restriction._sum_of_products(_keys(terms))
-        assert _decoded(got, 3) == sum_of_products(terms, 3)
-    assert restriction._sum_of_products([]) == {}
-    assert restriction._sum_of_products([[]]) == {0: 1}
+    for masks in ([], [0], [0b11, 0b11], [0b1, 0b11], [0b11, 0b1],
+                  [0b111, 0b1, 0b10, 0, 0b101, 0b11], [0b1001, 0b1000, 0b1]):
+        assert _masked_sum(masks) == sum_of_products(_terms_of(masks), 3)
+    # the empty family sums to 0, and a family of k empty masks to k
+    assert restriction._sum_of_products([], {}) == {}
+    assert restriction._sum_of_products([0], {}) == {0: 1}
+    assert restriction._sum_of_products([0, 0, 0], {}) == {0: 3}
 
 
-_A, _B, _C = (1, 0, -1), (0, 2, 0), (-1, 1, 1)
-
-
-@pytest.mark.parametrize("terms", [
+@pytest.mark.parametrize("masks", [
     [],
-    [()],
-    [(_A, _B), (_A, _B)],  # a duplicated term ends twice at one node
-    [(_A, _C), (_B, _C), (_C,), (_A, _B, _C), (_B, _A, _C)],  # equal suffixes
-    [(_A, _B), (_C, _B), (_C, _B), (_A, _B, _C), (_C, _B, _C)],  # equal edges, counts differ
-    [(_A,), (_A, _B), (_B, _A), (_B,), (_A, _A), (), (_B, _B, _A), (_A, _B, _A)],
+    [0],
+    [0b11, 0b11, 0, 0],  # duplicates, empty or not, summed with multiplicity
+    [0b101, 0b110, 0b100, 0b111, 0b111],  # equal suffixes under different prefixes
+    [0b011, 0b110, 0b110, 0b111, 0b010],  # equal unions, multiplicities differ
+    [0b1, 0b11, 0b10, 0, 0b1001, 0b1011, 0b1010],  # bits 0 and 3 carry one exponent
 ], ids=["empty", "unit", "duplicate", "suffixes", "counts", "mixed"])
-def test_the_automaton_sum_matches_the_term_by_term_sum(terms):
-    # nodes merge only when their counts and edges agree, in any term order
-    expect = sum_of_products(terms, 3)
-    rnd = random.Random(len(terms))
-    for order in [sorted(terms)] + [rnd.sample(terms, len(terms)) for _ in range(6)]:
-        assert _decoded(restriction._sum_of_products(_keys(order)), 3) == expect
+def test_the_automaton_sum_matches_the_term_by_term_sum(masks):
+    # every sub-family is summed once, whatever the order of the masks
+    expect = sum_of_products(_terms_of(masks), 3)
+    for order in set(itertools.permutations(masks)):
+        assert _masked_sum(order) == expect
 
 
 def test_horner_sum_does_not_depend_on_the_order_of_the_terms():
     rs = RootSystem("A", 7)
-    terms = pullback_terms(Pair.of(rs, 3, WA, VA))
-    expect = sum_of_products(terms, rs.rank)
+    pair = Pair.of(rs, 3, WA, VA)
+    masks, keys = _family_of(pair)
+    expect = sum_of_products(pullback_terms(pair), rs.rank)
     rnd = random.Random(0)
     for _ in range(5):
-        shuffled = rnd.sample(terms, len(terms))
-        assert _decoded(restriction._sum_of_products(_keys(shuffled)), rs.rank) == expect
+        shuffled = rnd.sample(masks, len(masks))
+        assert _decoded(restriction._sum_of_products(shuffled, keys), rs.rank) == expect
 
 
 @pytest.mark.parametrize("rs, d", [(RootSystem("A", 5), 2), (C4, None), (RootSystem("D", 5), None)])
 def test_horner_sum_matches_the_term_by_term_expansion_at_every_pair(rs, d):
     for w, v in _on_variety_pairs(rs, d):
-        terms = pullback_terms(Pair.of(rs, d, w, v), backend="eyd")
-        got = _decoded(restriction._sum_of_products(_keys(terms)), rs.rank)
-        assert got == sum_of_products(terms, rs.rank), (w, v)
+        pair = Pair.of(rs, d, w, v)
+        got = _decoded(restriction._sum_of_products(*_family_of(pair)), rs.rank)
+        assert got == sum_of_products(pullback_terms(pair, backend="eyd"), rs.rank), (w, v)
 
 
 def _reads_of_the_eyd_class(monkeypatch, rs, d, w, v):
@@ -788,14 +806,14 @@ def _reads_of_the_eyd_class(monkeypatch, rs, d, w, v):
 
 
 @pytest.mark.parametrize("rs, d, lam, mu, reads, calls", [
-    (RootSystem("A", 11), 5, (3, 2, 2, 1), (6, 5, 4, 3, 2), 3106, 57),
-    (RootSystem("C", 6), None, (3, 2, 1), (6, 5, 4, 3, 2), 1424, 68),
-    (RootSystem("D", 7), None, (4, 2, 1), (6, 5, 4, 3, 2, 1), 2033, 86),
-    (B5, None, (3, 2, 1), (5, 4, 3, 2, 1), 976, 68),
+    (RootSystem("A", 11), 5, (3, 2, 2, 1), (6, 5, 4, 3, 2), 2856, 39),
+    (RootSystem("C", 6), None, (3, 2, 1), (6, 5, 4, 3, 2), 1147, 37),
+    (RootSystem("D", 7), None, (4, 2, 1), (6, 5, 4, 3, 2, 1), 1729, 49),
+    (B5, None, (3, 2, 1), (5, 4, 3, 2, 1), 753, 37),
 ], ids=["A11", "C6", "D7", "B5"])
 def test_the_eyd_sum_shares_the_prefixes_of_the_diagrams(monkeypatch, rs, d, lam, mu, reads, calls):
     # the term-by-term sum reads sum_t (2^k_t - 1) entries, k_t the size of
-    # term t; the automaton's reads and kernel calls are pinned exactly
+    # term t; the decision diagram's reads and kernel calls are pinned exactly
     if rs.kind == "A":
         w, v = perm_of(lam, d, rs.rank), perm_of(mu, d, rs.rank)
     else:
@@ -804,6 +822,57 @@ def test_the_eyd_sum_shares_the_prefixes_of_the_diagrams(monkeypatch, rs, d, lam
     got = _reads_of_the_eyd_class(monkeypatch, rs, d, w, v)
     assert 10 * got[0] <= per_term
     assert got == (reads, calls)
+
+
+def _least_stack(run):
+    """The fewest frames over the caller's depth under which run() returns or
+    raises ValueError, with what it returned or raised."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    try:
+        for room in itertools.count(1):
+            try:  # a limit below the stack's real depth is refused as well
+                sys.setrecursionlimit(depth + room)
+                return room, run()
+            except RecursionError:
+                continue
+            except ValueError as exc:
+                return room, exc
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_the_eyd_sum_does_not_recurse_per_bit(monkeypatch):
+    # the eyd class of C6 (3,2,1)/(6,5,4,3,2), whose masks use 12 of the 20
+    # bits of D_mu, and that of A12 lambda = mu = 6^6, one 36-bit mask, need
+    # no more stack than the class of one box: no frame per bit
+    C6, A12 = RootSystem("C", 6), RootSystem("A", 12)
+    one = Pair.of_shapes(C6, None, (1,), (1,))
+    c6 = Pair.of_shapes(C6, None, (3, 2, 1), (6, 5, 4, 3, 2))
+    full = Pair.of_shapes(A12, 6, (6,) * 6, (6,) * 6)
+    assert (len(c6.factor_keys), len(full.factor_keys)) == (20, 36)
+    # the expansion of 6^6 passes the budget (that of 6^5 has 15,450,912
+    # terms), so a small budget stops its sum after the descent through all
+    # 36 bits, and a sum that missed the budget fails at the kernel, not in
+    # memory; each class runs once first, so no cache is built under the limit
+    kernel = restriction.add_binomial_into
+
+    def bounded(dst, src, g):
+        assert len(src) <= 10**5
+        kernel(dst, src, g)
+
+    monkeypatch.setattr(restriction, "add_binomial_into", bounded)
+    monkeypatch.setattr(ring, "MAX_EXPANSION", 10**4)
+    runs = [lambda p=p: restriction.pair_class(p, "eyd") for p in (one, c6, full)]
+    with pytest.raises(ValueError, match="entries read.*--format latex"):
+        runs[2]()
+    expect = [runs[0](), restriction.pair_class(c6, "hecke")]
+    (base, unit), (room, got), (deep, refused) = map(_least_stack, runs)
+    assert [unit, got] == expect
+    assert isinstance(refused, ValueError) and "--format latex" in str(refused)
+    assert room <= base + 2 and deep <= base + 2, (base, room, deep)
 
 
 def _work_of_the_svt_sum(monkeypatch, run):

@@ -1,10 +1,11 @@
 from itertools import product
+from operator import ge
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bd_identify, full_window, identity, transpose
+from oracles import bd_identify, full_window, identity, reference_contains, transpose
 from schubertk.diagrams import ambient_boxes
 from schubertk.hecke import hecke_subsequences
 from schubertk.shapes import (
@@ -19,6 +20,7 @@ from schubertk.shapes import (
     perm_of_strict,
     shape_of,
     strict_partition_of,
+    trim,
 )
 from schubertk.weyl import (
     RootSystem,
@@ -210,6 +212,17 @@ def test_contains_examples():
     assert contains((2, 1, 0), (2, 1))
     assert contains((1,), (1, 0, 0))
     assert not contains((1, 1, 1), (3, 0))
+
+
+def test_contains_matches_the_row_by_row_test():
+    # every partition with at most 5 parts of size at most 5, trimmed and
+    # padded with zeros, on either side
+    padded = [p for p in product(range(6), repeat=5) if all(map(ge, p, p[1:]))]
+    shapes = padded + [trim(p) for p in padded]
+    assert len(padded) == 252
+    for lam in shapes:
+        for mu in shapes:
+            assert contains(lam, mu) == reference_contains(lam, mu), (lam, mu)
 
 
 @pytest.mark.parametrize(

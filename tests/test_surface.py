@@ -96,6 +96,23 @@ def test_restriction_reads_no_window_entry():
     assert reads == []
 
 
+def test_no_function_calls_itself():
+    # every engine walks its diagram, tableau or word on an explicit stack or
+    # a loop: a class can have as many bits as D_mu has boxes, and the rank
+    # bound admits thousands, past any recursion limit
+    recursive = []
+    for path in sorted((ROOT / "src" / "schubertk").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(n, ast.Call) and (
+                        getattr(n.func, "id", None) == node.name
+                        or getattr(n.func, "attr", None) == node.name
+                        and getattr(n.func.value, "id", None) in ("self", "cls"))
+                    for n in ast.walk(node)):
+                recursive.append(f"{path.stem}.{node.name}")
+    assert recursive == []
+
+
 def test_only_the_eyd_listing_builds_unchecked_box_sets():
     # BoxSet._from_row skips the ambient check, which only the BFS of
     # enumerate_eyd makes true by construction
