@@ -48,6 +48,8 @@ class BoxSet(Record, compare=("geometry", "ambient", "boxes")):
         bad = self.boxes - legal
         if bad:
             raise ValueError(f"boxes {sorted(bad)} outside ambient {self.ambient}")
+        if order is not None and order != tuple(sorted(self.boxes)):
+            raise ValueError(f"order {order} is not the sorted boxes {sorted(self.boxes)}")
 
     @classmethod
     def _from_row(cls, geometry: str, ambient: tuple, row: tuple) -> BoxSet:

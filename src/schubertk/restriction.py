@@ -12,7 +12,7 @@ outside its support is genuinely zero.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import filterfalse
 from math import comb
 from operator import mul, or_
@@ -69,14 +69,79 @@ class HilbertData(Record):
         return self.m[0] if self.m else 0
 
 
+class Point(Record):
+    """The data of a query that depend on its fixed point v alone, each
+    built on first use.  `_fixed_point` shares one point among the queries
+    at v, so no engine writes into its data."""
+
+    __slots__ = ("rstype", "d", "v", "mu", "__dict__")  # dict: the caches
+
+    def __init__(self, rstype: RootSystem, d: int, v: WeylElement, mu: tuple):
+        self._set(rstype, d, v, mu)
+
+    @cached_property
+    def tableau(self):
+        return reflection_tableau(self.mu, self.rstype, self.d)
+
+    @cached_property
+    def word(self) -> tuple:
+        """The reading word of T_mu, a reduced word for v."""
+        return reading_word(self.tableau)
+
+    @cached_property
+    def exponents(self) -> dict:
+        """{box: -r(c)} for the box at reading position c of T_mu: the
+        exponent g of the factor (e^g - 1) that the box brings to a term, in
+        every backend (Graham-Willems restriction through the r-values)."""
+        rs = map(negate_weight, r_values(self.word, self.rstype))
+        return dict(zip(self.tableau.reading_boxes, rs))
+
+    @cached_property
+    def factor_keys(self) -> dict:
+        """{box: pack(g)} over `exponents`, in reading order, so its values
+        are the factor keys of the letters of `word`: the one key table of
+        every class engine and of the character."""
+        return {box: pack(g) for box, g in self.exponents.items()}
+
+    @cached_property
+    def tangent_weights(self) -> tuple:
+        """The tangent weights at v, -v(beta) by (i, j) for the roots beta
+        outside the Levi: eps_i - eps_j, i <= d < j, in type A; else eps_i +
+        eps_j, i < j, and for i = j 2 eps_i in C and eps_i in B.  Each is the
+        `window_image` of -beta, which reads v_i and v_j."""
+        n, kind = self.rstype.rank, self.rstype.kind
+        if kind == "A":  # -beta as (position, coefficient) pairs
+            terms = [((i, -1), (j, 1)) for i in range(self.d) for j in range(self.d, n)]
+        else:  # i = j gives -2 eps_i in C and -eps_i in B
+            terms = [((i, -1), (j, -int(i != j or kind == "C")))
+                     for i in range(n) for j in range(i + (kind == "D"), n)]
+        return tuple(window_image(self.v.window, t) for t in terms)
+
+    @cached_property
+    def xi(self) -> tuple:
+        """(den * xi, den) as integers, den = 1 in type A and 2 in types C, D:
+        xi = v(sum of the first d eps_i), resp. v(sum eps_i / 2), the grading
+        of the character.  RuntimeError unless every tangent weight pairs to
+        -1 with it."""
+        top, den = (self.d, 1) if self.rstype.kind == "A" else (self.rstype.rank, 2)
+        ixi = window_image(self.v.window, ((k, 1) for k in range(top)))
+        for alpha in self.tangent_weights:
+            if (pairing := sum(map(mul, alpha, ixi))) != -den:
+                from fractions import Fraction
+                raise RuntimeError(f"xi pairing failed: {alpha}(xi) = {Fraction(pairing, den)}")
+        return ixi, den
+
+
+_fixed_point = lru_cache(maxsize=1024)(Point)  # (rstype, d, v, mu) -> its one Point
+
+
 class Pair(Record):
     """One validated query: minimal representatives w, v of rstype, the index
     d of the maximal parabolic, the shapes lam of w and mu of v (so l(w) =
     |lam|), and whether v lies on X^w.  Each input style becomes a pair in
     one pass: `Pair.of` validates two windows and reads their shapes,
     `Pair.of_shapes` validates two shapes and builds their windows.  Every
-    engine takes a pair, and T_mu, its reading word, its exponents, the
-    tangent weights and xi are built here on first use."""
+    engine takes a pair, and reads what depends on v alone from its `point`."""
 
     __slots__ = ("rstype", "d", "w", "v", "lam", "mu", "on_variety", "__dict__")  # dict: the caches
 
@@ -107,28 +172,8 @@ class Pair(Record):
         return geometry_of(self.rstype)
 
     @cached_property
-    def tableau(self):
-        return reflection_tableau(self.mu, self.rstype, self.d)
-
-    @cached_property
-    def word(self) -> tuple:
-        """The reading word of T_mu, a reduced word for v."""
-        return reading_word(self.tableau)
-
-    @cached_property
-    def exponents(self) -> dict:
-        """{box: -r(c)} for the box at reading position c of T_mu: the
-        exponent g of the factor (e^g - 1) that the box brings to a term, in
-        every backend (Graham-Willems restriction through the r-values)."""
-        rs = map(negate_weight, r_values(self.word, self.rstype))
-        return dict(zip(self.tableau.reading_boxes, rs))
-
-    @cached_property
-    def factor_keys(self) -> dict:
-        """{box: pack(g)} over `exponents`, in reading order, so its values
-        are the factor keys of the letters of `word`: the one key table of
-        every class engine and of the character."""
-        return {box: pack(g) for box, g in self.exponents.items()}
+    def point(self) -> Point:
+        return _fixed_point(self.rstype, self.d, self.v, self.mu)
 
     @cached_property
     def lifted(self) -> Pair:
@@ -147,37 +192,9 @@ class Pair(Record):
         wD, vD = rep_of(self.lam, rsD), rep_of(self.mu, rsD)
         return Pair(rsD, n + 1, wD, vD, self.lam, self.mu, self.on_variety)
 
-    @cached_property
-    def tangent_weights(self) -> list:
-        """The tangent weights at v, -v(beta) by (i, j) for the roots beta
-        outside the Levi: eps_i - eps_j, i <= d < j, in type A; else eps_i +
-        eps_j, i < j, and for i = j 2 eps_i in C and eps_i in B.  Each is the
-        `window_image` of -beta, which reads v_i and v_j."""
-        n, kind = self.rstype.rank, self.rstype.kind
-        if kind == "A":  # -beta as (position, coefficient) pairs
-            terms = [((i, -1), (j, 1)) for i in range(self.d) for j in range(self.d, n)]
-        else:  # i = j gives -2 eps_i in C and -eps_i in B
-            terms = [((i, -1), (j, -int(i != j or kind == "C")))
-                     for i in range(n) for j in range(i + (kind == "D"), n)]
-        return [window_image(self.v.window, t) for t in terms]
-
-    @cached_property
-    def xi(self) -> tuple:
-        """(den * xi, den) as integers, den = 1 in type A and 2 in types C, D:
-        xi = v(sum of the first d eps_i), resp. v(sum eps_i / 2), the grading
-        of the character.  RuntimeError unless every tangent weight pairs to
-        -1 with it."""
-        top, den = (self.d, 1) if self.rstype.kind == "A" else (self.rstype.rank, 2)
-        ixi = window_image(self.v.window, ((k, 1) for k in range(top)))
-        for alpha in self.tangent_weights:
-            if (pairing := sum(map(mul, alpha, ixi))) != -den:
-                from fractions import Fraction
-                raise RuntimeError(f"xi pairing failed: {alpha}(xi) = {Fraction(pairing, den)}")
-        return ixi, den
-
 
 def dim_gp(rstype: RootSystem, d: int = None) -> int:
-    """dim G/P, one per tangent weight (`Pair.tangent_weights`): d(n - d)
+    """dim G/P, one per tangent weight (`Point.tangent_weights`): d(n - d)
     in type A, n(n + 1)/2 in types B and C, n(n - 1)/2 in type D;
     ValueError on a bad d in type A."""
     n, kind = rstype.rank, rstype.kind
@@ -189,7 +206,7 @@ def dim_gp(rstype: RootSystem, d: int = None) -> int:
 
 def tangent_weights(rstype: RootSystem, d, v: WeylElement) -> list:
     """Weights of the tangent space at the fixed point v: v applied to -Phi(g/p)."""
-    return Pair.of(rstype, d, v, v).tangent_weights
+    return list(Pair.of(rstype, d, v, v).point.tangent_weights)
 
 
 def r_values(word, rstype: RootSystem) -> list:
@@ -271,7 +288,7 @@ def pullback_terms(pair: Pair, backend: str = "eyd") -> list:
         raise ValueError(f"unknown backend {backend!r}")
     if not pair.on_variety:
         return []
-    boxes = pair.tableau.reading_boxes
+    boxes = pair.point.tableau.reading_boxes
     # each backend lists its terms as tuples of boxes of D_mu
     if backend == "eyd":
         terms = (C.sorted_boxes() for C in enumerate_eyd(pair.lam, pair.mu, pair.geometry))
@@ -283,9 +300,9 @@ def pullback_terms(pair: Pair, backend: str = "eyd") -> list:
     else:
         terms = (
             tuple(boxes[p - 1] for p in sub.indices)
-            for sub in hecke.hecke_subsequences(pair.w, pair.word)
+            for sub in hecke.hecke_subsequences(pair.w, pair.point.word)
         )
-    exps = pair.exponents
+    exps = pair.point.exponents
     return [tuple(exps[box] for box in term) for term in terms]
 
 
@@ -309,17 +326,17 @@ def pullback(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
 def pair_class(pair: Pair, backend: str = "eyd") -> KClass:
     """The class of `pullback` for a validated pair.  The span of all of
     T_mu's exponents passes the packing range before any engine runs; each
-    engine then sums over `Pair.factor_keys`, eyd by the bit of each box of
+    engine then sums over `Point.factor_keys`, eyd by the bit of each box of
     D_mu in its diagrams' masks (`_sum_of_products`)."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     rstype, d, n = pair.rstype, pair.d, pair.rstype.rank
     if not pair.on_variety:
         return KClass(rstype, d, LaurentPoly.zero(n), on_variety=False)
-    span = _span_bound(pair.exponents.values())
-    keys = pair.factor_keys
+    point = pair.point
+    span, keys = _span_bound(point.exponents.values()), point.factor_keys
     if backend == "hecke":  # letter c of the word is the box at reading position c
-        packed = hecke.fold_dp(pair.w, pair.word, list(keys.values()), add_binomial_into, add_into)
+        packed = hecke.fold_dp(pair.w, point.word, list(keys.values()), add_binomial_into, add_into)
     elif backend == "svt":
         packed = svt_sum(pair.lam, pair.mu, pair.geometry, keys)
     else:  # each diagram as a mask, one bit per box of D_mu in row-major order
@@ -364,7 +381,7 @@ def pair_hilbert(pair: Pair, method: str = "svt") -> HilbertData:
         return HilbertData(d_w, ())
     lam, mu = pair.lam, pair.mu
     if method == "hecke":
-        sizes = hecke.subsequence_stats(pair.w, pair.word)
+        sizes = hecke.subsequence_stats(pair.w, pair.point.word)
     elif method == "eyd":
         sizes = Counter(len(C) for C in enumerate_eyd(lam, mu, pair.geometry))
     else:
@@ -453,8 +470,8 @@ def pair_character(pair: Pair, N: int) -> GradedSeries:
     n = pair.rstype.rank
     if pair.rstype.kind == "B":
         pair = pair.lifted
-    weights, (ixi, den) = pair.tangent_weights, pair.xi
-    exps = pair.exponents.values() if pair.on_variety else ()
+    weights, (ixi, den) = pair.point.tangent_weights, pair.point.xi
+    exps = pair.point.exponents.values() if pair.on_variety else ()
     for g in exps:
         if (pairing := sum(map(mul, g, ixi))) != den:
             from fractions import Fraction
@@ -463,8 +480,8 @@ def pair_character(pair: Pair, N: int) -> GradedSeries:
     graded, rank = {}, pair.rstype.rank
     if pair.on_variety:  # every key gets degree digit 1; cap: degree N + 1's least key
         top, cap = pack((0,) * rank, 1), pack((-LIMIT,) * rank, N + 1)
-        factors = [top + g for g in pair.factor_keys.values()]
-        graded = hecke.fold_dp(pair.w, pair.word, factors, partial(add_binomial_into, cap=cap),
+        factors = [top + g for g in pair.point.factor_keys.values()]
+        graded = hecke.fold_dp(pair.w, pair.point.word, factors, partial(add_binomial_into, cap=cap),
                                partial(add_into, cap=cap), TRUNC_REMEDY)
     if size(pair.lam) % 2:
         graded = {k: -c for k, c in graded.items()}

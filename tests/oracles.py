@@ -699,7 +699,7 @@ def reference_character(pair: Pair, N: int) -> GradedSeries:
     upstairs = pair.lifted if pair.rstype.kind == "B" else pair
     numerator = pair_class(upstairs, "svt").value
     xi = reference_xi(upstairs.rstype, upstairs.d, upstairs.v)
-    series = geometric_expand(numerator, upstairs.tangent_weights, xi, N)
+    series = geometric_expand(numerator, upstairs.point.tangent_weights, xi, N)
     if upstairs is pair:
         return series
     return GradedSeries(N, [specialize_zero(s, upstairs.rstype.rank) for s in series.slices])

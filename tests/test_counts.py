@@ -48,7 +48,7 @@ def test_packed_counts_agree_with_the_dict_reference_size_by_size():
         counts = svt_counts(pair.lam, pair.mu, pair.geometry)
         # equal dicts, and in the same ascending order of sizes
         assert list(counts.items()) == list(expect.items()), (pair.w, pair.v)
-        stats = subsequence_stats(pair.w, pair.word)
+        stats = subsequence_stats(pair.w, pair.point.word)
         assert list(stats.items()) == list(expect.items()), (pair.w, pair.v)
     assert pairs > 1000
 
@@ -68,7 +68,7 @@ def test_svt_counts_agree_with_the_hecke_fold_on_long_rows():
                 if rs.kind == "B":
                     pair = pair.lifted
                 assert (svt_counts(pair.lam, pair.mu, pair.geometry)
-                        == subsequence_stats(pair.w, pair.word)), (rs, w, v)
+                        == subsequence_stats(pair.w, pair.point.word)), (rs, w, v)
     assert pairs == 5148
 
 
@@ -117,9 +117,9 @@ SVT = [((3, 2), (5, 4, 2), "ordinary"), ((3, 1), (5, 4, 3, 1), "shiftedBC"),
 @pytest.mark.parametrize("module, packed, reference, one_per_state", [
     *(pytest.param(tableaux, lambda s=s: svt_counts(*s), lambda s=s: svt_reference(*s),
                    lambda s=s: svt_steps(*s, one_key), id=f"svt-{s[2]}") for s in SVT),
-    pytest.param(hecke, lambda: subsequence_stats(HECKE.w, HECKE.word),
-                 lambda: hecke_reference(HECKE.w, HECKE.word),
-                 lambda: fold_dp(HECKE.w, HECKE.word, [1] * len(HECKE.word), one_key, one_key),
+    pytest.param(hecke, lambda: subsequence_stats(HECKE.w, HECKE.point.word),
+                 lambda: hecke_reference(HECKE.w, HECKE.point.word),
+                 lambda: fold_dp(HECKE.w, HECKE.point.word, [1] * len(HECKE.point.word), one_key, one_key),
                  id="hecke"),
 ])
 def test_a_count_is_refused_at_its_slot_weighted_work(module, packed, reference,

@@ -245,8 +245,8 @@ def test_subword_listing_builds_one_reach_table(monkeypatch):
 @pytest.mark.parametrize("query, reads", [
     (lambda pair: restriction.pair_class(pair, "hecke"), [2270]),
     (lambda pair: restriction.pair_character(pair, 4), [1275]),
-    (lambda pair: subsequence_stats(pair.w, pair.word), [138]),
-    (lambda pair: hecke_subsequences(pair.w, pair.word), [138, 2719]),  # count, then list
+    (lambda pair: subsequence_stats(pair.w, pair.point.word), [138]),
+    (lambda pair: hecke_subsequences(pair.w, pair.point.word), [138, 2719]),  # count, then list
 ], ids=["class", "character", "counts", "subwords"])
 def test_the_fold_weighs_exactly_what_take_and_stay_read(query, reads, monkeypatch):
     # before each letter, the budget sees the weight of every state that take

@@ -40,6 +40,8 @@ RECORDS = {
                          dict(geometry="ordinary", shape=(1,), ambient=(2,), cells=[((1, 1), [1])])),
     "KClass": (KClass, dict(rstype=C4, d=4, value=ONE), dict(rstype=C4, d=4, value=ONE, on_variety=False)),
     "HilbertData": (HilbertData, dict(d_w=7, m=(4, 3)), dict(d_w=7, m=(4,))),
+    "Point": (restriction.Point, dict(rstype=C4, d=4, v=V, mu=(4, 2, 1)),
+              dict(rstype=C4, d=4, v=W, mu=(2, 1))),
     "Pair": (Pair, dict(rstype=C4, d=4, w=W, v=V, lam=(2, 1), mu=(4, 2, 1), on_variety=True),
              dict(rstype=C4, d=4, w=V, v=V, lam=(4, 2, 1), mu=(4, 2, 1), on_variety=True)),
     "HeckeSubseq": (hecke.HeckeSubseq, dict(indices=(1, 3), length=2, excess=1),
@@ -125,6 +127,16 @@ def test_the_constructor_checks_run(build, fields, message):
         build(**fields)
 
 
+def test_a_box_set_refuses_an_order_that_is_not_its_sorted_boxes():
+    # sorted_boxes and boxset_to_json print the order: a box outside the set,
+    # or the set's boxes out of order, would print a wrong diagram
+    for order in (((2, 1),), ((1, 2), (1, 1)), ((1, 1),), [(1, 1), (1, 2)]):
+        with pytest.raises(ValueError, match="is not the sorted boxes"):
+            BoxSet("ordinary", (2, 1), {(1, 1), (1, 2)}, order=order)
+    C = BoxSet("ordinary", (2, 1), {(1, 2), (1, 1)}, order=((1, 1), (1, 2)))
+    assert C.sorted_boxes() == ((1, 1), (1, 2)) and C == _base("BoxSet")
+
+
 def test_the_reprs():
     assert repr(HilbertData(d_w=7, m=(4, 3))) == "HilbertData(d_w=7, m=(4, 3))"
     assert repr(C4) == "RootSystem('C', 4)"
@@ -153,9 +165,9 @@ def test_pickle_and_deepcopy_give_an_equal_value(name):
 
 def test_a_copied_pair_and_box_set_keep_working():
     pair = Pair.of(C4, None, W, V)
-    word = pair.word
+    word = pair.point.word
     for b in (pickle.loads(pickle.dumps(pair)), copy.deepcopy(pair)):
-        assert b.word == word and b.exponents == pair.exponents
+        assert b.point.word == word and b.point.exponents == pair.point.exponents
         assert restriction.pair_class(b, "hecke") == restriction.pair_class(pair, "eyd")
     C = _base("BoxSet")
     assert copy.deepcopy(C).sorted_boxes() == C.sorted_boxes() == ((1, 1), (1, 2))

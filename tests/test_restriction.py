@@ -70,6 +70,8 @@ A7 = RootSystem("A", 7)
 C4 = RootSystem("C", 4)
 D6 = RootSystem("D", 6)
 B5 = RootSystem("B", 5)
+C5 = RootSystem("C", 5)
+B4 = RootSystem("B", 4)
 
 WA = parse_window(A7, "1,3,5,2,4,6,7")
 VA = parse_window(A7, "4,6,7,1,2,3,5")
@@ -270,8 +272,8 @@ def test_type_b_closed_form_uses_unshifted_indices():
 
 
 def xi_vector(rs, d, v):
-    """xi in Fractions, from the integers (den * xi, den) of `Pair.xi`."""
-    ixi, den = Pair.of(rs, d, v, v).xi
+    """xi in Fractions, from the integers (den * xi, den) of `Point.xi`."""
+    ixi, den = Pair.of(rs, d, v, v).point.xi
     return tuple(Fraction(x, den) for x in ixi)
 
 
@@ -596,9 +598,12 @@ def test_truncated_numerator_matches_the_whole_class_at_every_small_pair(rs, d):
 
 def test_an_exponent_of_xi_degree_2_is_refused():
     # one factor e^g with g(xi) = 2 would land in the wrong degree slice
+    # corrupted in a point built outside the cache, which no other query reads
     pair = Pair.of(C4, None, WC, VC)
-    box, g = next(iter(pair.exponents.items()))
-    pair.__dict__["exponents"] = {**pair.exponents, box: tuple(2 * x for x in g)}
+    point = restriction.Point(C4, pair.d, VC, pair.mu)
+    box, g = next(iter(point.exponents.items()))
+    point.__dict__["exponents"] = {**point.exponents, box: tuple(2 * x for x in g)}
+    pair.__dict__["point"] = point
     with pytest.raises(RuntimeError, match=r"xi-degree check failed: .*\(xi\) = 2$"):
         restriction.pair_character(pair, 2)
 
@@ -706,7 +711,7 @@ def test_the_eyd_class_builds_t_mu_once_and_runs_no_transfer_dp(monkeypatch):
     monkeypatch.setattr(restriction, "svt_sum", unexpected)
     monkeypatch.setattr(tableaux, "svt_sum", unexpected)
     assert pullback(A7, 3, WA, VA, backend="eyd") == expect
-    assert len(calls) == 1
+    assert len(calls) == 0  # the hecke class built the point's T_mu
 
 
 def _decoded(packed, rank):
@@ -739,7 +744,7 @@ def _terms_of(masks, exps=_EXPS):
 def _family_of(pair):
     """The eyd class's family: each diagram as a mask, one bit per box of
     D_mu in row-major order, and the factor key of each bit."""
-    keys = pair.factor_keys
+    keys = pair.point.factor_keys
     bit = {box: 1 << k for k, box in enumerate(sorted(keys))}
     masks = [sum(map(bit.__getitem__, C.sorted_boxes()))
              for C in enumerate_eyd(pair.lam, pair.mu, pair.geometry)]
@@ -852,7 +857,7 @@ def test_the_eyd_sum_does_not_recurse_per_bit(monkeypatch):
     one = Pair.of_shapes(C6, None, (1,), (1,))
     c6 = Pair.of_shapes(C6, None, (3, 2, 1), (6, 5, 4, 3, 2))
     full = Pair.of_shapes(A12, 6, (6,) * 6, (6,) * 6)
-    assert (len(c6.factor_keys), len(full.factor_keys)) == (20, 36)
+    assert (len(c6.point.factor_keys), len(full.point.factor_keys)) == (20, 36)
     # the expansion of 6^6 passes the budget (that of 6^5 has 15,450,912
     # terms), so a small budget stops its sum after the descent through all
     # 36 bits, and a sum that missed the budget fails at the kernel, not in
@@ -950,6 +955,96 @@ def test_every_box_of_d_mu_is_packed_once_per_pair(monkeypatch):
     restriction.pair_character(pair, 3)
     assert sorted(packed) == sorted([((0,) * 5, 1), ((-ring.LIMIT,) * 5, 4)])
     assert len(words) == 1
+
+
+POINT_FIELDS = ("tableau", "word", "exponents", "factor_keys", "tangent_weights", "xi")
+
+
+def _count_point_builds(monkeypatch) -> Counter:
+    """Counts restriction's T_mu builds, r-value runs and packs of one box's
+    exponent (a one-argument `pack`; the character also packs a degree
+    digit and a cap, with two)."""
+    calls = Counter()
+    for name in ("reflection_tableau", "r_values", "pack"):
+        def counted(*args, real=getattr(restriction, name), name=name):
+            calls[name if name != "pack" or len(args) == 1 else "graded pack"] += 1
+            return real(*args)
+        monkeypatch.setattr(restriction, name, counted)
+    return calls
+
+
+SECOND_QUERIES = {  # a first pair_check at each v, then another query there
+    "another-w": (C5, lambda mu: restriction.pair_class(Pair.of_shapes(C5, None, (2, 1), mu))),
+    "another-backend": (C5, lambda mu: restriction.pair_class(Pair.of_shapes(C5, None, (3, 1), mu), "svt")),
+    "character": (C5, lambda mu: restriction.pair_character(Pair.of_shapes(C5, None, (4, 1), mu), 3)),
+    "windows": (C5, lambda mu: restriction.pair_class(
+        Pair.of(C5, None, perm_of_strict((2,), C5), perm_of_strict(mu, C5)), "hecke")),
+    "B-lift": (B4, lambda mu: restriction.pair_character(Pair.of_shapes(B4, None, (3,), mu), 2)),
+}
+
+
+@pytest.mark.parametrize("name", SECOND_QUERIES)
+def test_a_second_query_at_the_same_point_builds_none_of_its_data(name, monkeypatch):
+    # T_mu, the r-values and the box keys depend on v alone, so the first
+    # query at v builds them and every later one reads them
+    rs, second = SECOND_QUERIES[name]
+    mu = (5, 4, 2) if rs.kind == "C" else (4, 3, 1)
+    calls = _count_point_builds(monkeypatch)
+    restriction.pair_check(Pair.of_shapes(rs, None, (3, 1), mu))
+    builds = 1 if rs.kind == "C" else 2  # and the B pair's lift to D_{n+1}
+    assert calls["reflection_tableau"] == calls["r_values"] == builds
+    calls.clear()
+    second(mu)
+    assert calls["reflection_tableau"] == calls["r_values"] == calls["pack"] == 0, calls
+
+
+def _in_order(value):
+    """A dict as its items in order (the order of the keys is the word's),
+    anything else as it is."""
+    return list(value.items()) if isinstance(value, dict) else value
+
+
+@pytest.mark.parametrize("rs, d, lam, mu", [
+    (A7, 3, (2, 1), (3, 3, 1)),
+    (C4, None, (2, 1), (4, 2, 1)),
+    (D6, None, (3, 1), (5, 4, 2, 1)),
+    (B5, None, (3, 1), (5, 4, 3, 1)),
+], ids=["A7", "C4", "D6", "B5"])
+def test_no_engine_writes_into_the_cached_point(rs, d, lam, mu):
+    # every engine reads the point of its pair from one per-process cache,
+    # so after all of them its data is still that of a freshly built point
+    pair = Pair.of_shapes(rs, d, lam, mu)
+    points = [pair.point] + ([pair.lifted.point] if rs.kind == "B" else [])
+    # a type B point refuses xi (test_a_point_property_that_raises_raises_again)
+    readable = [POINT_FIELDS[:-1] if p.rstype.kind == "B" else POINT_FIELDS for p in points]
+    for point, names in zip(points, readable):  # built before any engine runs
+        assert point is restriction._fixed_point(point.rstype, point.d, point.v, point.mu)
+        assert isinstance(point.tangent_weights, tuple)
+        for name in names:
+            getattr(point, name)
+    for backend in restriction.BACKENDS:
+        restriction.pair_class(pair, backend)
+        restriction.pullback_terms(pair, backend)
+        restriction.pair_hilbert(pair, backend)
+    restriction.pair_character(pair, 3)
+    restriction.pair_check(pair)
+    for point, names in zip(points, readable):
+        fresh = restriction.Point(point.rstype, point.d, point.v, point.mu)
+        for name in names:
+            assert _in_order(getattr(point, name)) == _in_order(getattr(fresh, name)), (point, name)
+        T, U = point.tableau, fresh.tableau
+        assert (_in_order(T.entries), T.reading_boxes) == (_in_order(U.entries), U.reading_boxes)
+
+
+def test_a_point_property_that_raises_raises_again():
+    # B_n is not cominuscule: its tangent weights do not all pair to -1 with
+    # xi, and the refused xi is not cached with the point
+    point = Pair.of_shapes(B5, None, (3, 1), (5, 4, 3, 1)).point
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=r"^xi pairing failed: "):
+            point.xi
+    assert "xi" not in vars(point)
+    assert point is Pair.of_shapes(B5, None, (2,), (5, 4, 3, 1)).point
 
 
 def test_the_eyd_class_lists_the_diagrams_once_and_builds_no_factored_terms(monkeypatch):
@@ -1053,10 +1148,10 @@ def test_the_fold_over_the_reading_word_of_v_vanishes_off_the_variety():
                 pair = Pair.of(rs, d, w, v)
                 if not pair.on_variety:
                     off += 1
-                    assert pullback_hecke_with_word(rs, w, pair.word).is_zero(), (rs, w, v)
+                    assert pullback_hecke_with_word(rs, w, pair.point.word).is_zero(), (rs, w, v)
         # the same fold does not vanish on the variety: at w = v it is the diagonal
         top = max(reps, key=length)
-        assert not pullback_hecke_with_word(rs, top, Pair.of(rs, d, top, top).word).is_zero()
+        assert not pullback_hecke_with_word(rs, top, Pair.of(rs, d, top, top).point.word).is_zero()
     assert off == 4833
 
 

@@ -185,7 +185,7 @@ def test_every_cache_is_bounded():
             if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
                 cached[f"{path.stem}.{name}"] = obj.cache_parameters()["maxsize"]
     assert {"diagrams._boxes_of", "tableaux._entries", "ring._decoder",
-            "weyl.reduced_word"} <= set(cached)
+            "weyl.reduced_word", "restriction._fixed_point"} <= set(cached)
     assert all(isinstance(size, int) for size in cached.values()), cached
 
 
