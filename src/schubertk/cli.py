@@ -131,11 +131,10 @@ def _base_doc(pair):
     }
 
 
-def _print_with(doc, key, member: str) -> None:
-    """Print json.dumps(doc, sort_keys=True) with doc[key] the JSON text
-    member.  "class" and "character" sort before every key of `_base_doc`,
-    so the member goes first."""
-    print(f'{{"{key}": {member}, {json.dumps(doc, sort_keys=True)[1:]}')
+def _json_with(pair, key, member: str) -> str:
+    """The JSON line of `_base_doc` and doc[key], given as the JSON text
+    member, keys sorted: "class" and "character" sort first."""
+    return f'{{"{key}": {member}, {json.dumps(_base_doc(pair), sort_keys=True)[1:]}'
 
 
 def _latex_class(pair, backend):
@@ -147,125 +146,102 @@ def _latex_class(pair, backend):
 
 
 def run(argv) -> int:
+    """Run one query: the one writer of the CLI's stdout and stderr."""
     try:
         args = parse_args(argv)
         if args is None:
-            print(_help())
-            return 0
-        pair = _resolve_inputs(args)
-        return _run_check(pair) if args.check else _run_emit(args, pair)
+            lines, code = [_help()], 0
+        else:
+            pair = _resolve_inputs(args)
+            lines, code = _check(pair) if args.check else (_emit(args, pair), 0)
+        for line in lines:
+            print(line)
+        return code
     except (ValueError, RuntimeError) as exc:  # RuntimeError: a failed internal check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _run_check(pair) -> int:
+def _check(pair) -> tuple:
+    """The lines of --check and its exit code: 1 if the backends differ."""
     report = restriction.pair_check(pair)
-    names = [name for name, _ in report.classes]
     if report.agree:
-        print(f"{len(names)} backends agree: {', '.join(names)}")
-        return 0
-    print(f"backend mismatch: {report.first_diff}")
-    return 1
+        names = [name for name, _ in report.classes]
+        return [f"{len(names)} backends agree: {', '.join(names)}"], 0
+    return [f"backend mismatch: {report.first_diff}"], 1
 
 
-def _run_emit(args, pair) -> int:
-    doc = _base_doc(pair)
+def _emit(args, pair):
+    """The lines the query prints, once every computation it needs has run.
+    A listing's lines come lazily, one per listed item."""
     emit, fmt = args.emit, args.fmt
-    rstype, lam, mu, geometry = pair.rstype, pair.lam, pair.mu, pair.geometry
+    lift = f"D_{pair.rstype.rank + 1}" if pair.rstype.kind == "B" else ""  # type B runs on D_{n+1}
 
     if emit == "class":
         if fmt == "latex":
-            print(_latex_class(pair, args.backend))
-            return 0
-        cls = restriction.pair_class(pair, args.backend)
+            return [_latex_class(pair, args.backend)]
+        value = restriction.pair_class(pair, args.backend).value
+        return [_json_with(pair, "class", format_poly_json(value)) if fmt == "json"
+                else format_poly(value)]
+
+    if emit == "character":
+        series = restriction.pair_character(pair, args.trunc)
+        dims = series.dims()
         if fmt == "json":
-            _print_with(doc, "class", format_poly_json(cls.value))
-        else:
-            print(format_poly(cls.value))
-        return 0
+            slices = ", ".join(map(format_poly_json, series.slices))
+            return [_json_with(pair, "character", f'{{"dims": {json.dumps(dims)}, '
+                               f'"slices": [{slices}], "trunc": {series.trunc}}}')]
+        note = f" (through {lift})" if lift else ""
+        return [f"graded character up to degree {series.trunc}{note}"] + [
+            f"degree {i}: dim = {dims[i]}; {format_poly(s)}" for i, s in enumerate(series.slices)]
 
     if emit in ("hilbert", "hilbert-poly", "mult"):
         data = restriction.pair_hilbert(pair)
+        coeffs = restriction.hilbert_polynomial_coeffs(data) if emit == "hilbert-poly" else None
         if fmt == "json":
-            doc["hilbert"] = {"d_w": data.d_w, "m": list(data.m)}
-            doc["multiplicity"] = data.multiplicity
-            if emit == "hilbert-poly":
-                coeffs = restriction.hilbert_polynomial_coeffs(data)
+            doc = dict(_base_doc(pair), hilbert={"d_w": data.d_w, "m": list(data.m)},
+                       multiplicity=data.multiplicity)
+            if coeffs is not None:
                 doc["hilbert_polynomial"] = [str(c) for c in coeffs]
-            print(json.dumps(doc, sort_keys=True))
-            return 0
+            return [json.dumps(doc, sort_keys=True)]
         if emit == "mult":
-            print(data.multiplicity)
-            return 0
+            return [str(data.multiplicity)]
         if emit == "hilbert":
-            print(f"status = {doc['status']}")
-            if rstype.kind == "B":
-                print(f"(computed through the D_{rstype.rank + 1} identification)")
-            print(f"d_w = {data.d_w}")
-            print(f"m = {list(data.m)}")
-            print(f"mult = {data.multiplicity}")
-            print(f"H(t) = {restriction.hilbert_series_str(data)}")
-            return 0
+            note = [f"(computed through the {lift} identification)"] if lift else []
+            return [f"status = {'on' if pair.on_variety else 'off'}-variety", *note,
+                    f"d_w = {data.d_w}", f"m = {list(data.m)}", f"mult = {data.multiplicity}",
+                    f"H(t) = {restriction.hilbert_series_str(data)}"]
         def term(k, mk):
             K = data.d_w - k
             return f"{mk}*binom(n+{K - 1},{K - 1})" if K > 0 else f"{mk}*[n=0]"
 
         hn = signed_sum((k % 2 == 1, term(k, mk)) for k, mk in enumerate(data.m) if mk)
-        print(f"h(n) = {hn}")
-        coeffs = restriction.hilbert_polynomial_coeffs(data)
-        print(f"coefficients (ascending) = [{', '.join(str(c) for c in coeffs)}]")
-        return 0
+        return [f"h(n) = {hn}", f"coefficients (ascending) = [{', '.join(map(str, coeffs))}]"]
 
-    # off the variety there is nothing to list, and the enumerators raise
-    if args.count_only and emit in ("diagrams", "tableaux"):
+    # diagrams or tableaux: listed, or counted with --count-only
+    lam, mu, geometry, reduced = pair.lam, pair.mu, pair.geometry, args.reduced_only
+    if not pair.on_variety:  # nothing to list or count, and the enumerators raise
+        found = {}
+    elif args.count_only:
         # f matches the diagrams with the tableaux, and the reduced ones
         # with the single-valued tableaux: count them by the transfer DP
-        counts = svt_counts(lam, mu, geometry) if pair.on_variety else {}
-        print(counts.get(size(lam), 0) if args.reduced_only else sum(counts.values()))
-        return 0
-
-    if emit == "diagrams":
-        items = (enumerate_eyd(lam, mu, geometry, reduced_only=args.reduced_only)
-                 if pair.on_variety else [])
-        if fmt == "json":
-            doc["diagrams"] = [boxset_to_json(C) for C in items]
-            print(json.dumps(doc, sort_keys=True))
-        elif fmt == "latex":
-            for C in items:
-                print(boxset_to_tikz(C))
-        else:
-            for C in items:
-                print(" ".join(f"({i},{j})" for i, j in C.sorted_boxes()) or "(empty)")
-        return 0
-
-    if emit == "tableaux":
-        items = (enumerate_svt(lam, mu, geometry, single_valued_only=args.reduced_only)
-                 if pair.on_variety else [])
-        if fmt == "json":
-            doc["tableaux"] = [svt_to_json(T) for T in items]
-            print(json.dumps(doc, sort_keys=True))
-        else:
-            for T in items:
-                cells = " ".join(
-                    f"({i},{j}):{{{','.join(map(str, es))}}}" for (i, j), es in T.cells
-                )
-                print(cells or "(empty)")
-        return 0
-
-    # character
-    series = restriction.pair_character(pair, args.trunc)
-    note = f" (through D_{rstype.rank + 1})" if rstype.kind == "B" else ""
-    dims = series.dims()
-    if fmt == "json":
-        slices = ", ".join(map(format_poly_json, series.slices))
-        _print_with(doc, "character",
-                    f'{{"dims": {json.dumps(dims)}, "slices": [{slices}], "trunc": {series.trunc}}}')
+        found = svt_counts(lam, mu, geometry)
+    elif emit == "diagrams":
+        found = enumerate_eyd(lam, mu, geometry, reduced_only=reduced)
     else:
-        print(f"graded character up to degree {series.trunc}{note}")
-        for i, s in enumerate(series.slices):
-            print(f"degree {i}: dim = {dims[i]}; {format_poly(s)}")
-    return 0
+        found = enumerate_svt(lam, mu, geometry, single_valued_only=reduced)
+    if args.count_only:
+        return [str(found.get(size(lam), 0) if reduced else sum(found.values()))]
+    if fmt == "json":
+        doc = _base_doc(pair)
+        doc[emit] = list(map(boxset_to_json if emit == "diagrams" else svt_to_json, found))
+        return [json.dumps(doc, sort_keys=True)]
+    if emit == "tableaux":
+        return (" ".join(f"({i},{j}):{{{','.join(map(str, es))}}}" for (i, j), es in T.cells)
+                or "(empty)" for T in found)
+    if fmt == "latex":
+        return map(boxset_to_tikz, found)
+    return (" ".join(f"({i},{j})" for i, j in C.sorted_boxes()) or "(empty)" for C in found)
 
 
 def main():

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .ring import Record, check_work
-from .shapes import contains, largest_part, trim
+from .shapes import contains, is_partition, is_strict_partition, largest_part, trim
 from .weyl import RootSystem, parabolic_index
 
 GEOMETRIES = ("ordinary", "shiftedBC", "shiftedD")
@@ -29,9 +29,14 @@ def ambient_boxes(mu, geometry: str) -> frozenset:
 
 @lru_cache(maxsize=256)
 def _boxes_of(mu: tuple, geometry: str) -> frozenset:
-    """ambient_boxes of a trimmed shape, built once for all diagrams in it."""
+    """ambient_boxes of a trimmed shape, built once for all diagrams in it.
+    ValueError unless mu is a partition, a strict one when shifted."""
     if geometry not in GEOMETRIES:
         raise ValueError(f"unknown geometry {geometry!r}")
+    if geometry == "ordinary" and not is_partition(mu):
+        raise ValueError(f"{mu} is not a partition")
+    if geometry != "ordinary" and not is_strict_partition(mu):
+        raise ValueError(f"{mu} is not a strict partition")
     boxes = set()
     for i, row_len in enumerate(mu, start=1):
         start = 1 if geometry == "ordinary" else i

@@ -176,6 +176,8 @@ def _transfer(lam, mu, geometry: str, spread, remedy: str, unit, join):
     written.  After each row the states are cut to what the next row reads,
     and after the last one to the empty tuple, which holds the sum."""
     lam, mu = trim(lam), trim(mu)
+    for shape in (lam, mu):
+        ambient_boxes(shape, geometry)  # ValueError unless a (strict) partition; cached
     if not contains(lam, mu):
         raise ValueError(f"{lam} is not contained in {mu}")
     shifted = geometry != "ordinary"

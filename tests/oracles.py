@@ -8,9 +8,11 @@ row by row, excitation moves, the restriction condition on tableaux, the
 inverse of f, full commutativity, a sum of products multiplied out term by
 term, a packed key read digit by digit, a coordinate cut out of a key digit
 by digit, a geometric series convolved power by power, xi built in
-Fractions, the positive roots listed whole), is the geometric expansion of
-an expanded numerator graded along xi in Fractions (`geometric_expand`,
-which the library carried before it graded xi in integers on the `Pair`),
+Fractions, the positive roots listed whole, the type A class at a point as
+the factorial Grothendieck bialternant in v's window), is the geometric
+expansion of an expanded numerator graded along xi in Fractions
+(`geometric_expand`, which the library carried before it graded xi in
+integers on the `Pair`),
 is the character as it was built from the whole svt class before its
 numerator was truncated in the DP, is the argparse parser the CLI replaced
 by its option table, is the dict-keyed count step the packed counts
@@ -21,7 +23,7 @@ renderer kept prefixes, is the hecke class over any reduced word for v (the
 library's `r_values` and `fold_dp` on a given word, where the library reads
 only the reading word of T_mu), which reduced-word independence is checked
 with, or is a tool the tests need (energies, JSON readers, the grading of a
-polynomial along xi).
+polynomial along xi, a polynomial evaluated and a determinant taken mod p).
 """
 
 import argparse
@@ -547,6 +549,67 @@ def pullback_hecke_with_word(rstype: RootSystem, w: WeylElement, word) -> Lauren
     span = _span_bound(exps)
     packed = fold_dp(w, word, list(map(pack, exps)), add_binomial_into, add_into)
     return LaurentPoly.from_packed(rstype.rank, packed, span) * (-1) ** length(w)
+
+
+# -- the class at a point, mod a prime ---------------------------------------
+
+P61 = (1 << 61) - 1
+
+
+def value_at(poly: LaurentPoly, t, p: int = P61) -> int:
+    """The Laurent polynomial at e^{eps_l} = t[l - 1], mod p."""
+    total = 0
+    for exponent, c in poly.terms.items():
+        for x, e in zip(t, exponent):
+            c = c * pow(x, e, p) % p
+        total += c
+    return total % p
+
+
+def det_mod(rows, p: int) -> int:
+    """The determinant of a square matrix mod p, by elimination."""
+    rows, det = [list(r) for r in rows], 1
+    for k in range(len(rows)):
+        pivot = next((r for r in range(k, len(rows)) if rows[r][k] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det = det * rows[k][k] % p
+        inv = pow(rows[k][k], -1, p)
+        for r in range(k + 1, len(rows)):
+            f = rows[r][k] * inv % p
+            rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[k])]
+    return det % p
+
+
+def closed_form_value(pair: Pair, t, p: int = P61) -> int:
+    """psi^lam(v) at e^{eps_l} = t[l - 1], mod p, in type A: the factorial
+    Grothendieck bialternant (McNamara 2006; Ikeda-Naruse 2013)
+    det[X_j^{i-1} prod_{l <= lam_i + d - i} (1 - X_j / t_l)]_{i,j <= d}
+    / prod_{i < j} (X_j - X_i), with X_j = t_{v_j} over the first d letters
+    of v's window.  It reads v's window and lam alone: no diagram, tableau,
+    reduced word or r-value."""
+    if pair.rstype.kind != "A":
+        raise ValueError("the bialternant is the type A closed form")
+    d = pair.d
+    X = [t[a - 1] for a in pair.v.window[:d]]
+    inv = [pow(x, -1, p) for x in t]
+    rows = []
+    for i in range(1, d + 1):
+        row = []
+        for x in X:
+            value = pow(x, i - 1, p)
+            for l in range(part(pair.lam, i) + d - i):
+                value = value * (1 - x * inv[l]) % p
+            row.append(value)
+        rows.append(row)
+    vandermonde = 1
+    for i in range(d):
+        for j in range(i + 1, d):
+            vandermonde = vandermonde * (X[j] - X[i]) % p
+    return det_mod(rows, p) * pow(vandermonde, -1, p) % p
 
 
 # -- counts by size, one dict key per size -----------------------------------

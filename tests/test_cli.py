@@ -426,6 +426,19 @@ def test_off_variety_listings_are_empty(pair, capsys):
                 assert capsys.readouterr() == ("0\n", "")
 
 
+@pytest.mark.parametrize("emit,fmt", [("diagrams", "text"), ("diagrams", "latex"),
+                                     ("tableaux", "text")])
+def test_a_listing_is_its_lines_one_per_item(emit, fmt, capsys):
+    # the emit hands run the lines lazily, one per listed item, never joined
+    argv = f"--type C --n 4 --lambda 2,1 --mu 4,3,1 --emit {emit} --format {fmt}".split()
+    args = cli.parse_args(argv)
+    lines = cli._emit(args, cli._resolve_inputs(args))
+    assert not isinstance(lines, (list, tuple, str))
+    lines = list(lines)
+    assert len(lines) == 7 and run(argv) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

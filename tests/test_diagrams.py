@@ -83,6 +83,12 @@ def test_enumerate_eyd_degenerate_cases():
         enumerate_eyd((3,), (2, 2), "ordinary")
 
 
+def test_enumerate_eyd_refuses_a_shape_that_is_not_a_partition():
+    # D_(1,2) is no Young diagram, so there are no excited diagrams of it
+    with pytest.raises(ValueError, match=r"\(1, 2\) is not a partition"):
+        enumerate_eyd((1, 2), (2, 2), "ordinary")
+
+
 def test_enumerate_eyd_closed_under_excitation():
     for geometry, lam, mu in [
         ("ordinary", (2, 1), (4, 4, 3)),
@@ -214,6 +220,12 @@ def test_reflection_tableau_type_d():
     from schubertk.shapes import strict_partition_of
 
     assert strict_partition_of(v) == (6, 5, 3, 2)
+
+
+def test_reflection_tableau_refuses_a_shape_that_is_not_strict():
+    # a shifted D_mu, and so T_mu, needs a strict mu
+    with pytest.raises(ValueError, match=r"\(2, 2\) is not a strict partition"):
+        reflection_tableau((2, 2), RootSystem("C", 3))
 
 
 def test_reading_word_small_example():

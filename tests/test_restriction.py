@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    P61,
+    closed_form_value,
     commutation_class,
     eps_of_entry,
     ev_xi,
@@ -25,7 +27,9 @@ from oracles import (
     reference_tangent_weights,
     reference_xi,
     sum_of_products,
+    transpose,
     unpack,
+    value_at,
 )
 from schubertk import hecke, restriction, ring, tableaux
 from schubertk.diagrams import enumerate_eyd, reading_word, reflection_tableau
@@ -1153,6 +1157,83 @@ def test_the_fold_over_the_reading_word_of_v_vanishes_off_the_variety():
         top = max(reps, key=length)
         assert not pullback_hecke_with_word(rs, top, Pair.of(rs, d, top, top).point.word).is_zero()
     assert off == 4833
+
+
+def _closed_form_mismatches(spaces, seed=16):
+    """(checks, mismatches) of every backend's class, evaluated mod P61 at
+    two seeded points per pair, against the type A bialternant."""
+    rng, checks, mismatches = random.Random(seed), 0, 0
+    for rs, d in spaces:
+        reps = minimal_reps(rs, d)
+        for w in reps:
+            for v in reps:
+                pair = Pair.of(rs, d, w, v)
+                classes = [restriction.pair_class(pair, b).value for b in restriction.BACKENDS]
+                for _ in range(2):
+                    t = [rng.randrange(2, P61) for _ in range(rs.rank)]
+                    want = closed_form_value(pair, t)
+                    checks += len(classes)
+                    mismatches += sum(value_at(c, t) != want for c in classes)
+    return checks, mismatches
+
+
+def test_the_type_a_class_is_the_factorial_grothendieck_bialternant():
+    # the closed form reads v's window and lam alone, so it checks the
+    # r-values that all three engines share; every pair of A with n <= 6,
+    # on and off the variety
+    spaces = [(RootSystem("A", n), d) for n in range(2, 7) for d in range(1, n)]
+    assert _closed_form_mismatches(spaces) == (7572, 0)
+
+
+def test_the_bialternant_catches_one_negated_r_value(monkeypatch):
+    def one_negated(word, rstype):
+        roots = r_values(word, rstype)
+        return [negate_weight(roots[0])] + roots[1:] if roots else roots
+
+    monkeypatch.setattr(restriction, "r_values", one_negated)
+    restriction._fixed_point.cache_clear()
+    checks, mismatches = _closed_form_mismatches([(RootSystem("A", 4), 2)])
+    assert checks == 216 and mismatches > 0
+
+
+def test_the_bialternant_catches_a_dropped_term_and_a_flipped_sign():
+    pair = Pair.of_shapes(RootSystem("A", 6), 3, (2, 1), (3, 2, 1))
+    value = restriction.pair_class(pair, "hecke").value
+    rng = random.Random(16)
+    t = [rng.randrange(2, P61) for _ in range(6)]
+    want = closed_form_value(pair, t)
+    assert value_at(value, t) == want != 0
+    assert value_at(value * -1, t) != want
+    dropped = dict(list(value.terms.items())[1:])
+    assert value_at(LaurentPoly(6, dropped), t) != want
+
+
+def test_grassmannian_duality_transposes_the_shapes_and_flips_the_weights():
+    # Gr(d, n) = Gr(n - d, n) sends X^lam to X^lam': psi^lam'(mu') is
+    # psi^lam(mu) under eps_i -> -eps_{n+1-i}; negation or reversal alone is
+    # not the map, and each fails on many pairs
+    maps = {
+        "dual": lambda e: tuple(-x for x in reversed(e)),
+        "negated": lambda e: tuple(-x for x in e),
+        "reversed": lambda e: e[::-1],
+    }
+    pairs, mismatches = 0, Counter()
+    for n in range(2, 8):
+        rs = RootSystem("A", n)
+        for d in range(1, n // 2 + 1):
+            shapes = all_shapes(rs, d)
+            for lam in shapes:
+                for mu in shapes:
+                    here = restriction.pair_class(Pair.of_shapes(rs, d, lam, mu), "hecke")
+                    there = restriction.pair_class(
+                        Pair.of_shapes(rs, n - d, transpose(lam), transpose(mu)), "hecke")
+                    here, there = here.value.terms, there.value.terms
+                    pairs += 1
+                    for name, flip in maps.items():
+                        mismatches[name] += {flip(e): c for e, c in here.items()} != there
+    assert pairs == 2566
+    assert mismatches["dual"] == 0
+    assert mismatches["negated"] > 0 and mismatches["reversed"] > 0
 
 
 def test_reduced_word_independence_small():

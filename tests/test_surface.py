@@ -151,6 +151,18 @@ def test_only_the_pair_character_expands_a_character():
     assert callers == [("restriction", "pair_character")]
 
 
+def test_only_run_and_main_write_the_cli_output():
+    # every emit returns its lines, and --check its lines and exit code, so
+    # a query's output is a value: run alone prints it, and main flushes it
+    tree = ast.parse((ROOT / "src" / "schubertk" / "cli.py").read_text())
+    writers = {
+        getattr(node, "name", "<module>") for node in tree.body
+        if any(isinstance(n, ast.Name) and n.id == "print"
+               or isinstance(n, ast.Attribute) and n.attr == "stdout" for n in ast.walk(node))
+    }
+    assert writers == {"run", "main"}
+
+
 def test_no_module_imports_a_private_name_of_another():
     # each module reaches another through its public entry points, and a
     # sibling module bound by `from . import m` is read the same way

@@ -15,7 +15,7 @@ from oracles import (
 )
 from schubertk.diagrams import BoxSet, enumerate_eyd, geometry_of, initial_diagram
 from schubertk.shapes import all_shapes, contains
-from schubertk.tableaux import SetValuedTableau, enumerate_svt, f_map, svt_to_json
+from schubertk.tableaux import SetValuedTableau, enumerate_svt, f_map, svt_counts, svt_to_json
 from schubertk.weyl import RootSystem
 
 GOLDEN = [
@@ -42,6 +42,22 @@ def test_enumeration_counts_golden():
 def test_empty_shape():
     out = enumerate_svt((), (3, 1), "ordinary", d=2)
     assert len(out) == 1 and out[0].cells == ()
+
+
+def test_enumerate_svt_refuses_a_shape_that_is_not_a_partition():
+    # refused by name before the transfer DP reads the shape row by row
+    with pytest.raises(ValueError, match=r"\(1, 2\) is not a partition"):
+        enumerate_svt((1, 2), (2, 2), "ordinary")
+
+
+def test_both_listings_refuse_an_ambient_that_is_not_a_partition():
+    # f matches the tableaux with the diagrams only for a partition mu; the
+    # transfer DP checks mu for all its callers, so svt and eyd refuse alike
+    for listing in (enumerate_svt, enumerate_eyd, svt_counts):
+        with pytest.raises(ValueError, match=r"\(1, 2\) is not a partition"):
+            listing((1,), (1, 2), "ordinary")
+    with pytest.raises(ValueError, match=r"\(2, 1, 1\) is not a strict partition"):
+        svt_counts((1,), (2, 1, 1), "shiftedBC")
 
 
 def test_enumerated_tableaux_validate():
