@@ -32,8 +32,8 @@ from .ring import (
     check_work,
     expand_graded,
     pack,
-    series_span,
     signed_sum,
+    span_of,
     specialize_zero,
 )
 from .shapes import contains, rep_of, shape_of, size, trim
@@ -102,6 +102,34 @@ class Point(Record):
         are the factor keys of the letters of `word`: the one key table of
         every class engine and of the character."""
         return {box: pack(g) for box, g in self.exponents.items()}
+
+    @cached_property
+    def span_bound(self) -> int:
+        """The `_span_bound` of `exponents`: every class and character
+        term at v has its coordinates bounded by it."""
+        return _span_bound(self.exponents.values())
+
+    @cached_property
+    def graded_keys(self) -> tuple:
+        """`factor_keys` with degree digit 1, B^rank + pack(g), the factors
+        of the character's fold.  RuntimeError, with nothing cached, unless
+        every exponent g has xi-degree 1, which the digit would mis-bucket."""
+        ixi, den = self.xi
+        for g in self.exponents.values():
+            if (pairing := sum(map(mul, g, ixi))) != den:
+                from fractions import Fraction
+                raise RuntimeError(f"xi-degree check failed: {g}(xi) = {Fraction(pairing, den)}")
+        top = pack((0,) * self.rstype.rank, 1)
+        return tuple(top + k for k in self.factor_keys.values())
+
+    @cached_property
+    def denominator(self) -> tuple:
+        """(keys, span): pack(-mu) over the tangent weights mu, each of
+        xi-degree 1 (`xi` checks it), the factors 1/(1 - e^{-mu}) that
+        `expand_graded` divides out, and the largest |coordinate| among them."""
+        self.xi  # RuntimeError unless every -mu has xi-degree 1
+        weights = self.tangent_weights
+        return tuple(pack([-x for x in mu]) for mu in weights), max(map(span_of, weights), default=0)
 
     @cached_property
     def tangent_weights(self) -> tuple:
@@ -334,7 +362,7 @@ def pair_class(pair: Pair, backend: str = "eyd") -> KClass:
     if not pair.on_variety:
         return KClass(rstype, d, LaurentPoly.zero(n), on_variety=False)
     point = pair.point
-    span, keys = _span_bound(point.exponents.values()), point.factor_keys
+    span, keys = point.span_bound, point.factor_keys
     if backend == "hecke":  # letter c of the word is the box at reading position c
         packed = hecke.fold_dp(pair.w, point.word, list(keys.values()), add_binomial_into, add_into)
     elif backend == "svt":
@@ -462,30 +490,26 @@ def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
 
 def pair_character(pair: Pair, N: int) -> GradedSeries:
     """The character of `graded_character` for a validated pair, from the
-    hecke class truncated at degree N in the fold DP.  A negative N, or one
-    past the packing range, is refused before the DP; a box exponent whose
+    hecke class truncated at degree N in the fold DP over the point's
+    `graded_keys`, divided by its `denominator`.  A negative N, or one past
+    the packing range, is refused before the DP; a box exponent whose
     xi-degree is not 1, which the degree digit would mis-bucket, fails."""
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
     n = pair.rstype.rank
     if pair.rstype.kind == "B":
         pair = pair.lifted
-    weights, (ixi, den) = pair.point.tangent_weights, pair.point.xi
-    exps = pair.point.exponents.values() if pair.on_variety else ()
-    for g in exps:
-        if (pairing := sum(map(mul, g, ixi))) != den:
-            from fractions import Fraction
-            raise RuntimeError(f"xi-degree check failed: {g}(xi) = {Fraction(pairing, den)}")
-    span = series_span(_span_bound(exps), weights, N)
-    graded, rank = {}, pair.rstype.rank
-    if pair.on_variety:  # every key gets degree digit 1; cap: degree N + 1's least key
-        top, cap = pack((0,) * rank, 1), pack((-LIMIT,) * rank, N + 1)
-        factors = [top + g for g in pair.point.factor_keys.values()]
-        graded = hecke.fold_dp(pair.w, pair.point.word, factors, partial(add_binomial_into, cap=cap),
+    point, rank, graded = pair.point, pair.rstype.rank, {}
+    factors, span = (point.graded_keys, point.span_bound) if pair.on_variety else ((), 0)
+    denominator, step = point.denominator
+    span = check_span(span + N * step, TRUNC_REMEDY)  # a degree-i term: num times i weights
+    if pair.on_variety:  # cap: degree N + 1's least key
+        cap = pack((-LIMIT,) * rank, N + 1)
+        graded = hecke.fold_dp(pair.w, point.word, factors, partial(add_binomial_into, cap=cap),
                                partial(add_into, cap=cap), TRUNC_REMEDY)
     if size(pair.lam) % 2:
         graded = {k: -c for k, c in graded.items()}
-    series = expand_graded(graded, rank, weights, N, span)
+    series = expand_graded(graded, rank, denominator, N, span)
     if rank == n:
         return series
     return GradedSeries(N, [specialize_zero(s, n + 1) for s in series.slices])

@@ -3,8 +3,10 @@
 LaurentPoly is a sparse map from exponent vectors in Z^rank to arbitrary
 precision integer coefficients.  `expand_graded` produces the truncated
 graded character num / prod (1 - e^{-mu}) from a numerator graded by its
-degree digit (below); `restriction.pair_character` is its one caller, with
-the digits read off the integer xi of the `Pair`.  The count DPs carry polynomials in one variable t as integers, W bits per
+degree digit (below) and the packed keys of the -mu; its one caller is
+`restriction.pair_character`, which reads the digits and the keys off the
+`restriction.Point` of its fixed point, built there once per point.  The
+count DPs carry polynomials in one variable t as integers, W bits per
 power of t (`unpack_counts`, `count_slots`).  `Record` is the base of the
 package's value records, and `check_work` its one work budget.
 
@@ -360,18 +362,13 @@ class GradedSeries(Record):
         return [s.coefficient_sum() for s in self.slices]
 
 
-def series_span(span: int, denom_weights, N: int) -> int:
-    """The span of a character to degree N of a numerator of the given span:
-    a degree-i slice is a numerator term times i denominator monomials."""
-    return check_span(span + N * max(map(span_of, denom_weights), default=0), TRUNC_REMEDY)
-
-
-def expand_graded(graded: dict, rank: int, denom_weights, N: int, span: int) -> GradedSeries:
+def expand_graded(graded: dict, rank: int, denom_keys, N: int, span: int) -> GradedSeries:
     """num / prod_{mu} (1 - e^{-mu}) to degree N, from the terms of num of
-    degree <= N keyed with their degree digits, each -mu of degree 1; span is
-    the `series_span`.  The digits bucket num into slices num_i.  A term of
-    num_i meets every monomial of degree <= N - i in the D denominator
-    weights, so sum_i |num_i| C(N-i+D, D) passes `check_work` first.
+    degree <= N keyed with their degree digits and the D packed keys
+    pack(-mu), each -mu of degree 1; span bounds every coordinate of the
+    result.  The digits bucket num into slices num_i.  A term of num_i meets
+    every monomial of degree <= N - i in the D denominator weights, so
+    sum_i |num_i| C(N-i+D, D) passes `check_work` first.
 
     Each weight is divided out by 1/(1 - x) = 1 + x/(1 - x), x = e^{-mu}:
     slice_i += x * slice_{i-1} in place for i = 1..N ascending, so slice_{i-1}
@@ -387,11 +384,10 @@ def expand_graded(graded: dict, rank: int, denom_weights, N: int, span: int) -> 
         if c:
             d = (k + bias) >> shift
             slices[d][k - (d << shift)] = c
-    D = len(denom_weights)
+    D = len(denom_keys)
     work = sum(len(s) * comb(N - i + D, D) for i, s in enumerate(slices))
     check_work(work, f"term products in the character to degree {N}", TRUNC_REMEDY)
-    for mu in denom_weights:
-        step = pack([-x for x in mu])
+    for step in denom_keys:
         for i in range(1, N + 1):
             add_into(slices[i], slices[i - 1], step)
     return GradedSeries(N, [LaurentPoly.from_packed(rank, s, span) for s in slices])

@@ -10,7 +10,8 @@ The queries are run in-process through ``cli.run`` and the digest covers
 coset representatives of A(4,1), A(4,2), A(5,2), B3, C3 and D4, on and off
 the variety, given as windows and as shapes, under every emit, format and
 backend; the listings with and without ``--count-only`` and
-``--reduced-only``, the character at ``--trunc 2``, and ``--check``.  Then
+``--reduced-only``, the character at the truncations of ``TRUNCS`` (0
+divides nothing out; -1 and 40000 are refused), and ``--check``.  Then
 ``--help`` and four parse errors.
 """
 
@@ -24,6 +25,8 @@ from schubertk.shapes import all_shapes, format_shape, rep_of
 from schubertk.weyl import RootSystem, format_window
 
 GROUPS = (("A", 4, 1), ("A", 4, 2), ("A", 5, 2), ("B", 3, None), ("C", 3, None), ("D", 4, None))
+
+TRUNCS = {"text": ("-1", "0", "2", "4", "40000"), "json": ("0", "2", "4"), "latex": ("2",)}
 
 PARSE_ERRORS = (
     ["--type", "A", "--n", "4", "--d", "2", "--lambda", "1", "--mu", "2", "--emit", "bogus"],
@@ -55,8 +58,9 @@ def queries():
                 for backend in BACKENDS:
                     query = pair + ["--emit", emit, "--format", fmt, "--backend", backend]
                     if emit == "character":
-                        query += ["--trunc", "2"]
-                    if emit in ("diagrams", "tableaux"):
+                        for trunc in TRUNCS[fmt]:
+                            yield query + ["--trunc", trunc]
+                    elif emit in ("diagrams", "tableaux"):
                         for flags in ([], ["--count-only"], ["--reduced-only"],
                                       ["--count-only", "--reduced-only"]):
                             yield query + flags

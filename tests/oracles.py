@@ -12,7 +12,7 @@ Fractions, the positive roots listed whole, the type A class at a point as
 the factorial Grothendieck bialternant in v's window), is the geometric
 expansion of an expanded numerator graded along xi in Fractions
 (`geometric_expand`, which the library carried before it graded xi in
-integers on the `Pair`),
+integers on the fixed point, with the character's span `series_span`),
 is the character as it was built from the whole svt class before its
 numerator was truncated in the DP, is the argparse parser the CLI replaced
 by its option table, is the dict-keyed count step the packed counts
@@ -39,14 +39,16 @@ from schubertk.restriction import Pair, _span_bound, pair_class, r_values
 from schubertk.ring import (
     DIGIT,
     LIMIT,
+    TRUNC_REMEDY,
     GradedSeries,
     LaurentPoly,
     add_binomial_into,
     add_into,
+    check_span,
     expand_graded,
     pack,
-    series_span,
     signed_sum,
+    span_of,
     specialize_zero,
     unpack_all,
 )
@@ -711,13 +713,19 @@ def _degree(exponent, ixi, den) -> int:
     return deg
 
 
+def series_span(span: int, denom_weights, N: int) -> int:
+    """The span of a character to degree N of a numerator of the given span:
+    a degree-i slice is a numerator term times i denominator monomials."""
+    return check_span(span + N * max(map(span_of, denom_weights), default=0), TRUNC_REMEDY)
+
+
 def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> GradedSeries:
     """Expand num / prod_{mu} (1 - e^{-mu}) as a character up to xi-degree N.
 
     Each -mu must have xi-degree exactly 1 (every tangent weight pairs to -1
     in the cominuscule setting), so the expansion is graded and finite per
     degree.  The numerator's terms of degree <= N take their degree digit
-    and go to `expand_graded`."""
+    and go to `expand_graded` with the packed keys of the -mu."""
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
     xi = [Fraction(x) for x in xi]
@@ -735,7 +743,8 @@ def geometric_expand(numerator: LaurentPoly, denom_weights, xi, N: int) -> Grade
             raise ValueError(f"negative-degree monomial {e} in numerator")
         if d <= N:
             graded[k + (d << DIGIT * rank)] = c
-    return expand_graded(graded, rank, denom_weights, N, span)
+    keys = [pack([-x for x in mu]) for mu in denom_weights]
+    return expand_graded(graded, rank, keys, N, span)
 
 
 def reference_xi(rstype: RootSystem, d, v: WeylElement) -> tuple:

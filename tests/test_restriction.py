@@ -601,15 +601,21 @@ def test_truncated_numerator_matches_the_whole_class_at_every_small_pair(rs, d):
 
 
 def test_an_exponent_of_xi_degree_2_is_refused():
-    # one factor e^g with g(xi) = 2 would land in the wrong degree slice
-    # corrupted in a point built outside the cache, which no other query reads
+    # one factor e^g with g(xi) = 2 would land in the wrong degree slice;
+    # corrupted in a point built outside the cache, which no other query
+    # reads.  The refused graded keys are not cached with the point, so every
+    # character at it is refused, at another N and at another w too
     pair = Pair.of(C4, None, WC, VC)
     point = restriction.Point(C4, pair.d, VC, pair.mu)
     box, g = next(iter(point.exponents.items()))
     point.__dict__["exponents"] = {**point.exponents, box: tuple(2 * x for x in g)}
-    pair.__dict__["point"] = point
-    with pytest.raises(RuntimeError, match=r"xi-degree check failed: .*\(xi\) = 2$"):
-        restriction.pair_character(pair, 2)
+    other = Pair.of_shapes(C4, None, (1,), pair.mu)
+    for p in (pair, other):
+        p.__dict__["point"] = point
+    for p, N in ((pair, 2), (pair, 2), (pair, 0), (other, 3)):
+        with pytest.raises(RuntimeError, match=r"xi-degree check failed: .*\(xi\) = 2$"):
+            restriction.pair_character(p, N)
+        assert "graded_keys" not in vars(point)
 
 
 def test_dim_gp_counts_the_roots_outside_the_levi():
@@ -936,8 +942,9 @@ def test_the_character_runs_the_fold_dp_and_no_transfer_dp(monkeypatch):
 
 
 def test_every_box_of_d_mu_is_packed_once_per_pair(monkeypatch):
-    # the three classes of a check read one table of box keys, and the
-    # character reuses it, packing only its degree digit and its cap
+    # the three classes of a check read one table of box keys; the first
+    # character at the point reuses it, packing the degree digit once and the
+    # D denominator keys once, and each character packs only its cap
     C5 = RootSystem("C", 5)
     pair = Pair.of(C5, None, perm_of_strict((3, 1), C5), perm_of_strict((5, 4, 2), C5))
     packed, words = [], []
@@ -957,19 +964,28 @@ def test_every_box_of_d_mu_is_packed_once_per_pair(monkeypatch):
     assert (len(packed), len(words)) == (11, 1)
     del packed[:]
     restriction.pair_character(pair, 3)
-    assert sorted(packed) == sorted([((0,) * 5, 1), ((-ring.LIMIT,) * 5, 4)])
+    denominator = [([-x for x in mu],) for mu in pair.point.tangent_weights]
+    assert len(denominator) == restriction.dim_gp(C5) == 15
+    want = [((0,) * 5, 1), ((-ring.LIMIT,) * 5, 4)] + denominator
+    assert sorted(packed, key=repr) == sorted(want, key=repr)
+    for N, other in ((2, pair), (3, Pair.of_shapes(C5, None, (2, 1), pair.mu))):
+        del packed[:]
+        restriction.pair_character(other, N)
+        assert packed == [((-ring.LIMIT,) * 5, N + 1)]
     assert len(words) == 1
 
 
-POINT_FIELDS = ("tableau", "word", "exponents", "factor_keys", "tangent_weights", "xi")
+POINT_FIELDS = ("tableau", "word", "exponents", "factor_keys", "span_bound", "tangent_weights",
+                "graded_keys", "denominator", "xi")  # the last three read xi
 
 
 def _count_point_builds(monkeypatch) -> Counter:
-    """Counts restriction's T_mu builds, r-value runs and packs of one box's
-    exponent (a one-argument `pack`; the character also packs a degree
-    digit and a cap, with two)."""
+    """Counts restriction's T_mu builds, r-value runs, packs of one box's
+    exponent or denominator weight (a one-argument `pack`; the character
+    also packs a degree digit and a cap, with two), span bounds and `mul`
+    calls, which xi and the character's xi-degree check make."""
     calls = Counter()
-    for name in ("reflection_tableau", "r_values", "pack"):
+    for name in ("reflection_tableau", "r_values", "pack", "_span_bound", "mul"):
         def counted(*args, real=getattr(restriction, name), name=name):
             calls[name if name != "pack" or len(args) == 1 else "graded pack"] += 1
             return real(*args)
@@ -977,29 +993,38 @@ def _count_point_builds(monkeypatch) -> Counter:
     return calls
 
 
-SECOND_QUERIES = {  # a first pair_check at each v, then another query there
+def _character_at(rs, lam, N):
+    return lambda mu: restriction.pair_character(Pair.of_shapes(rs, None, lam, mu), N)
+
+
+SECOND_QUERIES = {  # a first query at each v, then another one there
     "another-w": (C5, lambda mu: restriction.pair_class(Pair.of_shapes(C5, None, (2, 1), mu))),
     "another-backend": (C5, lambda mu: restriction.pair_class(Pair.of_shapes(C5, None, (3, 1), mu), "svt")),
-    "character": (C5, lambda mu: restriction.pair_character(Pair.of_shapes(C5, None, (4, 1), mu), 3)),
+    "character": (C5, _character_at(C5, (4, 1), 3)),
     "windows": (C5, lambda mu: restriction.pair_class(
         Pair.of(C5, None, perm_of_strict((2,), C5), perm_of_strict(mu, C5)), "hecke")),
-    "B-lift": (B4, lambda mu: restriction.pair_character(Pair.of_shapes(B4, None, (3,), mu), 2)),
+    "B-lift": (B4, _character_at(B4, (3,), 2)),
 }
 
 
 @pytest.mark.parametrize("name", SECOND_QUERIES)
 def test_a_second_query_at_the_same_point_builds_none_of_its_data(name, monkeypatch):
-    # T_mu, the r-values and the box keys depend on v alone, so the first
-    # query at v builds them and every later one reads them
+    # T_mu, the r-values, the box keys and, for a character, the graded keys
+    # and the denominator depend on v alone, so the first query at v builds
+    # them and every later one reads them: a second character at another w
+    # or N packs only its cap and checks no xi-degree
     rs, second = SECOND_QUERIES[name]
     mu = (5, 4, 2) if rs.kind == "C" else (4, 3, 1)
     calls = _count_point_builds(monkeypatch)
-    restriction.pair_check(Pair.of_shapes(rs, None, (3, 1), mu))
-    builds = 1 if rs.kind == "C" else 2  # and the B pair's lift to D_{n+1}
-    assert calls["reflection_tableau"] == calls["r_values"] == builds
+    if character := name in ("character", "B-lift"):
+        _character_at(rs, (3, 1), 4)(mu)
+    else:
+        restriction.pair_check(Pair.of_shapes(rs, None, (3, 1), mu))
+    # one point each: a B character reads only its D_{n+1} lift's point
+    assert calls["reflection_tableau"] == calls["r_values"] == 1
     calls.clear()
     second(mu)
-    assert calls["reflection_tableau"] == calls["r_values"] == calls["pack"] == 0, calls
+    assert calls == Counter({"graded pack": 1} if character else {}), calls  # a character's cap
 
 
 def _in_order(value):
@@ -1020,7 +1045,7 @@ def test_no_engine_writes_into_the_cached_point(rs, d, lam, mu):
     pair = Pair.of_shapes(rs, d, lam, mu)
     points = [pair.point] + ([pair.lifted.point] if rs.kind == "B" else [])
     # a type B point refuses xi (test_a_point_property_that_raises_raises_again)
-    readable = [POINT_FIELDS[:-1] if p.rstype.kind == "B" else POINT_FIELDS for p in points]
+    readable = [POINT_FIELDS[:-3] if p.rstype.kind == "B" else POINT_FIELDS for p in points]
     for point, names in zip(points, readable):  # built before any engine runs
         assert point is restriction._fixed_point(point.rstype, point.d, point.v, point.mu)
         assert isinstance(point.tangent_weights, tuple)
