@@ -15,9 +15,9 @@ from types import SimpleNamespace
 from . import restriction
 from .diagrams import boxset_to_json, boxset_to_tikz, enumerate_eyd
 from .ring import format_poly, format_poly_json, signed_sum
-from .shapes import parse_shape, size
+from .shapes import size
 from .tableaux import enumerate_svt, svt_counts, svt_to_json
-from .weyl import RootSystem, format_weight, parabolic_index, parse_window
+from .weyl import format_weight, parabolic_index, root_system
 
 EMITS = ("class", "hilbert", "hilbert-poly", "mult", "diagrams", "tableaux", "character")
 
@@ -95,7 +95,7 @@ def parse_args(argv):
 def _resolve_inputs(args) -> restriction.Pair:
     """The one validated pair of the query; d is checked before any element
     is built."""
-    rstype = RootSystem(args.kind, args.rank)
+    rstype = root_system(args.kind, args.rank)
     if rstype.kind == "A":
         if args.d is None:
             raise ValueError("type A needs --d")
@@ -111,11 +111,10 @@ def _resolve_inputs(args) -> restriction.Pair:
     if windows:
         if args.w is None or args.v is None:
             raise ValueError("both --w and --v are required")
-        w, v = parse_window(rstype, args.w), parse_window(rstype, args.v)
-        return restriction.Pair.of(rstype, d, w, v)
+        return restriction.Pair.of_text(rstype, d, args.w, args.v, shapes=False)
     if args.lam is None or args.mu is None:
         raise ValueError("both --lambda and --mu are required")
-    return restriction.Pair.of_shapes(rstype, d, parse_shape(args.lam), parse_shape(args.mu))
+    return restriction.Pair.of_text(rstype, d, args.lam, args.mu, shapes=True)
 
 
 def _base_doc(pair):

@@ -30,19 +30,23 @@ from .ring import (
     add_into,
     check_span,
     check_work,
+    drop_coordinate,
     expand_graded,
     pack,
     signed_sum,
     span_of,
     specialize_zero,
 )
-from .shapes import contains, rep_of, shape_of, size, trim
+from .shapes import contains, format_shape, parse_shape, rep_of, shape_of, size, trim
 from .tableaux import enumerate_svt, svt_counts, svt_sum
 from .weyl import (
+    CACHE_SIZE,
     RootSystem,
     WeylElement,
     negate_weight,
     parabolic_index,
+    parse_window,
+    root_system,
     window_image,
     window_right_ascent,
     window_right_mult,
@@ -168,8 +172,10 @@ class Pair(Record):
     d of the maximal parabolic, the shapes lam of w and mu of v (so l(w) =
     |lam|), and whether v lies on X^w.  Each input style becomes a pair in
     one pass: `Pair.of` validates two windows and reads their shapes,
-    `Pair.of_shapes` validates two shapes and builds their windows.  Every
-    engine takes a pair, and reads what depends on v alone from its `point`."""
+    `Pair.of_shapes` validates two shapes and builds their windows, and
+    `Pair.of_text` takes both sides from `_element`, which parses and
+    validates each input text once per process.  Every engine takes a pair,
+    and reads what depends on v alone from its `point`."""
 
     __slots__ = ("rstype", "d", "w", "v", "lam", "mu", "on_variety", "__dict__")  # dict: the caches
 
@@ -195,6 +201,31 @@ class Pair(Record):
         w, v = rep_of(lam, rstype, d), rep_of(mu, rstype, d)
         return cls(rstype, d, w, v, trim(lam), trim(mu), contains(lam, mu))
 
+    @classmethod
+    def of_text(cls, rstype: RootSystem, d, w: str, v: str, shapes: bool) -> Pair:
+        """The pair of two windows, or of two shapes, given as text, each
+        side read from `_element`; ValueError with the text of `Pair.of`
+        after `parse_window`, or of `Pair.of_shapes` after `parse_shape`."""
+        d, texts = parabolic_index(rstype, d), (w, v)
+        try:
+            (w, lam), (v, mu) = (_element(rstype.kind, rstype.rank, d, t, shapes) for t in texts)
+        except ValueError:  # both texts are parsed before either side is checked
+            for t in texts:
+                parse_shape(t) if shapes else parse_window(rstype, t)
+            raise
+        return cls(rstype, d, w, v, lam, mu, contains(lam, mu))
+
+    @staticmethod
+    def _side(kind: str, rank: int, d: int, text: str, shape: bool) -> tuple:
+        """(u, its shape) for the text of a shape or of a window u, validated
+        as `Pair.of_shapes` or `Pair.of` does; the builder of `_element`."""
+        rstype = root_system(kind, rank)
+        if shape:
+            lam = parse_shape(text)
+            return rep_of(lam, rstype, d), lam
+        u = parse_window(rstype, text)
+        return u, shape_of(u, d)
+
     @property
     def geometry(self) -> str:
         return geometry_of(self.rstype)
@@ -211,14 +242,18 @@ class Pair(Record):
         if self.rstype.kind != "B":
             raise ValueError(f"Pair.lifted lifts a type B pair to D{n + 1}, "
                              f"not a {self.rstype.kind}{n} pair")
-        try:  # a refused D_{n+1} names the rank the caller gave
-            rsD = RootSystem("D", n + 1)
-        except ValueError as exc:
+        try:  # bd_identify_inverse of w and v, without reading their shapes again
+            (wD, _), (vD, _) = (_element("D", n + 1, n + 1, format_shape(s), True)
+                                for s in (self.lam, self.mu))
+        except ValueError as exc:  # only D_{n+1} itself is refused: it names the caller's rank
             raise ValueError(f"B{n}'s Hilbert data, character and lifted class "
                              f"are computed through D{n + 1}: {exc}") from None
-        # bd_identify_inverse of w and v, without reading their shapes again
-        wD, vD = rep_of(self.lam, rsD), rep_of(self.mu, rsD)
-        return Pair(rsD, n + 1, wD, vD, self.lam, self.mu, self.on_variety)
+        return Pair(wD.rstype, n + 1, wD, vD, self.lam, self.mu, self.on_variety)
+
+
+# (kind, rank, d, text, whether a shape) -> (u, shape): each input side parsed
+# and validated once per process; an input that raises is not kept
+_element = lru_cache(maxsize=CACHE_SIZE)(Pair._side)
 
 
 def dim_gp(rstype: RootSystem, d: int = None) -> int:
@@ -483,8 +518,9 @@ def graded_character(rstype: RootSystem, d, w: WeylElement, v: WeylElement,
     """Truncated character of the tangent-cone coordinate ring at v.
 
     Dimension slices agree with the Hilbert polynomial values.  The cominuscule
-    types A, C, D are expanded directly; type B is computed upstairs in
-    D_{n+1} and its slices are specialized back."""
+    types A, C, D are expanded directly; type B folds its numerator upstairs
+    in D_{n+1}, and sends eps_{n+1} to 0 on the numerator and denominator
+    keys before the expansion."""
     return pair_character(Pair.of(rstype, d, w, v), N)
 
 
@@ -507,12 +543,13 @@ def pair_character(pair: Pair, N: int) -> GradedSeries:
         cap = pack((-LIMIT,) * rank, N + 1)
         graded = hecke.fold_dp(pair.w, point.word, factors, partial(add_binomial_into, cap=cap),
                                partial(add_into, cap=cap), TRUNC_REMEDY)
+    if rank > n:  # B_n: eps_{n+1} -> 0 on the keys, so the expansion runs in rank n;
+        # no two numerator keys meet: xi_{n+1} = +-1/2, so a term's degree fixes e_{n+1}
+        graded = dict(zip(drop_coordinate(graded, rank, rank), graded.values()))
+        denominator = drop_coordinate(denominator, rank, rank)
     if size(pair.lam) % 2:
         graded = {k: -c for k, c in graded.items()}
-    series = expand_graded(graded, rank, denominator, N, span)
-    if rank == n:
-        return series
-    return GradedSeries(N, [specialize_zero(s, n + 1) for s in series.slices])
+    return expand_graded(graded, n, denominator, N, span)
 
 
 class BackendReport(Record):

@@ -338,16 +338,25 @@ def specialize_zero(p: LaurentPoly, coord: int) -> LaurentPoly:
     """Send eps_coord to 0 (1-based), dropping the coordinate and merging terms."""
     if not 1 <= coord <= p.rank:
         raise ValueError(f"coordinate {coord} out of range 1..{p.rank}")
-    bias, new_bias = _bias(p.rank), _bias(p.rank - 1)
-    cut = DIGIT * (p.rank - coord)
-    low = (1 << cut) - 1
     out = {}
     get = out.get
-    for k, c in p.packed.items():
-        k += bias
-        k = ((k & low) | ((k >> (cut + DIGIT)) << cut)) - new_bias
+    for k, c in zip(drop_coordinate(p.packed, p.rank, coord), p.packed.values()):
         out[k] = get(k, 0) + c
     return LaurentPoly.from_packed(p.rank - 1, out, p.span)
+
+
+def drop_coordinate(keys, rank: int, coord: int) -> list:
+    """The keys over rank coordinates with eps_coord (1-based) sent to 0, in
+    order: each biased key loses that digit, and the digits above it, a
+    degree digit included, move down one place.
+
+    >>> drop_coordinate([pack((2, -1, 3), 1), pack((-4, 0, -3))], 3, 3) == [pack((2, -1), 1), pack((-4, 0))]
+    True
+    """
+    bias, new_bias = _bias(rank), _bias(rank - 1)
+    cut = DIGIT * (rank - coord)
+    low = (1 << cut) - 1
+    return [((k & low) | ((k >> (cut + DIGIT)) << cut)) - new_bias for k in map(bias.__add__, keys)]
 
 
 class GradedSeries(Record):

@@ -49,6 +49,9 @@ class RootSystem(Record):
         return f"RootSystem({self.kind!r}, {self.rank})"
 
 
+root_system = lru_cache(maxsize=64)(RootSystem)  # (kind, rank) -> its one RootSystem
+
+
 def simple_roots(rstype: RootSystem) -> list:
     """Simple roots in index order, as integer coordinate vectors."""
     n = rstype.rank

@@ -13,11 +13,17 @@ backend; the listings with and without ``--count-only`` and
 ``--reduced-only``, the character at the truncations of ``TRUNCS`` (0
 divides nothing out; -1 and 40000 are refused), and ``--check``.  Then
 ``--help`` and four parse errors.
+
+The whole list then runs a second time in the same process, where every
+query meets the caches its first run filled; the script exits 1, naming
+them, if any query's (argv, exit code, stdout, stderr) differs from its
+first run.
 """
 
 import contextlib
 import hashlib
 import io
+import sys
 
 from schubertk.cli import EMITS, run
 from schubertk.restriction import BACKENDS
@@ -71,19 +77,33 @@ def queries():
     yield from PARSE_ERRORS
 
 
-def digest(argvs) -> tuple:
-    """(number of queries, sha256 hex digest of their outputs)."""
-    h = hashlib.sha256()
-    count = 0
+def records(argvs):
+    """The repr of (argv, exit code, stdout, stderr) of each query, as bytes."""
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
-        h.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
-        count += 1
-    return count, h.hexdigest()
+        yield repr((argv, code, out.getvalue(), err.getvalue())).encode()
+
+
+def digest(argvs) -> tuple:
+    """(number of queries, sha256 hex digest of their outputs, the sha256 of
+    each query's output)."""
+    h, each = hashlib.sha256(), []
+    for record in records(argvs):
+        h.update(record)
+        each.append(hashlib.sha256(record).digest())
+    return len(each), h.hexdigest(), each
 
 
 if __name__ == "__main__":
-    count, hexdigest = digest(queries())
+    argvs = list(queries())
+    count, hexdigest, first = digest(argvs)
     print(f"{count} queries, sha256 {hexdigest}")
+    # the same list again in this process, so every query also runs on what
+    # its first run left in the library's caches
+    differ = [argv for argv, a, b in zip(argvs, first, digest(argvs)[2]) if a != b]
+    print(f"replayed in the same process: {len(differ)} queries differ")
+    for argv in differ[:10]:
+        print("  " + " ".join(argv))
+    sys.exit(1 if differ else 0)

@@ -621,10 +621,13 @@ def test_type_a_d_out_of_range_is_refused_before_any_element(d, capsys):
         assert out.err == expect
 
 
+INPUT_BUILDERS = ("parse_window", "parse_shape", "rep_of", "shape_of")
+
+
 def _calls_per_query(monkeypatch, argv):
-    """How often one CLI query calls shape_of, reflection_tableau, r_values,
-    is_minimal_rep and format_weight, through whichever module binds them,
-    and checks a window ("validate", `WeylElement.__init__`)."""
+    """How often one CLI query calls reflection_tableau, r_values,
+    is_minimal_rep, format_weight and the INPUT_BUILDERS, through whichever
+    module binds them, and checks a window ("validate", `WeylElement.__init__`)."""
     calls = Counter()
 
     def counted(name, real):
@@ -633,7 +636,7 @@ def _calls_per_query(monkeypatch, argv):
             return real(*args, **kwargs)
         return wrapped
 
-    for name in ("shape_of", "reflection_tableau", "r_values", "is_minimal_rep", "format_weight"):
+    for name in ("reflection_tableau", "r_values", "is_minimal_rep", "format_weight", *INPUT_BUILDERS):
         for module in (cli, restriction, shapes, diagrams):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -675,7 +678,8 @@ def test_a_check_validates_once_and_builds_t_mu_once_per_root_system(
 ])
 def test_every_emit_validates_its_pair_once(query, checks, emit, monkeypatch):
     # a window is checked, read and tested for minimality once, by
-    # parse_window and Pair.of; a shape query builds its windows unchecked
+    # parse_window and shape_of in Pair._side; a shape query builds its
+    # windows unchecked
     calls = _calls_per_query(monkeypatch, f"{query} --emit {emit}")
     assert _validation(calls) == (checks,) * 3
 
@@ -695,3 +699,40 @@ def test_latex_formats_each_factor_once(monkeypatch):
     # 1,160 factors printed, 15 distinct exponents at most (|mu| = 15)
     query = "--type C --rank 5 --lambda 3,2,1 --mu 5,4,3,2,1 --emit class --format latex"
     assert _calls_per_query(monkeypatch, f"{query} --backend hecke")["format_weight"] <= 15
+
+
+@pytest.mark.parametrize("query", [
+    "--type A --n 7 --d 3 --w 1,3,5,2,4,6,7 --v 4,6,7,1,2,3,5 --emit class",
+    "--type C --rank 4 --lambda 2,1 --mu 4,2,1 --emit hilbert",
+    # both lift the pair to D5 through the same cache
+    "--type B --rank 4 --lambda 2 --mu 4,3,1 --emit character --trunc 2",
+    "--type B --rank 4 --w 1,3,-4,-2 --v 2,-4,-3,-1 --emit mult",
+], ids=["windows", "shapes", "B-shapes-lift", "B-windows-lift"])
+def test_a_repeated_query_builds_none_of_its_inputs(query, monkeypatch, capsys):
+    assert run(query.split()) == 0
+    first = capsys.readouterr()
+    assert restriction._element.cache_info().currsize == (4 if "B" in query else 2)
+    calls = _calls_per_query(monkeypatch, query)
+    assert [calls[name] for name in ("validate", *INPUT_BUILDERS)] == [0] * 5
+    assert run(query.split()) == 0
+    assert capsys.readouterr() == first
+
+
+@pytest.mark.parametrize("query, error, kept", [
+    ("--type A --n 7 --d 3 --w 1,3,5,x --v 4,6,7,1,2,3,5", "malformed window '1,3,5,x'", 0),
+    ("--type C --rank 4 --w 2,1,3,4 --v 2,-4,-3,-1",
+     "WeylElement(C4: 2,1,3,4) is not minimal in W^P_4", 0),
+    ("--type A --n 6 --d 3 --lambda 4 --mu 3,3", "(4,) does not fit in a 3x3 box", 0),
+    # the good side is kept, the refused one never
+    ("--type C --rank 4 --w 1,2,-4,-3 --v 2,1,3,4",
+     "WeylElement(C4: 2,1,3,4) is not minimal in W^P_4", 1),
+    # both texts are parsed before either element is checked
+    ("--type A --n 7 --d 3 --w 2,1,3,4,5,6,7 --v 1,x", "malformed window '1,x'", 0),
+    ("--type A --n 6 --d 3 --lambda 4 --mu x", "malformed shape 'x'", 0),
+], ids=["malformed", "non-minimal", "outside-box", "second-side", "parse-first",
+        "parse-first-shape"])
+def test_a_refused_input_is_refused_alike_and_never_cached(query, error, kept, capsys):
+    for _ in range(3):
+        assert run(query.split()) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert restriction._element.cache_info().currsize == kept

@@ -43,6 +43,7 @@ from schubertk.shapes import (
     perm_of_strict,
     shape_of,
     size,
+    trim,
 )
 from schubertk.restriction import (
     Pair,
@@ -941,6 +942,26 @@ def test_the_character_runs_the_fold_dp_and_no_transfer_dp(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_type_b_character_is_expanded_once_in_rank_n(monkeypatch):
+    # eps_{n+1} -> 0 is applied to the D_{n+1} numerator and denominator
+    # keys, so no slice is expanded in rank n + 1 and specialized afterwards
+    pair = Pair.of_shapes(B5, None, (3, 2, 1), (5, 4, 3, 2, 1))
+    expect = reference_character(pair, 3).slices
+    ranks, real = [], restriction.expand_graded
+
+    def counted(graded, rank, *args):
+        ranks.append(rank)
+        return real(graded, rank, *args)
+
+    def unexpected(*args):
+        raise AssertionError("a slice was specialized")
+
+    monkeypatch.setattr(restriction, "expand_graded", counted)
+    monkeypatch.setattr(restriction, "specialize_zero", unexpected)
+    assert restriction.pair_character(pair, 3).slices == expect
+    assert ranks == [5]
+
+
 def test_every_box_of_d_mu_is_packed_once_per_pair(monkeypatch):
     # the three classes of a check read one table of box keys; the first
     # character at the point reuses it, packing the degree digit once and the
@@ -1259,6 +1280,38 @@ def test_grassmannian_duality_transposes_the_shapes_and_flips_the_weights():
     assert pairs == 2566
     assert mismatches["dual"] == 0
     assert mismatches["negated"] > 0 and mismatches["reversed"] > 0
+
+
+def raised_corners(lam, d, n, reach=1):
+    """lam^(i) for each i < d with lam_i > lam_{i+1} and lam_i < n - d: lam
+    with rows 1..i + reach raised to at least lam_i + 1."""
+    parts = tuple(lam) + (0,) * (d - len(lam))
+    return [
+        trim(max(p, parts[i - 1] + 1) if row <= i + reach else p for row, p in enumerate(parts, 1))
+        for i in range(1, d) if parts[i] < parts[i - 1] < n - d
+    ]
+
+
+def test_a_type_a_point_is_smooth_iff_mu_contains_no_raised_corner():
+    # m = (1), multiplicity 1 on a Cohen-Macaulay ring, is smoothness at v;
+    # the shapes decide it (after Lakshmibai-Weyman): v_mu is singular on
+    # X^lam iff mu contains some lam^(i).  Raising rows 1..i instead is not
+    # the criterion, and it fails on many pairs
+    pairs, mismatches = 0, Counter()
+    for n in range(2, 8):
+        rs = RootSystem("A", n)
+        for d in range(1, n):
+            shapes = all_shapes(rs, d)
+            for lam in shapes:
+                corners = {reach: raised_corners(lam, d, n, reach) for reach in (1, 0)}
+                for mu in filter(lambda mu: contains(lam, mu), shapes):
+                    smooth = restriction.pair_hilbert(Pair.of_shapes(rs, d, lam, mu)).m == (1,)
+                    pairs += 1
+                    for reach, raised in corners.items():
+                        mismatches[reach] += smooth == any(contains(c, mu) for c in raised)
+    assert pairs == 2040
+    assert mismatches[1] == 0
+    assert mismatches[0] == 446
 
 
 def test_reduced_word_independence_small():

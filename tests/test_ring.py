@@ -22,6 +22,7 @@ from schubertk.ring import (
     LaurentPoly,
     add_binomial_into,
     add_into,
+    drop_coordinate,
     format_poly,
     format_poly_json,
     pack,
@@ -355,6 +356,17 @@ def test_specialize_zero_is_the_digit_surgery(p):
             key = drop_digit(k, p.rank, coord)
             expect[key] = expect.get(key, 0) + c
         assert specialize_zero(p, coord).packed == {k: c for k, c in expect.items() if c}
+
+
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(
+    st.tuples(st.lists(digits, min_size=n, max_size=n), st.integers(0, 5)), min_size=1, max_size=8)))
+@settings(max_examples=60, deadline=None)
+def test_drop_coordinate_keeps_the_degree_digit(terms):
+    # the type B character drops eps_{n+1} from keys that carry a degree digit
+    n = len(terms[0][0])
+    keys = [pack(e, top) for e, top in terms]
+    for coord in range(1, n + 1):
+        assert drop_coordinate(keys, n, coord) == [pack(e[:coord - 1] + e[coord:], top) for e, top in terms]
 
 
 @given(st.integers(1, 5).flatmap(

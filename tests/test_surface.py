@@ -51,8 +51,9 @@ def test_only_ring_names_the_work_budget():
 
 
 def test_only_the_pair_validates_a_query():
-    # a query becomes a Pair in one call, Pair.of for windows and
-    # Pair.of_shapes for shapes; only Pair.of reads a shape off a window
+    # a CLI query becomes a Pair in one call, Pair.of_text for windows and
+    # shapes alike; only Pair (Pair.of and the builder of its input cache)
+    # reads a shape off a window
     source = ROOT / "src" / "schubertk"
     cli = (source / "cli.py").read_text()
     assert not re.search(r"\b(perm_of|perm_of_strict|shape_of|contains)\b", cli)
@@ -197,7 +198,7 @@ def test_every_cache_is_bounded():
             if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
                 cached[f"{path.stem}.{name}"] = obj.cache_parameters()["maxsize"]
     assert {"diagrams._boxes_of", "tableaux._entries", "ring._decoder",
-            "weyl.reduced_word", "restriction._fixed_point"} <= set(cached)
+            "weyl.reduced_word", "restriction._fixed_point", "restriction._element"} <= set(cached)
     assert all(isinstance(size, int) for size in cached.values()), cached
 
 
